@@ -20,13 +20,14 @@ ordering — not on the penalty that produced the loadings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, InconsistentPartitionError
+from .blocks import Block, BlockPartition, InconsistentPartitionError
 from .data import CovMatrix
-from .matops import cholesky_upper, solve_spd
+from .matops import cholesky_upper, solve_spd, sym_eigen
 from .sparse_loadings import LoadingMatrix
 from .variance import CorrectedVariances
 
@@ -131,43 +132,21 @@ def replace_with_weight(
     rows = np.asarray(blk.variable_indices)
     cols = np.asarray(blk.loading_indices)
     sub = u.u[np.ix_(rows, cols)]
-    if np.max(np.abs(u.u[np.ix_(rows, cols)])) == 0 and blk.size > 0:
+    if np.max(np.abs(sub)) == 0 and blk.size > 0:
         raise InconsistentPartitionError("block has an all-zero loading sub-matrix")
     d = blk.size
-    w = np.ones(d) / np.sqrt(d)
-    new_sub = np.empty_like(sub)
-    new_sub[:, 0] = w
-    # Re-orthonormalize the remaining columns against w within the block.
-    basis = [w]
-    k = 1
-    for j in range(sub.shape[1]):
-        if k >= d:
+    # Gram-Schmidt against w over the old columns, then the standard basis
+    # in case the old columns were degenerate.
+    basis = [np.ones(d) / np.sqrt(d)]
+    for v in itertools.chain(sub.T, np.eye(d)):
+        if len(basis) >= d:
             break
-        v = sub[:, j].copy()
         for q in basis:
-            v -= (q @ v) * q
+            v = v - (q @ v) * q
         n = np.linalg.norm(v)
-        if n < 1e-12:
-            continue
-        v /= n
-        basis.append(v)
-        new_sub[:, k] = v
-        k += 1
-    if k < d:
-        # Complete from the standard basis if the old columns were degenerate.
-        for e in np.eye(d):
-            if k >= d:
-                break
-            v = e.copy()
-            for q in basis:
-                v -= (q @ v) * q
-            n = np.linalg.norm(v)
-            if n < 1e-12:
-                continue
-            v /= n
-            basis.append(v)
-            new_sub[:, k] = v
-            k += 1
+        if n >= 1e-12:
+            basis.append(v / n)
+    new_sub = np.column_stack(basis)
     out = u.u.copy()
     out[np.ix_(rows, cols)] = new_sub
     return LoadingMatrix(out, zero_tol=u.zero_tol, source_method=u.source_method)
@@ -208,8 +187,6 @@ def block_ec(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:
 
 def _sequential_partition(p: BlockPartition) -> BlockPartition:
     """The same variable blocks with loadings renumbered in block order."""
-    from .blocks import Block
-
     out, pos = [], 0
     for blk in p.blocks:
         out.append(Block(blk.variable_indices, tuple(range(pos, pos + blk.size))))
@@ -226,8 +203,6 @@ def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluati
     ratio of the corrected variance at that position to the quasi-eigenvalue
     ``w^T S w``. Independent cross-check for :func:`block_ec`.
     """
-    from .matops import sym_eigen
-
     blk = p.blocks[b]
     pos = sum(p.blocks[j].size for j in range(b))
     if pos == 0:

@@ -2,9 +2,12 @@
 
 All routines operate on plain ``numpy.ndarray`` values (row-major, float64)
 and are pure functions: no shared mutable state, safe for concurrent callers.
-The symmetric eigensolver, Cholesky factorization, QR decomposition and SPD
-solver are implemented directly; the general SVD delegates to LAPACK via
-:func:`numpy.linalg.svd`.
+Each factorization is a thin wrapper over LAPACK through :mod:`numpy.linalg`
+that adds the package's conventions: the error classes below, eigenvalues
+in descending order with a stable tie-break, eigenvectors supported on one
+connected component of the matrix's nonzero pattern with a nonnegative
+largest-magnitude component, a relative Cholesky pivot floor, and a
+nonnegative diagonal in the QR factor ``R``.
 
 Tolerances are module-level constants and may be overridden per call.
 """
@@ -29,8 +32,6 @@ __all__ = [
 
 #: Default symmetry tolerance for :func:`sym_eigen`.
 DEFAULT_SYM_TOL = 1e-8
-#: Cyclic-Jacobi sweep cap for :func:`sym_eigen`.
-JACOBI_MAX_SWEEPS = 100
 #: Relative pivot floor below which a matrix is declared not positive definite.
 CHOLESKY_PIVOT_RTOL = 1e-12
 
@@ -64,16 +65,29 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _fix_signs(u: np.ndarray) -> np.ndarray:
+    """Copy of ``u`` with each column's largest-magnitude component nonnegative."""
+    u = np.array(u, dtype=float)
+    cols = np.arange(u.shape[1])
+    u[:, u[np.argmax(np.abs(u), axis=0), cols] < 0] *= -1.0
+    return u
+
+
 def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``a = V diag(lam) V^T`` of a symmetric matrix.
 
-    Uses a cyclic Jacobi scheme (rotations zeroing each off-diagonal entry in
-    turn) with a cap of :data:`JACOBI_MAX_SWEEPS` sweeps.
+    LAPACK (:func:`numpy.linalg.eigh`) runs once per connected component of
+    the exact nonzero pattern of ``a``, so every eigenvector is supported on
+    a single component even when eigenvalues are shared across components
+    (a plain ``eigh`` may mix such a degenerate eigenspace across blocks).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order; ties are broken by original column index (stable sort),
-    and each eigenvector column has a nonnegative largest-magnitude component
-    so the decomposition is deterministic.
+    descending order. A component's eigenvalues, in descending order, take
+    its variable indices in ascending order as slots, and ties are broken by
+    slot (stable sort); for a diagonal matrix the slot is the column index.
+    Each eigenvector column has a nonnegative largest-magnitude component so
+    the decomposition is deterministic. A LAPACK convergence failure is
+    reported as :class:`NoConvergenceError`.
     """
     a = _as_matrix(a)
     m = a.shape[0]
@@ -84,74 +98,52 @@ def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise NonSymmetricError(f"max |a_ij - a_ji| = {asym:g} exceeds tol {tol:g}")
 
     w = (a + a.T) / 2.0
-    v = np.eye(m)
-    if m == 1:
-        return w.diagonal().copy(), v
-
-    off_tol = 1e-14 * max(1.0, np.max(np.abs(w)))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = w[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= off_tol:
-                    continue
-                # Jacobi rotation zeroing w[p, q].
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                w[[p, q], :] = rot.T @ w[[p, q], :]
-                w[:, [p, q]] = w[:, [p, q]] @ rot
-                w[p, q] = w[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if off <= off_tol:
-            break
-    else:
-        raise NoConvergenceError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    lam = w.diagonal().copy()
+    lam = np.empty(m)
+    v = np.zeros((m, m))
+    # Transitive closure of the nonzero pattern (path lengths double per
+    # step); a component is named by its smallest index, the first in its row.
+    reach = (w != 0.0) | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    for first in np.unique(np.argmax(reach, axis=1)):
+        comp = np.flatnonzero(reach[first])
+        try:
+            sub_lam, sub_v = np.linalg.eigh(w[np.ix_(comp, comp)])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NoConvergenceError(str(exc)) from exc
+        lam[comp] = sub_lam[::-1]
+        v[np.ix_(comp, comp)] = sub_v[:, ::-1]
     order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-    # Deterministic signs: largest-magnitude component of each column >= 0.
-    for j in range(m):
-        k = np.argmax(np.abs(v[:, j]))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
-    return lam, v
+    return lam[order], _fix_signs(v[:, order])
 
 
 def cholesky_upper(a) -> np.ndarray:
     """Upper-triangular ``R`` with ``R^T R = a`` and positive diagonal.
 
-    Raises :class:`NotPositiveDefiniteError` when a pivot falls at or below
+    LAPACK (:func:`numpy.linalg.cholesky`) computes the factor. Raises
+    :class:`NotPositiveDefiniteError` when LAPACK rejects ``a`` or when a
+    pivot ``r_ii**2`` falls at or below
     ``CHOLESKY_PIVOT_RTOL * max(diag(a))``.
     """
     a = _as_matrix(a)
     m = a.shape[0]
     if a.shape[1] != m:
         raise NonSymmetricError("matrix is not square")
-    r = np.zeros((m, m))
+    try:
+        r = np.linalg.cholesky(a).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
     floor = CHOLESKY_PIVOT_RTOL * max(np.max(np.abs(a.diagonal())), 1e-300)
-    for i in range(m):
-        pivot = a[i, i] - r[:i, i] @ r[:i, i]
-        if pivot <= floor:
-            raise NotPositiveDefiniteError(f"pivot {pivot:g} at index {i}")
-        r[i, i] = np.sqrt(pivot)
-        if i + 1 < m:
-            r[i, i + 1:] = (a[i, i + 1:] - r[:i, i] @ r[:i, i + 1:]) / r[i, i]
+    pivots = r.diagonal() ** 2
+    low = np.flatnonzero(pivots <= floor)
+    if low.size:
+        i = int(low[0])
+        raise NotPositiveDefiniteError(f"pivot {pivots[i]:g} at index {i}")
     return r
 
 
 def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR decomposition via Householder reflections.
+    """Thin QR decomposition via LAPACK (:func:`numpy.linalg.qr`).
 
     Requires ``rows >= cols``. The diagonal of ``R`` is made nonnegative by
     flipping signs into ``Q``, so ``r_ii`` is unambiguous. Rank deficiency is
@@ -161,28 +153,9 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     n, m = a.shape
     if n < m:
         raise ValueError(f"qr_decompose requires rows >= cols, got {n}x{m}")
-    r = a.copy()
-    q = np.eye(n)
-    for k in range(m):
-        x = r[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(normx, x[0]) if x[0] != 0 else normx
-        vn = np.linalg.norm(v)
-        if vn == 0.0:
-            continue
-        v /= vn
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
-    q = q[:, :m]
-    r = np.triu(r[:m, :])
-    # Sign fix: nonnegative diagonal.
+    q, r = np.linalg.qr(a)
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    r = signs[:, None] * r
-    q = q * signs[None, :]
-    return q, r
+    return q * signs[None, :], signs[:, None] * r
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,34 +181,12 @@ def soft_threshold(v, delta: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - delta, 0.0)
 
 
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = r.shape[0]
-    x = np.zeros_like(b, dtype=float)
-    for i in range(m - 1, -1, -1):
-        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
-    return x
-
-
-def _solve_lower(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = lo.shape[0]
-    x = np.zeros_like(b, dtype=float)
-    for i in range(m):
-        x[i] = (b[i] - lo[i, :i] @ x[:i]) / lo[i, i]
-    return x
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a x = b`` for symmetric positive-definite ``a``.
 
-    Factors ``a = R^T R`` with :func:`cholesky_upper` and performs two
-    triangular solves; no inverse is formed.
+    Factors ``a = R^T R`` with :func:`cholesky_upper` (so an indefinite ``a``
+    raises :class:`NotPositiveDefiniteError`), then solves ``R^T y = b`` and
+    ``R x = y`` with :func:`numpy.linalg.solve`; no inverse is formed.
     """
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
     r = cholesky_upper(a)
-    y = _solve_lower(r.T, b)
-    x = _solve_upper(r, y)
-    return x[:, 0] if squeeze else x
+    return np.linalg.solve(r, np.linalg.solve(r.T, np.asarray(b, dtype=float)))

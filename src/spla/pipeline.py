@@ -259,20 +259,25 @@ def _loadings_for(
         per = [penalty] if np.isscalar(penalty) else list(penalty)
         return elastic_net_loadings(
             cov, per, cfg.ridge, cov.n_vars,
-            replace(pcfg, method="elastic_net", conv_tol=1e-4, max_iter=300),
+            replace(pcfg, conv_tol=1e-4, max_iter=300),
             orthogonalize_result=False,
         )
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
+#: A passing grid point kept for selection: its partition, the loadings it
+#: came from, and the EC entries and minimum EC computed for the gate.
+_Found = tuple[BlockPartition, LoadingMatrix | None, list[BlockEvaluation], float]
+
+
 def _scan(
     x: np.ndarray, cov: CovMatrix, cfg: SplaConfig
-) -> tuple[list[GridPoint], dict[int, tuple[BlockPartition, LoadingMatrix]]]:
+) -> tuple[list[GridPoint], dict[int, _Found]]:
     grid = cfg.resolved_grid(cov.n_vars)
     if not grid:
         raise EmptyGridError("penalty grid is empty")
     trace: list[GridPoint] = []
-    found: dict[int, tuple[BlockPartition, LoadingMatrix, float]] = {}
+    found: dict[int, _Found] = {}
     for penalty in grid:
         try:
             lm = _loadings_for(x, cov, cfg, penalty)
@@ -290,33 +295,29 @@ def _scan(
                 ordered = _default_order(cov, detected)
         else:
             ordered = _default_order(cov, detected)
-        _, min_ec, passed = evaluate_partition(cov, ordered, cfg.gate)
+        entries, min_ec, passed = evaluate_partition(cov, ordered, cfg.gate)
         trace.append(GridPoint(penalty, ordered, min_ec, passed, ""))
         key = ordered.n_blocks
-        if passed and (key not in found or min_ec > found[key][2]):
-            found[key] = (ordered, lm, min_ec)
+        if passed and (key not in found or min_ec > found[key][3]):
+            found[key] = (ordered, lm, entries, min_ec)
     return trace, found
 
 
-def _choose(
-    cov: CovMatrix, cfg: SplaConfig, trace, found
-) -> tuple[BlockPartition, LoadingMatrix | None]:
+def _choose(cov: CovMatrix, found: dict[int, _Found]) -> _Found:
+    """The passing partition with the most blocks (best minimum EC among them).
+
+    When nothing passed the gate, the trivial single block, with no loadings,
+    its first-block marker entry and ``min_ec = 1``.
+    """
     if found:
-        partition, lm, _ = found[max(found)]
-        return partition, lm
-    # Nothing passed the gate: fall back to the trivial single block.
+        return found[max(found)]
     m = cov.n_vars
     single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
-    return single, None
+    return single, None, [BlockEvaluation(0, None, 0, ())], 1.0
 
 
-def _report(
-    cov: CovMatrix,
-    cfg: SplaConfig,
-    chosen: BlockPartition,
-    lm: LoadingMatrix | None,
-    trace,
-) -> SplaReport:
+def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaReport:
+    chosen, lm, entries, min_ec = choice
     names = cov.variable_names
     m = cov.n_vars
     # Share accounting in the evaluation (weight) basis, laid out block-first.
@@ -329,8 +330,6 @@ def _report(
     wb = weight_basis(chosen, m, within_block_order=within)
     cv = corrected_variances(cov, wb)
     shares = variance_shares(cv, cov, chosen)
-    entries, min_ec, _ = evaluate_partition(cov, chosen, cfg.gate)
-    evaluations = tuple(entries)
 
     if chosen.n_blocks > 1:
         partial = tuple(
@@ -380,7 +379,7 @@ def _report(
         tuple(names),
         chosen,
         final_loadings,
-        evaluations,
+        tuple(entries),
         min_ec,
         shares,
         partial,
@@ -395,8 +394,7 @@ def run_spla(d: DataMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
     cov = sample_cov(data)
     x = data.values - data.values.mean(axis=0)
     trace, found = _scan(x, cov, cfg)
-    chosen, lm = _choose(cov, cfg, trace, found)
-    return _report(cov, cfg, chosen, lm, trace)
+    return _report(cov, cfg, _choose(cov, found), trace)
 
 
 def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
@@ -409,5 +407,4 @@ def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport
     lam, vecs = sym_eigen(cov.values)
     x = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
     trace, found = _scan(x, cov, cfg)
-    chosen, lm = _choose(cov, cfg, trace, found)
-    return _report(cov, cfg, chosen, lm, trace)
+    return _report(cov, cfg, _choose(cov, found), trace)

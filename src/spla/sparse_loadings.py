@@ -8,7 +8,7 @@ the loading matrix is orthonormal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from .matops import (
     NoConvergenceError,
     RankDeficientError,
+    _fix_signs,
     soft_threshold,
     svd,
     sym_eigen,
@@ -72,14 +73,12 @@ class PenaltyConfig:
 
     ``l1_bound`` is the L1 budget ``c`` for the penalized decomposition and
     must lie in ``[1, sqrt(M)]``: below 1 no unit vector is feasible, above
-    ``sqrt(M)`` the constraint is inactive. The elastic-net route instead uses
-    ``per_loading_l1`` (one penalty per loading) plus a ridge weight.
+    ``sqrt(M)`` the constraint is inactive. The elastic-net route takes its
+    per-loading penalties and ridge weight as arguments and reads only the
+    iteration settings from here.
     """
 
-    method: str = "penalized_decomposition"
     l1_bound: float = 1.0
-    per_loading_l1: tuple[float, ...] = ()
-    ridge: float = 0.0
     max_iter: int = 500
     conv_tol: float = 1e-9
     #: With strict_convergence=False the rank-one alternation returns its
@@ -165,16 +164,6 @@ def penalized_rank_one(
     return left, loading, d
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude component positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        k = np.argmax(np.abs(u[:, j]))
-        if u[k, j] < 0:
-            u[:, j] = -u[:, j]
-    return u
-
-
 def sparse_loading_matrix(
     x: np.ndarray,
     cfg: PenaltyConfig,
@@ -227,7 +216,7 @@ def elastic_net_loadings(
     per_loading_l1,
     ridge: float,
     k: int,
-    cfg: PenaltyConfig = PenaltyConfig(method="elastic_net"),
+    cfg: PenaltyConfig = PenaltyConfig(),
     orthogonalize_result: bool = True,
 ) -> LoadingMatrix:
     """Elastic-net sparse loadings of a covariance matrix.

@@ -153,18 +153,22 @@ class TestPlaDetect:
         sets = sorted(tuple(sorted(names[i] for i in b.variable_indices)) for b in p.blocks)
         assert sets == [("I/Y", "POP", "SCH"), ("RD",), ("Y60", "Y85")]
 
-    def test_absence_is_none(self, oecd_corr):
-        # A tiny threshold keeps the dense eigenvector pattern: one block of
-        # six loadings is still square, so scan thresholds until a pattern
-        # with no permutation exists or assert a partition is always returned.
+    def test_absence_is_none(self):
         from spla import CovMatrix
 
         cov = CovMatrix(
             np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]),
             ("a", "b", "c"),
         )
-        # tau = 0.5 zeroes a mid-magnitude entry asymmetrically -> non-square.
-        assert pla_detect(cov, 0.5) is None or pla_detect(cov, 0.5) is not None
+        # The eigenvectors are (1/2, 1/sqrt2, 1/2), (1/sqrt2, 0, -1/sqrt2) and
+        # (1/2, -1/sqrt2, 1/2) up to sign. Below 1/2 every nonzero entry
+        # survives and the pattern is one connected square block.
+        p = pla_detect(cov, 0.4)
+        assert p is not None
+        assert [b.variable_indices for b in p.blocks] == [(0, 1, 2)]
+        # Between 1/2 and 1/sqrt2 only the 1/sqrt2 entries survive: variable
+        # "b" then carries two loadings alone, which no square block admits.
+        assert pla_detect(cov, 0.6) is None
 
     def test_exact_block_diagonal_recovered(self):
         from spla import CovMatrix

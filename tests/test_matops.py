@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spla import CovMatrix
+from spla.blocks import pla_detect
 from spla.matops import (
     NonSymmetricError,
     NotPositiveDefiniteError,
@@ -31,6 +33,8 @@ class TestSymEigen:
             assert np.allclose(vecs @ np.diag(lam) @ vecs.T, a, atol=1e-9)
             assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-10)
             assert np.all(np.diff(lam) <= 1e-12)  # descending
+            # Sign convention: each column's largest-magnitude entry is >= 0.
+            assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)] >= 0)
 
     def test_diagonal_matrix(self):
         lam, vecs = sym_eigen(np.diag([1.0, 5.0, 3.0]))
@@ -41,6 +45,26 @@ class TestSymEigen:
         lam1, v1 = sym_eigen(a)
         lam2, v2 = sym_eigen(a.copy())
         assert np.array_equal(v1, v2)
+
+    def test_shared_eigenvalue_stays_inside_blocks(self):
+        # Three identical 3x3 blocks on interleaved variables: eigenvalue 0.5
+        # has multiplicity 6 across the blocks, yet every eigenvector must be
+        # supported on one block for the eigenvector detector to see them.
+        groups = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
+        a = np.eye(9)
+        for g in groups:
+            for i in g:
+                for j in g:
+                    if i != j:
+                        a[i, j] = 0.5
+        lam, vecs = sym_eigen(a)
+        assert np.allclose(lam, [2.0] * 3 + [0.5] * 6)
+        for j in range(9):
+            support = set(np.flatnonzero(np.abs(vecs[:, j]) > 1e-12))
+            assert any(support <= set(g) for g in groups)
+        p = pla_detect(CovMatrix(a, tuple("abcdefghi")), 0.1)
+        assert p is not None
+        assert sorted(b.variable_indices for b in p.blocks) == groups
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetricError):
@@ -69,6 +93,12 @@ class TestCholesky:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_pivot_below_relative_floor(self):
+        # Positive definite in exact arithmetic, but the second pivot (1e-13)
+        # is below CHOLESKY_PIVOT_RTOL times the largest diagonal entry.
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_upper(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
 
 
 class TestQR:

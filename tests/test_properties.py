@@ -70,7 +70,7 @@ class TestOrthonormality:
         try:
             lm = elastic_net_loadings(
                 cov, [l1], 1e-6, m,
-                PenaltyConfig(method="elastic_net", conv_tol=1e-4, max_iter=300),
+                PenaltyConfig(conv_tol=1e-4, max_iter=300),
             )
         except NoConvergenceError:
             # Near-tied eigenvalues can make the alternation oscillate; an

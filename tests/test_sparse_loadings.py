@@ -114,7 +114,7 @@ class TestElasticNet:
     def test_zero_penalty_recovers_eigenvectors(self, exam_cov):
         lm = elastic_net_loadings(
             exam_cov, [0.0], 0.0, 5,
-            PenaltyConfig(method="elastic_net", conv_tol=1e-9),
+            PenaltyConfig(conv_tol=1e-9),
         )
         _, vecs = sym_eigen(exam_cov.values)
         assert np.allclose(np.abs(lm.u), np.abs(vecs), atol=1e-6)
@@ -122,7 +122,7 @@ class TestElasticNet:
     def test_penalty_produces_zeros(self, exam_cov):
         lm = elastic_net_loadings(
             exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0], 1e-6, 5,
-            PenaltyConfig(method="elastic_net", conv_tol=1e-4, max_iter=300),
+            PenaltyConfig(conv_tol=1e-4, max_iter=300),
             orthogonalize_result=False,
         )
         assert np.sum(~lm.support_pattern()) > 0
@@ -130,7 +130,7 @@ class TestElasticNet:
     def test_orthonormal_result(self, exam_cov):
         lm = elastic_net_loadings(
             exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0], 1e-6, 5,
-            PenaltyConfig(method="elastic_net", conv_tol=1e-4, max_iter=300),
+            PenaltyConfig(conv_tol=1e-4, max_iter=300),
         )
         assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-8)
 
