@@ -43,8 +43,8 @@ EXIT_NUMERICAL = 3
 EXIT_GOLDEN = 4
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """Invalid command line; like any ``ValueError`` it exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,14 +153,7 @@ def _report_table(report: SplaReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        data = load_csv(args.csv)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    data = load_csv(args.csv)
     grid = _parse_grid(args.grid) if args.grid else ()
     order = _parse_order(args.order, data.variable_names) if args.order else None
     cfg = SplaConfig(
@@ -170,14 +163,7 @@ def cmd_analyze(args) -> int:
         block_order=order,
         standardize=args.standardize,
     )
-    try:
-        report = run_spla(data, cfg)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MatopsError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = run_spla(data, cfg)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -314,11 +300,7 @@ def cmd_reproduce(args) -> int:
         "synthetic8": _reproduce_synthetic8,
         "synthetic10": _reproduce_synthetic10,
     }[args.fixture]
-    try:
-        runner(lines, failed)
-    except MatopsError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    runner(lines, failed)
     any_failed = any(failed)
     lines.append("RESULT: " + ("FAIL" if any_failed else "PASS"))
     _emit("\n".join(lines) + "\n", args.out)
@@ -413,9 +395,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args)
         return cmd_simulate(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DataError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MatopsError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":  # pragma: no cover

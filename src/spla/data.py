@@ -157,7 +157,9 @@ def standardize(d: DataMatrix) -> DataMatrix:
 def sample_cov(d: DataMatrix, is_correlation: bool | None = None) -> CovMatrix:
     """Sample covariance ``(N-1)^-1 x^T x`` of the centered data.
 
-    Centers internally; positive definiteness is asserted on construction.
+    Centers internally; a sample whose covariance is not positive definite
+    (collinear columns, or fewer observations than variables) raises
+    :class:`DataError`.
     When ``is_correlation`` is omitted it is inferred from the diagonal.
     """
     x = d.values - d.values.mean(axis=0)
@@ -165,10 +167,5 @@ def sample_cov(d: DataMatrix, is_correlation: bool | None = None) -> CovMatrix:
     s = (s + s.T) / 2.0
     if is_correlation is None:
         is_correlation = bool(np.max(np.abs(s.diagonal() - 1.0)) <= 1e-10)
-    try:
-        return CovMatrix(s, d.variable_names, is_correlation=is_correlation,
-                         n_obs=d.n_obs)
-    except NotPositiveDefiniteError:
-        raise NotPositiveDefiniteError(
-            "sample covariance is not positive definite (collinear sample?)"
-        ) from None
+    return CovMatrix(s, d.variable_names, is_correlation=is_correlation,
+                     n_obs=d.n_obs)

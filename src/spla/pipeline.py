@@ -233,7 +233,7 @@ def _apply_explicit_order(
 
 
 def _loadings_for(
-    x: np.ndarray, cov: CovMatrix, cfg: SplaConfig,
+    root: np.ndarray, cov: CovMatrix, cfg: SplaConfig,
     penalty: float | tuple[float, ...],
 ) -> LoadingMatrix:
     pcfg = PenaltyConfig(max_iter=cfg.max_iter)
@@ -241,7 +241,7 @@ def _loadings_for(
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
         lm = sparse_loading_matrix(
-            x,
+            root,
             replace(
                 pcfg, l1_bound=penalty, conv_tol=1e-7,
                 strict_convergence=False, max_iter=min(cfg.max_iter, 200),
@@ -271,16 +271,26 @@ _Found = tuple[BlockPartition, LoadingMatrix | None, list[BlockEvaluation], floa
 
 
 def _scan(
-    x: np.ndarray, cov: CovMatrix, cfg: SplaConfig
+    cov: CovMatrix, cfg: SplaConfig
 ) -> tuple[list[GridPoint], dict[int, _Found]]:
+    """Stages 1-2 over the whole grid: loadings, detection and the EC gate.
+
+    The penalized decomposition and its deflation depend on the sample only
+    through its Gram matrix, so an ``M x M`` square root ``L`` with
+    ``L^T L = S`` stands in for the sample: the loadings are those of the
+    sample itself, and the cost does not depend on the number of
+    observations.
+    """
     grid = cfg.resolved_grid(cov.n_vars)
     if not grid:
         raise EmptyGridError("penalty grid is empty")
+    lam, vecs = sym_eigen(cov.values)
+    root = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
     trace: list[GridPoint] = []
     found: dict[int, _Found] = {}
     for penalty in grid:
         try:
-            lm = _loadings_for(x, cov, cfg, penalty)
+            lm = _loadings_for(root, cov, cfg, penalty)
             detected = detect_blocks(lm)
         except BlockError as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))
@@ -389,22 +399,11 @@ def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaRepor
 
 
 def run_spla(d: DataMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
-    """Full analysis of a dataset (all four stages)."""
-    data = standardize(d) if cfg.standardize else d
-    cov = sample_cov(data)
-    x = data.values - data.values.mean(axis=0)
-    trace, found = _scan(x, cov, cfg)
-    return _report(cov, cfg, _choose(cov, found), trace)
+    """Full analysis of a dataset (all four stages) via its sample covariance."""
+    return structure_scan(sample_cov(standardize(d) if cfg.standardize else d), cfg)
 
 
 def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
-    """Stages 1-3 only, driven by a covariance matrix directly.
-
-    For the penalized decomposition a matrix square root ``L`` with
-    ``L^T L = S`` stands in for the sample, which leaves the Gram structure —
-    and therefore every pattern and criterion — unchanged.
-    """
-    lam, vecs = sym_eigen(cov.values)
-    x = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
-    trace, found = _scan(x, cov, cfg)
+    """Full analysis (all four stages) driven by a covariance matrix directly."""
+    trace, found = _scan(cov, cfg)
     return _report(cov, cfg, _choose(cov, found), trace)

@@ -8,7 +8,7 @@ replicate never shifts the draws of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,9 +151,11 @@ def identification_rate(
 ) -> list[dict]:
     """Fraction of samples whose detected partition equals the truth.
 
+    Every scan runs with ``cfg`` (default :class:`SplaConfig`) and ``gate``.
     Returns one row per ``(n, rho)`` cell:
     ``{detector, n, rho, c_ec, reps, rate}``.
     """
+    run_cfg = replace(cfg or SplaConfig(), gate=gate)
     rows = []
     for n in n_list:
         for rho in rho_list:
@@ -166,11 +168,6 @@ def identification_rate(
             for r in range(reps):
                 sample = gen_block_sample_keyed(cell, n, seed, r)
                 cov = sample_cov(sample)
-                run_cfg = cfg if cfg is not None else SplaConfig(gate=gate)
-                if run_cfg.gate.c_ec != gate.c_ec:
-                    run_cfg = SplaConfig(
-                        method=run_cfg.method, grid=run_cfg.grid, gate=gate
-                    )
                 report = structure_scan(cov, run_cfg)
                 got = sorted(
                     b.variable_indices for b in report.partition.blocks

@@ -169,7 +169,11 @@ def sparse_loading_matrix(
     cfg: PenaltyConfig,
     orthogonalize_result: bool = True,
 ) -> LoadingMatrix:
-    """All ``M`` sparse loadings of the centered sample ``x`` by deflation.
+    """All ``M`` sparse loadings of ``x`` by deflation.
+
+    ``x`` is the centered sample or any matrix with the same Gram matrix
+    ``x^T x`` (such as a square root of the covariance); the loadings depend
+    on it only through that Gram matrix.
 
     After each factor the fitted rank-one term ``d * left @ loading^T`` is
     subtracted. Columns are ordered by extraction (descending factor weight).
@@ -183,7 +187,7 @@ def sparse_loading_matrix(
     work = x.copy()
     cols = []
     for _ in range(m):
-        if np.linalg.norm(work) <= 1e-12 * max(np.linalg.norm(x), 1.0):
+        if np.linalg.norm(work) <= 1e-12 * np.linalg.norm(x):
             # Deflated to (numerical) zero: complete with an orthonormal
             # basis of the remaining complement.
             basis = _complement_basis(np.column_stack(cols) if cols else None, m)

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import spla
 from spla.cli import (
     EXIT_DATA,
     EXIT_GOLDEN,
@@ -9,6 +11,8 @@ from spla.cli import (
     EXIT_USAGE,
     main,
 )
+
+OECD_CSV = str(Path(spla.__file__).parent / "fixtures" / "oecd.csv")
 
 
 @pytest.fixture()
@@ -84,6 +88,24 @@ class TestAnalyze:
             ["analyze", exam_csv, "--order", "nope;mec"]
         ) == EXIT_USAGE
         assert main(["analyze", exam_csv, "--method", "nmf"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["simulate", "rate", "--rho", "1.0"], EXIT_USAGE),
+        (["simulate", "ec", "--n", "1"], EXIT_DATA),
+        (["analyze", OECD_CSV, "--grid", "0:1:3"], EXIT_USAGE),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid", "0.1/0.1"], EXIT_USAGE),
+        (["analyze", OECD_CSV, "--c-ec", "1.5"], EXIT_USAGE),
+    ],
+    ids=["rho-1", "n-1", "grid-from-0", "short-penalty-vector", "c-ec-above-1"],
+)
+def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 class TestReproduce:

@@ -106,6 +106,13 @@ class TestTransforms:
         assert np.allclose(cov.values, np.cov(x, rowvar=False), atol=1e-12)
         assert not cov.is_correlation
 
+    def test_sample_cov_rejects_collinear_sample(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(30, 3))
+        x[:, 2] = x[:, 0]
+        with pytest.raises(DataError):
+            sample_cov(DataMatrix(x, ("a", "b", "c")))
+
     def test_sample_cov_flags_correlation(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(50, 3))

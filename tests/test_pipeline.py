@@ -177,10 +177,46 @@ class TestConfigValidation:
     def test_empty_grid_error(self):
         import unittest.mock as mock
 
-        from spla.pipeline import EmptyGridError, _scan
+        from spla.pipeline import EmptyGridError
 
         assert len(SplaConfig(method="spca").resolved_grid(4)) > 0
         cov = CovMatrix(np.eye(2), ("a", "b"))
         with mock.patch.object(SplaConfig, "resolved_grid", return_value=()):
             with pytest.raises(EmptyGridError):
-                _scan(np.eye(2), cov, SplaConfig())
+                structure_scan(cov, SplaConfig())
+
+
+class TestCovarianceRoute:
+    def test_run_spla_passes_only_the_covariance_root(self, monkeypatch):
+        import spla.pipeline
+
+        shapes = []
+        inner = spla.pipeline.sparse_loading_matrix
+
+        def spy(x, cfg, **kw):
+            shapes.append(np.shape(x))
+            return inner(x, cfg, **kw)
+
+        monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", spy)
+        x = np.random.default_rng(5).normal(size=(500, 4))
+        run_spla(DataMatrix(x, ("a", "b", "c", "d")), SplaConfig(grid=(1.5,)))
+        assert shapes == [(4, 4)]
+
+    def test_scan_is_scale_free(self):
+        # A covariance in tiny units has a square root of norm far below 1;
+        # the deflation must not stop early and report M singletons.
+        from spla import BlockDesign, gen_block_sample, sample_cov
+
+        s = sample_cov(gen_block_sample(BlockDesign(n_blocks=3, rho=0.3), 500, 7))
+        cfg = SplaConfig(grid=(2.0, 1.409))
+        tiny = CovMatrix(s.values * 1e-26, s.variable_names)
+        a, b = structure_scan(s, cfg), structure_scan(tiny, cfg)
+
+        def trace(r):
+            return [
+                (g.partition.n_blocks if g.partition else None, g.passed)
+                for g in r.penalty_trace
+            ]
+
+        assert _names(a) == _names(b)
+        assert trace(a) == trace(b)

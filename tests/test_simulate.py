@@ -4,6 +4,7 @@ import pytest
 from spla import (
     BlockDesign,
     EcGate,
+    SplaConfig,
     ec_distribution,
     gen_block_sample,
     gen_spiked_sample,
@@ -123,6 +124,26 @@ class TestIdentificationRate:
             BlockDesign(), [100], [0.9], reps=5, gate=EcGate(), seed=17
         )
         assert rows[0]["rate"] == 0.0
+
+    def test_keeps_caller_config(self, monkeypatch):
+        import spla.simulate
+
+        seen = []
+        inner = spla.simulate.structure_scan
+
+        def spy(cov, cfg):
+            seen.append(cfg)
+            return inner(cov, cfg)
+
+        monkeypatch.setattr(spla.simulate, "structure_scan", spy)
+        cfg = SplaConfig(grid=(1.5,), detect_tol=0.05)
+        identification_rate(
+            BlockDesign(n_blocks=2), [50], [0.0], reps=2,
+            gate=EcGate(0.7), seed=17, cfg=cfg,
+        )
+        assert len(seen) == 2
+        assert all(c.detect_tol == 0.05 and c.gate == EcGate(0.7) for c in seen)
+        assert all(c.grid == (1.5,) for c in seen)
 
     def test_grid_of_cells(self):
         rows = identification_rate(
