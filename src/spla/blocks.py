@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import CovMatrix
 from .sparse_loadings import LoadingMatrix, ZERO_TOL
-from .matops import sym_eigen
+from .matops import _components, sym_eigen
 
 __all__ = [
     "BlockError",
@@ -122,45 +122,16 @@ class PermutationPair:
                 raise InconsistentPartitionError(f"not a permutation: {p}")
 
 
-def _connected_components(pattern: np.ndarray):
-    """Connected components of the bipartite variable/loading graph.
-
-    Iterative depth-first traversal; nodes ``0..M-1`` are variables (rows),
-    ``M..2M-1`` are loadings (columns).
-    """
-    m = pattern.shape[0]
-    seen = np.zeros(2 * m, dtype=bool)
-    components = []
-    for start in range(2 * m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        rows, cols = [], []
-        while stack:
-            node = stack.pop()
-            if node < m:
-                rows.append(node)
-                neighbors = np.nonzero(pattern[node])[0] + m
-            else:
-                cols.append(node - m)
-                neighbors = np.nonzero(pattern[:, node - m])[0]
-            for nb in neighbors:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        components.append((sorted(rows), sorted(cols)))
-    return components
-
-
-def detect_blocks(u: LoadingMatrix, order: str = "min_variable") -> BlockPartition:
+def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
     """Partition variables and loadings by the support pattern of ``u``.
 
-    Blocks are the connected components of the bipartite support graph. The
-    default order sorts blocks by ascending minimum variable index; the order
-    is data, not a commitment — evaluation routines take it as explicit input.
+    Entries with magnitude at or below ``tol`` are structural zeros. Blocks
+    are the connected components of the bipartite support graph, in
+    ascending order of their smallest variable index; the order is data, not
+    a commitment — evaluation routines take it as explicit input. When
+    several components are invalid, the one with the smallest node reports.
     """
-    pattern = u.support_pattern()
+    pattern = np.abs(u.u) > tol
     # Diagnose isolated variables up front: the more specific error should
     # win over a non-square component elsewhere in the pattern.
     lonely = np.nonzero(~pattern.any(axis=1))[0]
@@ -168,21 +139,21 @@ def detect_blocks(u: LoadingMatrix, order: str = "min_variable") -> BlockPartiti
         raise IsolatedVariableError(
             f"variable {int(lonely[0])} has no incident loading"
         )
+    # Nodes 0..M-1 are variables (rows), M..2M-1 are loadings (columns). A
+    # loading without support is a component of its own, but it comes after
+    # every component holding a variable, and one of those is then short of
+    # a loading and reports first.
+    m = u.n_vars
+    graph = np.zeros((2 * m, 2 * m), dtype=bool)
+    graph[:m, m:], graph[m:, :m] = pattern, pattern.T
     blocks = []
-    for rows, cols in _connected_components(pattern):
-        if not cols and rows:
-            raise IsolatedVariableError(f"variable {rows[0]} has no incident loading")
-        if not rows and cols:
-            raise NonSquareBlockError(f"loading {cols[0]} touches no variable")
+    for comp in _components(graph):
+        rows, cols = comp[comp < m].tolist(), (comp[comp >= m] - m).tolist()
         if len(rows) != len(cols):
             raise NonSquareBlockError(
                 f"component with variables {rows} pairs {len(cols)} loadings"
             )
         blocks.append(Block(tuple(rows), tuple(cols)))
-    if order == "min_variable":
-        blocks.sort(key=lambda b: b.variable_indices[0])
-    elif order is not None:  # pragma: no cover - guarded API
-        raise ValueError(f"unknown order {order!r}")
     return BlockPartition(tuple(blocks))
 
 
@@ -208,15 +179,12 @@ def permute_to_block_diagonal(
         mask[pos:pos + b.size, pos:pos + b.size] = True
         pos += b.size
     off = permuted[~mask]
-    if np.any(np.abs(off) > u.zero_tol):
+    if np.any(np.abs(off) > ZERO_TOL):
         raise InconsistentPartitionError(
             "support pattern has entries outside the partition's blocks"
         )
     permuted[~mask] = 0.0
-    return (
-        LoadingMatrix(permuted, zero_tol=u.zero_tol, source_method=u.source_method),
-        PermutationPair(tuple(row_perm), tuple(col_perm)),
-    )
+    return LoadingMatrix(permuted), PermutationPair(tuple(row_perm), tuple(col_perm))
 
 
 def pla_detect(cov: CovMatrix, tau: float) -> BlockPartition | None:
@@ -230,8 +198,7 @@ def pla_detect(cov: CovMatrix, tau: float) -> BlockPartition | None:
         raise ValueError(f"tau={tau} outside (0, 1)")
     _, vecs = sym_eigen(cov.values)
     thresholded = np.where(np.abs(vecs) > tau, vecs, 0.0)
-    lm = LoadingMatrix(thresholded, zero_tol=ZERO_TOL, source_method="eigenvectors")
     try:
-        return detect_blocks(lm)
+        return detect_blocks(LoadingMatrix(thresholded))
     except (NonSquareBlockError, IsolatedVariableError):
         return None

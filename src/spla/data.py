@@ -107,31 +107,36 @@ def load_csv(path) -> DataMatrix:
     Separator ``,``, decimal point ``.``, UTF-8. Wrong-arity rows and
     non-numeric cells abort with a row/column diagnostic.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(names)}"
-                )
-            parsed = []
-            for col, cell in zip(names, row):
-                cell = cell.strip()
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            names = [h.strip() for h in header]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(names):
                     raise DataError(
-                        f"{path}: row {lineno}, column {col!r}: non-numeric value {cell!r}"
-                    ) from None
-            rows.append(parsed)
+                        f"{path}: row {lineno} has {len(row)} fields, "
+                        f"expected {len(names)}"
+                    )
+                parsed = []
+                for col, cell in zip(names, row):
+                    cell = cell.strip()
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {lineno}, column {col!r}: "
+                            f"non-numeric value {cell!r}"
+                        ) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return DataMatrix(np.array(rows, dtype=float), tuple(names))

@@ -86,7 +86,6 @@ def _helmert(m: int) -> np.ndarray:
 
 def weight_basis(
     p: BlockPartition,
-    m: int | None = None,
     within_block_order: tuple[tuple[int, ...], ...] | None = None,
 ) -> LoadingMatrix:
     """Block-diagonal orthonormal basis, equal-weight column leading each block.
@@ -98,8 +97,7 @@ def weight_basis(
     not; ``within_block_order`` pins the variable sequence each block's
     basis is built over (default: ascending variable index).
     """
-    m = p.n_vars if m is None else m
-    u = np.zeros((m, m))
+    u = np.zeros((p.n_vars, p.n_vars))
     pos = 0
     for i, b in enumerate(p.blocks):
         if within_block_order is not None:
@@ -113,7 +111,7 @@ def weight_basis(
             rows = np.asarray(b.variable_indices)
         u[np.ix_(rows, range(pos, pos + b.size))] = _helmert(b.size)
         pos += b.size
-    return LoadingMatrix(u, source_method="eigenvectors")
+    return LoadingMatrix(u)
 
 
 def replace_with_weight(
@@ -149,7 +147,7 @@ def replace_with_weight(
     new_sub = np.column_stack(basis)
     out = u.u.copy()
     out[np.ix_(rows, cols)] = new_sub
-    return LoadingMatrix(out, zero_tol=u.zero_tol, source_method=u.source_method)
+    return LoadingMatrix(out)
 
 
 def block_ec(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:

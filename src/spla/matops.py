@@ -73,6 +73,22 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _components(adjacency) -> list[np.ndarray]:
+    """Connected components of the graph with a symmetric boolean adjacency.
+
+    Each component is a sorted index array, and the list is ordered by each
+    component's smallest index.
+    """
+    n = adjacency.shape[0]
+    # Transitive closure (path lengths double per step); a component is
+    # named by its smallest index, the first in its row.
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    firsts = np.unique(np.argmax(reach, axis=1))
+    return [np.flatnonzero(reach[i]) for i in firsts]
+
+
 def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``a = V diag(lam) V^T`` of a symmetric matrix.
 
@@ -100,13 +116,7 @@ def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
     w = (a + a.T) / 2.0
     lam = np.empty(m)
     v = np.zeros((m, m))
-    # Transitive closure of the nonzero pattern (path lengths double per
-    # step); a component is named by its smallest index, the first in its row.
-    reach = (w != 0.0) | np.eye(m, dtype=bool)
-    for _ in range(m.bit_length()):
-        reach = (reach.astype(float) @ reach) > 0
-    for first in np.unique(np.argmax(reach, axis=1)):
-        comp = np.flatnonzero(reach[first])
+    for comp in _components(w != 0.0):
         try:
             sub_lam, sub_v = np.linalg.eigh(w[np.ix_(comp, comp)])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

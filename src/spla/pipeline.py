@@ -32,6 +32,7 @@ from .evaluation import (
 )
 from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
+    ZERO_TOL,
     LoadingMatrix,
     PenaltyConfig,
     elastic_net_loadings,
@@ -76,9 +77,9 @@ class SplaConfig:
     below the bound. ``block_order`` optionally pins the
     evaluation order as a tuple of variable-index tuples.
 
-    ``detect_tol`` is the support tolerance for block detection: loading
-    components below it in magnitude are structural zeros. The deflation
-    route leaves sub-percent residue on otherwise-zero components; a genuine
+    ``detect_tol`` is the support tolerance for block detection on the
+    ``'pmd'`` route: loading components at or below it in magnitude are
+    structural zeros. The deflation route leaves sub-percent residue on otherwise-zero components; a genuine
     component this small contributes a negligible variance share, so
     suppressing it only removes spurious block bridges.
     """
@@ -240,20 +241,13 @@ def _loadings_for(
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        lm = sparse_loading_matrix(
+        return sparse_loading_matrix(
             root,
             replace(
                 pcfg, l1_bound=penalty, conv_tol=1e-7,
                 strict_convergence=False, max_iter=min(cfg.max_iter, 200),
             ),
             orthogonalize_result=False,
-        )
-        # Deflation leaves sub-percent residue on structurally-zero
-        # components; the elastic net below produces exact zeros, so the
-        # detection tolerance applies to this route only.
-        return LoadingMatrix(
-            lm.u, zero_tol=max(lm.zero_tol, cfg.detect_tol),
-            source_method=lm.source_method,
         )
     if cfg.method == "spca":
         per = [penalty] if np.isscalar(penalty) else list(penalty)
@@ -286,16 +280,17 @@ def _scan(
         raise EmptyGridError("penalty grid is empty")
     lam, vecs = sym_eigen(cov.values)
     root = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
+    # Deflation leaves sub-percent residue on structurally-zero components;
+    # the elastic net produces exact zeros, so the detection tolerance
+    # applies to the penalized decomposition only.
+    tol = max(ZERO_TOL, cfg.detect_tol) if cfg.method == "pmd" else ZERO_TOL
     trace: list[GridPoint] = []
     found: dict[int, _Found] = {}
     for penalty in grid:
         try:
             lm = _loadings_for(root, cov, cfg, penalty)
-            detected = detect_blocks(lm)
-        except BlockError as exc:
-            trace.append(GridPoint(penalty, None, None, False, str(exc)))
-            continue
-        except MatopsError as exc:
+            detected = detect_blocks(lm, tol)
+        except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))
             continue
         if cfg.block_order is not None:
@@ -337,7 +332,7 @@ def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaRepor
         tuple(sorted(b)) for b in cfg.block_order
     ] == [b.variable_indices for b in chosen.blocks]:
         within = tuple(tuple(int(i) for i in b) for b in cfg.block_order)
-    wb = weight_basis(chosen, m, within_block_order=within)
+    wb = weight_basis(chosen, within_block_order=within)
     cv = corrected_variances(cov, wb)
     shares = variance_shares(cv, cov, chosen)
 
@@ -379,9 +374,7 @@ def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaRepor
     final_loadings = None
     if lm is not None:
         try:
-            final_loadings = orthogonalize(
-                lm.u, partition_hint=chosen, source_method=lm.source_method
-            )
+            final_loadings = orthogonalize(lm.u, partition_hint=chosen)
         except MatopsError:
             final_loadings = None
 

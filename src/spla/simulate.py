@@ -119,6 +119,11 @@ def ec_distribution(
     ``(reps, len(blocks_to_eval))``.
     """
     blocks_to_eval = list(blocks_to_eval)
+    for b in blocks_to_eval:
+        if not 0 <= b < design.n_blocks:
+            raise ValueError(
+                f"block index {b} outside [0, {design.n_blocks}) (0-based)"
+            )
     p = design.true_partition()
     out = np.empty((reps, len(blocks_to_eval)))
     for r in range(reps):
@@ -155,14 +160,13 @@ def identification_rate(
     Returns one row per ``(n, rho)`` cell:
     ``{detector, n, rho, c_ec, reps, rate}``.
     """
+    if reps < 1:
+        raise ValueError(f"reps={reps} must be at least 1")
     run_cfg = replace(cfg or SplaConfig(), gate=gate)
     rows = []
     for n in n_list:
         for rho in rho_list:
-            cell = BlockDesign(
-                design.n_blocks, design.block_size, rho,
-                design.latent_sd_sq, design.noise_sd_sq,
-            )
+            cell = replace(design, rho=rho)
             truth = [b.variable_indices for b in cell.true_partition().blocks]
             hits = 0
             for r in range(reps):

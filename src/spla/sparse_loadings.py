@@ -45,8 +45,6 @@ class LoadingMatrix:
     """An ``M x M`` matrix whose columns are (sparse) loadings."""
 
     u: np.ndarray
-    zero_tol: float = ZERO_TOL
-    source_method: str = "penalized_decomposition"
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -60,11 +58,11 @@ class LoadingMatrix:
 
     def support(self, j: int) -> np.ndarray:
         """Indices of the nonzero components of loading ``j``."""
-        return np.nonzero(np.abs(self.u[:, j]) > self.zero_tol)[0]
+        return np.nonzero(np.abs(self.u[:, j]) > ZERO_TOL)[0]
 
     def support_pattern(self) -> np.ndarray:
         """Boolean ``M x M`` mask of the nonzero pattern."""
-        return np.abs(self.u) > self.zero_tol
+        return np.abs(self.u) > ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -197,10 +195,7 @@ def sparse_loading_matrix(
         cols.append(loading)
         work = work - d * np.outer(left, loading)
     u = _fix_signs(np.column_stack(cols[:m]))
-    lm = LoadingMatrix(u, source_method="penalized_decomposition")
-    if orthogonalize_result:
-        lm = orthogonalize(lm.u, source_method="penalized_decomposition")
-    return lm
+    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)
 
 
 def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
@@ -284,16 +279,11 @@ def elastic_net_loadings(
     else:
         u = b
     u = _fix_signs(u)
-    lm = LoadingMatrix(u, source_method="elastic_net")
-    if orthogonalize_result:
-        lm = orthogonalize(lm.u, source_method="elastic_net")
-    return lm
+    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)
 
 
 def orthogonalize(
-    u,
-    partition_hint: "Optional[BlockPartition]" = None,
-    source_method: str = "penalized_decomposition",
+    u, partition_hint: "Optional[BlockPartition]" = None
 ) -> LoadingMatrix:
     """Nearest orthonormal matrix via Procrustes (SVD with unit singular values).
 
@@ -319,4 +309,4 @@ def orthogonalize(
                 f"singular value {np.min(ss):g} below 1e-10 during orthogonalization"
             )
         out[np.ix_(rows, colidx)] = uu @ vv.T
-    return LoadingMatrix(_fix_signs(out), source_method=source_method)
+    return LoadingMatrix(_fix_signs(out))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spla import (
     Block,
@@ -10,6 +11,7 @@ from spla import (
     pla_detect,
 )
 from spla.blocks import (
+    BlockError,
     InconsistentPartitionError,
     IsolatedVariableError,
     NonSquareBlockError,
@@ -108,6 +110,104 @@ class TestDetectBlocks:
         p = detect_blocks(LoadingMatrix(u))
         covered = sorted(i for b in p.blocks for i in b.variable_indices)
         assert covered == [0, 1, 2]
+
+
+def _reference_components(pattern: np.ndarray):
+    """Components of the bipartite graph by depth-first search.
+
+    Nodes ``0..M-1`` are variables (rows), ``M..2M-1`` are loadings
+    (columns); components come in order of their smallest node. Node ids
+    are stored as ``int``: with NumPy 2 the detector this copies printed
+    them as ``np.int64(1)`` in its error messages.
+    """
+    m = pattern.shape[0]
+    seen = np.zeros(2 * m, dtype=bool)
+    components = []
+    for start in range(2 * m):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        rows, cols = [], []
+        while stack:
+            node = stack.pop()
+            if node < m:
+                rows.append(int(node))
+                neighbors = np.nonzero(pattern[node])[0] + m
+            else:
+                cols.append(int(node - m))
+                neighbors = np.nonzero(pattern[:, node - m])[0]
+            for nb in neighbors:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        components.append((sorted(rows), sorted(cols)))
+    return components
+
+
+def _reference_detect_blocks(u: LoadingMatrix) -> BlockPartition:
+    """Independent detector: depth-first search, then the same diagnostics."""
+    pattern = u.support_pattern()
+    lonely = np.nonzero(~pattern.any(axis=1))[0]
+    if lonely.size:
+        raise IsolatedVariableError(
+            f"variable {int(lonely[0])} has no incident loading"
+        )
+    blocks = []
+    for rows, cols in _reference_components(pattern):
+        if not cols and rows:
+            raise IsolatedVariableError(f"variable {rows[0]} has no incident loading")
+        if not rows and cols:
+            raise NonSquareBlockError(f"loading {cols[0]} touches no variable")
+        if len(rows) != len(cols):
+            raise NonSquareBlockError(
+                f"component with variables {rows} pairs {len(cols)} loadings"
+            )
+        blocks.append(Block(tuple(rows), tuple(cols)))
+    blocks.sort(key=lambda b: b.variable_indices[0])
+    return BlockPartition(tuple(blocks))
+
+
+def _outcome(detector, u: LoadingMatrix):
+    """A detector's partition, or the class and message of its error."""
+    try:
+        return detector(u)
+    except BlockError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _patterns(draw):
+    """Boolean ``M x M`` patterns, M <= 10, of varied density, from a drawn
+    seed. Adding a permutation makes every component square; taking one of
+    its entries out again makes non-square components common."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    kind = draw(st.sampled_from(["plain", "permutation", "permutation less one"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    pattern = rng.random((m, m)) < density
+    if kind != "plain":
+        perm = rng.permutation(m)
+        pattern[np.arange(m), perm] = True
+        if kind == "permutation less one":
+            i = rng.integers(m)
+            pattern[i, perm[i]] = False
+    return pattern
+
+
+class TestDetectBlocksOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_patterns())
+    def test_matches_depth_first_reference(self, pattern):
+        # The error chosen and its message reach the penalty trace's note.
+        u = LoadingMatrix(pattern.astype(float))
+        assert _outcome(detect_blocks, u) == _outcome(_reference_detect_blocks, u)
+
+    def test_tol_sets_the_support(self):
+        u = np.eye(3)
+        u[0, 1] = u[1, 0] = 0.005
+        assert detect_blocks(LoadingMatrix(u)).n_blocks == 2
+        assert detect_blocks(LoadingMatrix(u), tol=0.01).n_blocks == 3
 
 
 class TestPermuteToBlockDiagonal:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import spla
+from spla import DataError, load_csv
 from spla.cli import (
     EXIT_DATA,
     EXIT_GOLDEN,
@@ -98,14 +99,30 @@ class TestAnalyze:
         (["analyze", OECD_CSV, "--grid", "0:1:3"], EXIT_USAGE),
         (["analyze", OECD_CSV, "--method", "spca", "--grid", "0.1/0.1"], EXIT_USAGE),
         (["analyze", OECD_CSV, "--c-ec", "1.5"], EXIT_USAGE),
+        (["simulate", "ec", "--blocks", "99"], EXIT_USAGE),
+        (["simulate", "ec", "--blocks", "0"], EXIT_USAGE),
+        (["simulate", "rate", "--reps", "0"], EXIT_USAGE),
     ],
-    ids=["rho-1", "n-1", "grid-from-0", "short-penalty-vector", "c-ec-above-1"],
+    ids=[
+        "rho-1", "n-1", "grid-from-0", "short-penalty-vector", "c-ec-above-1",
+        "block-above-design", "block-0", "reps-0",
+    ],
 )
 def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_non_utf8_csv_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_csv(path)
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and len(err.splitlines()) == 1
 
 
 class TestReproduce:

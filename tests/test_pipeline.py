@@ -220,3 +220,30 @@ class TestCovarianceRoute:
 
         assert _names(a) == _names(b)
         assert trace(a) == trace(b)
+
+
+class TestSupportTolerance:
+    @pytest.mark.parametrize(
+        ("method", "grid", "detect_tol", "want"),
+        [
+            ("pmd", (1.5,), 0.05, 0.05),
+            ("pmd", (1.5,), 1e-12, 1e-9),  # never below ZERO_TOL
+            ("spca", (0.05,), 0.05, 1e-9),  # exact zeros: ZERO_TOL only
+        ],
+    )
+    def test_detect_blocks_gets_the_route_tolerance(
+        self, monkeypatch, oecd_corr, method, grid, detect_tol, want
+    ):
+        import spla.pipeline
+
+        tols = []
+        inner = spla.pipeline.detect_blocks
+
+        def spy(u, tol):
+            tols.append(tol)
+            return inner(u, tol)
+
+        monkeypatch.setattr(spla.pipeline, "detect_blocks", spy)
+        cfg = SplaConfig(method=method, grid=grid, detect_tol=detect_tol)
+        structure_scan(oecd_corr, cfg)
+        assert tols == [want]
