@@ -320,12 +320,18 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_simulate(args) -> int:
     if args.experiment == "ec":
         design = BlockDesign(rho=args.rho)
-        blocks = [int(b) - 1 for b in args.blocks.split(",")]
-        ecs = ec_distribution(design, args.n, args.reps, blocks, args.seed)
+        blocks = [int(b) for b in args.blocks.split(",")]
+        for b in blocks:
+            if not 1 <= b <= design.n_blocks:
+                raise _UsageError(f"--blocks {b} outside 1..{design.n_blocks}")
+        ecs = ec_distribution(
+            design, args.n, args.reps, [b - 1 for b in blocks], args.seed,
+        )
+        # Block 1 has nothing before it: its EC is a marker (null / empty).
         rows = [
-            {"rep": r, "block": blocks[c] + 1, "ec": float(ecs[r, c])}
+            {"rep": r, "block": b, "ec": None if b == 1 else float(ecs[r, c])}
             for r in range(ecs.shape[0])
-            for c in range(ecs.shape[1])
+            for c, b in enumerate(blocks)
         ]
     elif args.experiment == "rate":
         design = BlockDesign()

@@ -116,7 +116,9 @@ def ec_distribution(
 
     ``blocks_to_eval`` holds 0-based block indices; blocks are evaluated in
     index order (block 0 first). Returns an array of shape
-    ``(reps, len(blocks_to_eval))``.
+    ``(reps, len(blocks_to_eval))``. Block 0 has nothing before it: its column
+    holds a placeholder 1.0, which ``spla simulate ec`` writes as the marker
+    (``null`` in JSON, empty in CSV).
     """
     blocks_to_eval = list(blocks_to_eval)
     for b in blocks_to_eval:

@@ -36,8 +36,6 @@ __all__ = [
 
 #: Entries with magnitude at or below this are treated as structural zeros.
 ZERO_TOL = 1e-9
-#: Bisection iterations for the L1 threshold search.
-BISECTION_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,10 @@ class PenaltyConfig:
     max_iter: int = 500
     conv_tol: float = 1e-9
     #: With strict_convergence=False the rank-one alternation returns its
-    #: final iterate instead of raising when the loading keeps oscillating
-    #: between near-tied supports (common when several blocks carry almost
-    #: identical variance). The support of the final iterate is still a
-    #: valid sparse pattern; downstream gating judges it on its own merits.
+    #: final iterate instead of raising at max_iter. Capped factors do not
+    #: oscillate: with near-tied block variances they keep one support and
+    #: converge linearly but slowly. The support of the final iterate is
+    #: settled; downstream gating judges it on its own merits.
     strict_convergence: bool = True
 
     def validated_bound(self, m: int) -> float:
@@ -98,27 +96,37 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def _l1_of_unit(z: np.ndarray, delta: float) -> float:
-    """L1 norm of the normalized soft-thresholded vector (inf if all zero)."""
-    w = soft_threshold(z, delta)
-    n2 = np.linalg.norm(w)
-    if n2 == 0.0:
-        return np.inf
-    return float(np.sum(np.abs(w)) / n2)
+def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
+    """``unit(soft_threshold(z, delta))`` for the smallest ``delta >= 0`` with
+    ``||unit(soft_threshold(z, delta))||_1 <= c``; the zero vector if none.
 
-
-def _threshold_for_budget(z: np.ndarray, c: float) -> float:
-    """Smallest ``delta >= 0`` with ``||unit(soft(z, delta))||_1 <= c``."""
-    if _l1_of_unit(z, 0.0) <= c:
-        return 0.0
-    lo, hi = 0.0, float(np.max(np.abs(z)))
-    for _ in range(BISECTION_ITERS):
-        mid = (lo + hi) / 2.0
-        if _l1_of_unit(z, mid) <= c:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    Between sorted ``|z|`` values (knots) the same ``k`` coordinates survive,
+    and the L1/L2 ratio, which falls as ``delta`` grows, meets ``c`` at a root
+    of a quadratic. ``delta`` is that root on the first piece whose lower knot
+    breaks the budget (Duchi et al., ICML 2008). At ``c = 1`` it is the second
+    largest ``|z|``: ``+-e_i`` for a strict maximum, zero for a tie.
+    """
+    a = -np.sort(-np.abs(z))
+    norm = np.linalg.norm(z)
+    if norm > 0 and np.sum(np.abs(z)) / norm <= c:
+        delta = 0.0
+    elif c == 1.0:  # the root is a[1]; taken as is, the answer is one-sparse
+        delta = a[1]
+    else:
+        g = a[0] - a  # shifted by the maximum, near ties do not cancel
+        knot = np.append(g[1:], a[0])  # each piece's lower knot, shifted
+        k = np.arange(1, a.size + 1)
+        g1, g2 = np.cumsum(g), np.cumsum(g * g)
+        # ||w||_1 > c ||w||_2 at the lower knot; at the last one, r(0) > c
+        above = k * knot - g1 > c * np.sqrt(k * knot * knot - 2 * knot * g1 + g2)
+        j = int(np.argmax(np.append(above[:-1], True)))
+        kj = j + 1
+        delta = a[kj] if kj < a.size else 0.0
+        if kj > c * c:  # otherwise only by rounding: the root is the lower knot
+            mean, var = g1[j] / kj, max(g2[j] - g1[j] ** 2 / kj, 0.0)
+            root = a[0] - mean - c * np.sqrt(var / (kj * (kj - c * c)))
+            delta = min(max(root, delta), a[j])
+    return _unit(soft_threshold(z, delta))
 
 
 def penalized_rank_one(
@@ -128,7 +136,7 @@ def penalized_rank_one(
 
     Alternates ``left <- unit(x @ loading)`` and
     ``loading <- unit(soft_threshold(x.T @ left, delta))`` where ``delta`` is
-    the smallest threshold (bisection) keeping ``||loading||_1 <= c``.
+    the smallest threshold keeping ``||loading||_1 <= c`` (exact: sort and scan).
     Initialized at the leading right singular vector of ``x`` (deterministic).
     """
     x = np.asarray(x, dtype=float)
@@ -141,9 +149,7 @@ def penalized_rank_one(
     loading = _unit(v[:, 0])
     for _ in range(cfg.max_iter):
         left = _unit(x @ loading)
-        z = x.T @ left
-        delta = _threshold_for_budget(z, c)
-        new = _unit(soft_threshold(z, delta))
+        new = _unit_within_budget(x.T @ left, c)
         if np.linalg.norm(new - loading) < cfg.conv_tol:
             loading = new
             break

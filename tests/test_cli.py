@@ -176,6 +176,22 @@ class TestSimulate:
         assert len(rows) == 2
         assert all(r["block"] == 2 and 0 < r["ec"] <= 1 for r in rows)
 
+    def test_ec_block_outside_design_names_typed_number(self, capsys):
+        assert main(["simulate", "ec", "--blocks", "2,99"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--blocks 99 outside 1..7" in err
+        assert "98" not in err
+
+    def test_ec_first_block_is_marker(self, capsys):
+        argv = ["simulate", "ec", "--n", "50", "--reps", "2", "--blocks", "1,2"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["ec"] is None for r in rows] == [True, False, True, False]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "0,1," and lines[3] == "1,1,"
+        assert 0 < float(lines[2].split(",")[2]) <= 1
+
     def test_rate_row(self, capsys):
         rc = main([
             "simulate", "rate", "--n", "100", "--rho", "0.0",

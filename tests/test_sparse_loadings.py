@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import spla.sparse_loadings as sl
 from spla import (
+    BlockDesign,
     DataMatrix,
     LoadingMatrix,
     NoConvergenceError,
@@ -12,7 +15,8 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
-from spla.matops import sym_eigen
+from spla.matops import soft_threshold, sym_eigen
+from spla.simulate import gen_block_sample
 
 from conftest import random_spd
 
@@ -20,6 +24,119 @@ from conftest import random_spd
 def _pseudo_sample(cov_values: np.ndarray) -> np.ndarray:
     lam, vecs = sym_eigen(cov_values)
     return np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
+
+
+def _l1_of_unit(z: np.ndarray, delta: float) -> float:
+    w = soft_threshold(z, delta)
+    n2 = np.linalg.norm(w)
+    return np.inf if n2 == 0.0 else float(np.sum(np.abs(w)) / n2)
+
+
+def _bisection_loading(z: np.ndarray, c: float) -> np.ndarray:
+    """Reference for ``_unit_within_budget``: 50 bisection steps for the
+    smallest ``delta`` keeping the budget."""
+    if _l1_of_unit(z, 0.0) <= c:
+        delta = 0.0
+    else:
+        lo, delta = 0.0, float(np.max(np.abs(z)))
+        for _ in range(50):
+            mid = (lo + delta) / 2.0
+            if _l1_of_unit(z, mid) <= c:
+                delta = mid
+            else:
+                lo = mid
+    w = soft_threshold(z, delta)
+    n = np.linalg.norm(w)
+    return w / n if n > 0 else w
+
+
+@pytest.fixture()
+def thresholds(monkeypatch):
+    """The ``delta`` of every ``soft_threshold`` call in ``sparse_loadings``."""
+    deltas = []
+
+    def recording(v, delta):
+        deltas.append(delta)
+        return soft_threshold(v, delta)
+
+    monkeypatch.setattr(sl, "soft_threshold", recording)
+    return deltas
+
+
+@st.composite
+def _budget_cases(draw):
+    """``(z, c)`` with ``c`` in ``(1, sqrt(M)]``. ``z`` lives on a grid of
+    ``1 / levels``, so distinct ``|z|`` values are at least ``1e-6 * max|z|``
+    apart; ``levels = 4`` draws exact ties on purpose.
+
+    ``c`` within ``1e-8`` (relative) of the ratio at a knot puts the threshold
+    within the bisection's resolution, ``2**-50 * max|z|``, of that knot; there
+    its dyadic grid, not the budget, decides whether the coordinate at the knot
+    is zero, so such draws are left out."""
+    m = draw(st.integers(2, 12))
+    levels = draw(st.sampled_from([4, 1000, 10**6]))
+    ints = draw(st.lists(st.integers(-levels, levels), min_size=m, max_size=m))
+    scale = draw(st.sampled_from([1.0, 0.37, 1e3]))
+    z = np.array(ints, dtype=float) * (scale / levels)
+    c = draw(st.floats(1.0, float(np.sqrt(m)), exclude_min=True))
+    knots = [_l1_of_unit(z, a) for a in np.append(np.abs(z), 0.0)]
+    assume(all(abs(r - c) > 1e-8 * c for r in knots if np.isfinite(r)))
+    return z, c
+
+
+class TestBudgetThreshold:
+    @settings(max_examples=400, deadline=None)
+    @given(_budget_cases())
+    def test_matches_bisection(self, case):
+        z, c = case
+        got = sl._unit_within_budget(z, c)
+        want = _bisection_loading(z, c)
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert (not got.any()) == (not want.any())
+
+    def test_c1_is_signed_basis_vector_or_zero(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            z = rng.normal(size=int(rng.integers(2, 15)))
+            i = int(np.argmax(np.abs(z)))
+            want = np.zeros_like(z)
+            want[i] = np.sign(z[i])
+            assert np.array_equal(sl._unit_within_budget(z, 1.0), want)
+        tied = np.array([0.3, -2.0, 2.0, 1.0])
+        assert not sl._unit_within_budget(tied, 1.0).any()
+
+    @pytest.mark.parametrize(
+        ("z", "c"),
+        [
+            # c is the knot ratio sqrt(2): rounding puts the root just below 0.
+            ([-0.37, -1.48, -0.37], np.sqrt(2.0)),
+            # c = sqrt(M) with all |z| equal: rounding makes r(0) > c and
+            # k <= c^2 on the only piece, whose answer is its lower knot, 0.
+            ([0.3, 0.3, -0.3, -0.3, -0.3], np.sqrt(5.0)),
+        ],
+    )
+    def test_rounding_at_a_knot_stays_in_the_piece(self, z, c):
+        z = np.array(z)
+        got = sl._unit_within_budget(z, c)
+        assert np.max(np.abs(got - _bisection_loading(z, c))) <= 1e-9
+        assert np.all(got != 0.0)
+
+    def test_threshold_is_the_smallest_within_budget(self, thresholds):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(200):
+            m = int(rng.integers(3, 15))
+            z = rng.normal(size=m)
+            c = float(rng.uniform(1.0, np.sqrt(m)))
+            w = sl._unit_within_budget(z, c)
+            delta = thresholds[-1]
+            if delta == 0.0:
+                continue
+            checked += 1
+            assert np.sum(np.abs(w)) <= c * (1 + 1e-12)
+            assert _l1_of_unit(z, delta * (1 - 1e-9)) > c
+        assert checked > 100
 
 
 class TestPenalizedRankOne:
@@ -57,6 +174,15 @@ class TestPenalizedRankOne:
             penalized_rank_one(x, 0.5)
         with pytest.raises(ValueError):
             penalized_rank_one(x, 2.0)
+
+    def test_one_threshold_per_alternation(self, thresholds):
+        cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
+        x = _pseudo_sample(cov.values)
+        cfg = PenaltyConfig(max_iter=200, conv_tol=1e-7, strict_convergence=False)
+        for c in (1.0, 1.409, 2.0, 3.0):
+            thresholds.clear()
+            penalized_rank_one(x, c, cfg)
+            assert 0 < len(thresholds) <= cfg.max_iter + 1
 
     def test_strict_convergence_raises(self):
         # Seven equal-variance pairs with a shared factor drift slowly at
