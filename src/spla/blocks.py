@@ -101,12 +101,6 @@ class BlockPartition:
             raise InconsistentPartitionError(f"invalid block order {order}")
         return BlockPartition(tuple(self.blocks[i] for i in order))
 
-    def variable_sets(self, names=None):
-        """Blocks as tuples of indices, or of names when ``names`` is given."""
-        if names is None:
-            return [b.variable_indices for b in self.blocks]
-        return [tuple(names[i] for i in b.variable_indices) for b in self.blocks]
-
 
 @dataclass(frozen=True)
 class PermutationPair:

@@ -35,9 +35,9 @@ from .sparse_loadings import (
     ZERO_TOL,
     LoadingMatrix,
     PenaltyConfig,
+    _pmd,
     elastic_net_loadings,
     orthogonalize,
-    sparse_loading_matrix,
 )
 from .variance import (
     VarianceShares,
@@ -79,9 +79,10 @@ class SplaConfig:
 
     ``detect_tol`` is the support tolerance for block detection on the
     ``'pmd'`` route: loading components at or below it in magnitude are
-    structural zeros. The deflation route leaves sub-percent residue on otherwise-zero components; a genuine
-    component this small contributes a negligible variance share, so
-    suppressing it only removes spurious block bridges.
+    structural zeros. The deflation route leaves sub-percent residue on
+    otherwise-zero components; a genuine component this small contributes
+    a negligible variance share, so suppressing it only removes spurious
+    block bridges.
     """
 
     method: str = "pmd"
@@ -234,21 +235,17 @@ def _apply_explicit_order(
 
 
 def _loadings_for(
-    root: np.ndarray, cov: CovMatrix, cfg: SplaConfig,
-    penalty: float | tuple[float, ...],
+    cov: CovMatrix, cfg: SplaConfig, penalty: float | tuple[float, ...]
 ) -> LoadingMatrix:
     pcfg = PenaltyConfig(max_iter=cfg.max_iter)
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        return sparse_loading_matrix(
-            root,
-            replace(
-                pcfg, l1_bound=penalty, conv_tol=1e-7,
-                strict_convergence=False, max_iter=min(cfg.max_iter, 200),
-            ),
-            orthogonalize_result=False,
+        pcfg = replace(
+            pcfg, l1_bound=penalty, conv_tol=1e-7,
+            strict_convergence=False, max_iter=min(cfg.max_iter, 200),
         )
+        return _pmd(cov.values, pcfg.validated_bound(cov.n_vars), pcfg)
     if cfg.method == "spca":
         per = [penalty] if np.isscalar(penalty) else list(penalty)
         return elastic_net_loadings(
@@ -269,17 +266,13 @@ def _scan(
 ) -> tuple[list[GridPoint], dict[int, _Found]]:
     """Stages 1-2 over the whole grid: loadings, detection and the EC gate.
 
-    The penalized decomposition and its deflation depend on the sample only
-    through its Gram matrix, so an ``M x M`` square root ``L`` with
-    ``L^T L = S`` stands in for the sample: the loadings are those of the
-    sample itself, and the cost does not depend on the number of
-    observations.
+    Both routes read only the covariance ``S``: the penalized decomposition
+    and its deflation run on ``S`` itself, so the loadings are those of the
+    sample and the cost does not depend on the number of observations.
     """
     grid = cfg.resolved_grid(cov.n_vars)
     if not grid:
         raise EmptyGridError("penalty grid is empty")
-    lam, vecs = sym_eigen(cov.values)
-    root = np.sqrt(np.maximum(lam, 0.0))[:, None] * vecs.T
     # Deflation leaves sub-percent residue on structurally-zero components;
     # the elastic net produces exact zeros, so the detection tolerance
     # applies to the penalized decomposition only.
@@ -288,7 +281,7 @@ def _scan(
     found: dict[int, _Found] = {}
     for penalty in grid:
         try:
-            lm = _loadings_for(root, cov, cfg, penalty)
+            lm = _loadings_for(cov, cfg, penalty)
             detected = detect_blocks(lm, tol)
         except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))

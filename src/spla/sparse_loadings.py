@@ -8,7 +8,7 @@ the loading matrix is orthonormal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -129,43 +129,67 @@ def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
     return _unit(soft_threshold(z, delta))
 
 
+def _rank_one(s: np.ndarray, c: float, cfg: PenaltyConfig) -> np.ndarray:
+    """Loading of the penalized rank-one factor of the Gram matrix ``s``.
+
+    From the leading eigenvector of ``s``, alternates ``loading <-
+    _unit_within_budget(s @ loading, c)``. For ``s = x^T x`` this is the PMD
+    of ``x`` (Witten, Tibshirani & Hastie 2009): its left factor
+    ``unit(x @ loading)`` only rescales ``s @ loading``.
+    """
+    loading = sym_eigen(s)[1][:, 0]
+    for _ in range(cfg.max_iter):
+        new = _unit_within_budget(s @ loading, c)
+        if np.linalg.norm(new - loading) < cfg.conv_tol:
+            return new
+        loading = new
+    if cfg.strict_convergence:
+        raise NoConvergenceError(
+            f"penalized rank-one factor did not converge in "
+            f"{cfg.max_iter} iterations"
+        )
+    return loading
+
+
+def _pmd(s: np.ndarray, c: float, cfg: PenaltyConfig) -> LoadingMatrix:
+    """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized.
+
+    After each factor ``s`` becomes ``(I - v v^T) s (I - v v^T)``, the Gram
+    matrix of the deflated sample ``x (I - v v^T)`` (projection deflation,
+    Mackey, NIPS 2008). Once its trace is at most ``1e-12`` of the original,
+    the rest is an orthonormal basis of the complement.
+    """
+    m = s.shape[0]
+    total = np.trace(s)
+    cols = []
+    while len(cols) < m and np.trace(s) > 1e-12 * total:
+        v = _rank_one(s, c, cfg)
+        cols.append(v)
+        p = np.eye(m) - np.outer(v, v)
+        s = p @ s @ p
+        # Exactly symmetric: the symmetry check of sym_eigen is absolute.
+        s = (s + s.T) / 2.0
+    if len(cols) < m:
+        cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
+    return LoadingMatrix(_fix_signs(np.column_stack(cols)))
+
+
 def penalized_rank_one(
     x: np.ndarray, c: float, cfg: PenaltyConfig = PenaltyConfig()
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Single sparse factor of ``x``: ``(left, loading, d)``.
 
-    Alternates ``left <- unit(x @ loading)`` and
-    ``loading <- unit(soft_threshold(x.T @ left, delta))`` where ``delta`` is
-    the smallest threshold keeping ``||loading||_1 <= c`` (exact: sort and scan).
-    Initialized at the leading right singular vector of ``x`` (deterministic).
+    ``loading`` is the penalized rank-one loading of ``x^T x`` (deterministic:
+    it starts at the leading eigenvector), ``d = ||x @ loading||`` and
+    ``left = unit(x @ loading)``.
     """
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    m = x.shape[1]
-    if not (1.0 <= c <= np.sqrt(m) + 1e-12):
-        raise ValueError(f"c={c} outside [1, sqrt({m})]")
-    _, s, v = svd(x)
-    loading = _unit(v[:, 0])
-    for _ in range(cfg.max_iter):
-        left = _unit(x @ loading)
-        new = _unit_within_budget(x.T @ left, c)
-        if np.linalg.norm(new - loading) < cfg.conv_tol:
-            loading = new
-            break
-        loading = new
-    else:
-        if cfg.strict_convergence:
-            raise NoConvergenceError(
-                f"penalized rank-one factor did not converge in "
-                f"{cfg.max_iter} iterations"
-            )
-    left = _unit(x @ loading)
-    d = float(left @ x @ loading)
-    if d < 0:  # flip so the factor weight is nonnegative
-        loading = -loading
-        d = -d
-    return left, loading, d
+    c = replace(cfg, l1_bound=c).validated_bound(x.shape[1])
+    loading = _rank_one(x.T @ x, c, cfg)
+    fit = x @ loading
+    return _unit(fit), loading, float(np.linalg.norm(fit))
 
 
 def sparse_loading_matrix(
@@ -176,32 +200,15 @@ def sparse_loading_matrix(
     """All ``M`` sparse loadings of ``x`` by deflation.
 
     ``x`` is the centered sample or any matrix with the same Gram matrix
-    ``x^T x`` (such as a square root of the covariance); the loadings depend
-    on it only through that Gram matrix.
-
-    After each factor the fitted rank-one term ``d * left @ loading^T`` is
-    subtracted. Columns are ordered by extraction (descending factor weight).
-    With ``orthogonalize_result=False`` the raw deflation output is returned,
-    preserving the exact zero pattern for block detection; callers then
-    re-orthogonalize block-wise once a partition is known.
+    ``x^T x``, on which the loadings are computed. Columns are ordered by
+    extraction (descending factor weight). With ``orthogonalize_result=False``
+    the raw deflation output is returned, preserving the exact zero pattern
+    for block detection; callers then re-orthogonalize block-wise once a
+    partition is known.
     """
     x = np.asarray(x, dtype=float)
-    m = x.shape[1]
-    c = cfg.validated_bound(m)
-    work = x.copy()
-    cols = []
-    for _ in range(m):
-        if np.linalg.norm(work) <= 1e-12 * np.linalg.norm(x):
-            # Deflated to (numerical) zero: complete with an orthonormal
-            # basis of the remaining complement.
-            basis = _complement_basis(np.column_stack(cols) if cols else None, m)
-            cols.extend(basis.T)
-            break
-        left, loading, d = penalized_rank_one(work, c, cfg)
-        cols.append(loading)
-        work = work - d * np.outer(left, loading)
-    u = _fix_signs(np.column_stack(cols[:m]))
-    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)
+    lm = _pmd(x.T @ x, cfg.validated_bound(x.shape[1]), cfg)
+    return orthogonalize(lm) if orthogonalize_result else lm
 
 
 def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:

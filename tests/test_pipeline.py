@@ -187,39 +187,47 @@ class TestConfigValidation:
 
 
 class TestCovarianceRoute:
-    def test_run_spla_passes_only_the_covariance_root(self, monkeypatch):
+    def test_run_spla_passes_the_covariance_itself(self, monkeypatch):
         import spla.pipeline
 
-        shapes = []
-        inner = spla.pipeline.sparse_loading_matrix
+        covs, received = [], []
+        sample_cov, pmd = spla.pipeline.sample_cov, spla.pipeline._pmd
 
-        def spy(x, cfg, **kw):
-            shapes.append(np.shape(x))
-            return inner(x, cfg, **kw)
+        def cov_spy(d):
+            covs.append(sample_cov(d))
+            return covs[-1]
 
-        monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", spy)
+        def pmd_spy(s, c, cfg):
+            received.append(s)
+            return pmd(s, c, cfg)
+
+        monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
+        monkeypatch.setattr(spla.pipeline, "_pmd", pmd_spy)
         x = np.random.default_rng(5).normal(size=(500, 4))
-        run_spla(DataMatrix(x, ("a", "b", "c", "d")), SplaConfig(grid=(1.5,)))
-        assert shapes == [(4, 4)]
+        run_spla(DataMatrix(x, ("a", "b", "c", "d")), SplaConfig(grid=(1.5, 1.2)))
+        assert len(covs) == 1 and len(received) == 2
+        assert all(s is covs[0].values for s in received)
 
     def test_scan_is_scale_free(self):
-        # A covariance in tiny units has a square root of norm far below 1;
-        # the deflation must not stop early and report M singletons.
+        # In tiny units the deflation must not stop early and report M
+        # singletons; in huge units a deflated S that is not exactly
+        # symmetric fails the absolute symmetry check of sym_eigen.
         from spla import BlockDesign, gen_block_sample, sample_cov
 
         s = sample_cov(gen_block_sample(BlockDesign(n_blocks=3, rho=0.3), 500, 7))
         cfg = SplaConfig(grid=(2.0, 1.409))
-        tiny = CovMatrix(s.values * 1e-26, s.variable_names)
-        a, b = structure_scan(s, cfg), structure_scan(tiny, cfg)
 
         def trace(r):
             return [
-                (g.partition.n_blocks if g.partition else None, g.passed)
+                (g.partition.n_blocks if g.partition else None, g.passed, g.note)
                 for g in r.penalty_trace
             ]
 
-        assert _names(a) == _names(b)
-        assert trace(a) == trace(b)
+        a = structure_scan(s, cfg)
+        for scale in (1e-26, 1e26):
+            b = structure_scan(CovMatrix(s.values * scale, s.variable_names), cfg)
+            assert _names(a) == _names(b), scale
+            assert trace(a) == trace(b), scale
 
 
 class TestSupportTolerance:

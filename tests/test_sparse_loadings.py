@@ -15,7 +15,8 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
-from spla.matops import soft_threshold, sym_eigen
+from spla.matops import _fix_signs, soft_threshold, sym_eigen
+from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
 
 from conftest import random_spd
@@ -48,6 +49,37 @@ def _bisection_loading(z: np.ndarray, c: float) -> np.ndarray:
     w = soft_threshold(z, delta)
     n = np.linalg.norm(w)
     return w / n if n > 0 else w
+
+
+def _sample_route(x: np.ndarray, c: float, cfg: PenaltyConfig) -> np.ndarray:
+    """Reference for ``_pmd``: the PMD on the sample side, unorthogonalized.
+
+    Each factor starts at the leading right singular vector of the deflated
+    ``x`` and alternates ``left <- unit(x v)``, ``v <- unit_within_budget(
+    x^T left)``; deflation subtracts ``d left v^T`` and stops once
+    ``||x_w|| <= 1e-12 ||x||``. A covariance enters as its square root
+    (``_pseudo_sample``). Capped factors keep their last iterate.
+    """
+    m = x.shape[1]
+    work, cols = x.copy(), []
+    while len(cols) < m and np.linalg.norm(work) > 1e-12 * np.linalg.norm(x):
+        loading = np.linalg.svd(work)[2][0]
+        for _ in range(cfg.max_iter):
+            new = sl._unit_within_budget(work.T @ sl._unit(work @ loading), c)
+            done = np.linalg.norm(new - loading) < cfg.conv_tol
+            loading = new
+            if done:
+                break
+        left = sl._unit(work @ loading)
+        work = work - (left @ work @ loading) * np.outer(left, loading)
+        cols.append(loading)
+    if len(cols) < m:
+        cols.extend(sl._complement_basis(np.column_stack(cols) if cols else None, m).T)
+    return _fix_signs(np.column_stack(cols))
+
+
+#: The pipeline's settings for the PMD route.
+SCAN_CFG = PenaltyConfig(max_iter=200, conv_tol=1e-7, strict_convergence=False)
 
 
 @pytest.fixture()
@@ -170,10 +202,9 @@ class TestPenalizedRankOne:
 
     def test_invalid_budget(self):
         x = np.eye(3)
-        with pytest.raises(ValueError):
-            penalized_rank_one(x, 0.5)
-        with pytest.raises(ValueError):
-            penalized_rank_one(x, 2.0)
+        for c in (0.5, 2.0):
+            with pytest.raises(ValueError, match=r"^l1 bound c=.* outside \[1, sqrt\(3\)\]$"):
+                penalized_rank_one(x, c)
 
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
@@ -234,6 +265,41 @@ class TestSparseLoadingMatrix:
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
             assert rows <= {0, 1} or rows <= {2, 3}
+
+
+class TestCovarianceRoute:
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
+    def test_matches_square_root_route(self, rho):
+        cov = sample_cov(gen_block_sample(BlockDesign(rho=rho), 1000, 51))
+        grid = [c for c in SplaConfig().resolved_grid(14) if c > 1.0]
+        assert len(grid) == 14
+        for c in grid:
+            got = sl._pmd(cov.values, c, SCAN_CFG).u
+            want = _sample_route(_pseudo_sample(cov.values), c, SCAN_CFG)
+            assert np.array_equal(np.abs(got) > 1e-2, np.abs(want) > 1e-2), c
+            assert np.max(np.abs(got - want)) <= 1e-9, c
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, np.sqrt(6.0)])
+    def test_fewer_observations_than_variables(self, c):
+        x = np.random.default_rng(52).normal(size=(3, 6))
+        cfg = PenaltyConfig(l1_bound=c)
+        u = sparse_loading_matrix(x, cfg).u
+        assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
+        raw = sparse_loading_matrix(x, cfg, orthogonalize_result=False).u
+        assert np.max(np.abs(raw[:, :3] - _sample_route(x, c, cfg)[:, :3])) <= 1e-9
+
+    @pytest.mark.parametrize("c", [2.0, np.sqrt(6.0)])
+    def test_deflation_stops_once_the_row_space_is_spent(self, c):
+        # Every unit vector of the row space of x has ||v||_1 <= sqrt(3) < c,
+        # so three unthresholded factors exhaust x^T x. The rest must be a
+        # basis of the complement, not loadings of the rounding residue. That
+        # residue's trace has either sign, so ten samples are drawn.
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            x = np.hstack([rng.normal(size=(3, 3)), np.zeros((3, 3))])
+            u = sparse_loading_matrix(x, PenaltyConfig(l1_bound=c), False).u
+            assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
+            assert not u[3:, :3].any()
 
 
 class TestElasticNet:
