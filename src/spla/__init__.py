@@ -8,9 +8,7 @@ partial-covariance verification, and variable-selection recommendations.
 from .blocks import (
     Block,
     BlockPartition,
-    PermutationPair,
     detect_blocks,
-    permute_to_block_diagonal,
     pla_detect,
 )
 from .data import (
@@ -28,9 +26,7 @@ from .evaluation import (
     BlockEvaluation,
     EcGate,
     block_ec,
-    block_ec_literal,
     evaluate_partition,
-    replace_with_weight,
     weight_basis,
 )
 from .matops import (
@@ -68,7 +64,6 @@ from .variance import (
     PartialCov,
     VarianceShares,
     corrected_variances,
-    corrected_variances_from_data,
     partial_cov,
     partial_trace_share,
     variance_shares,

@@ -24,9 +24,7 @@ __all__ = [
     "InconsistentPartitionError",
     "Block",
     "BlockPartition",
-    "PermutationPair",
     "detect_blocks",
-    "permute_to_block_diagonal",
     "pla_detect",
 ]
 
@@ -102,20 +100,6 @@ class BlockPartition:
         return BlockPartition(tuple(self.blocks[i] for i in order))
 
 
-@dataclass(frozen=True)
-class PermutationPair:
-    """Row and column permutations bringing a loading matrix to block form."""
-
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.row_perm)
-        for p in (self.row_perm, self.col_perm):
-            if sorted(p) != list(range(m)):
-                raise InconsistentPartitionError(f"not a permutation: {p}")
-
-
 def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
     """Partition variables and loadings by the support pattern of ``u``.
 
@@ -151,47 +135,20 @@ def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
     return BlockPartition(tuple(blocks))
 
 
-def permute_to_block_diagonal(
-    u: LoadingMatrix, p: BlockPartition
-) -> tuple[LoadingMatrix, PermutationPair]:
-    """Permute rows/columns of ``u`` so blocks sit on the diagonal.
-
-    Entries outside the diagonal blocks must already be (structural) zeros;
-    they are zeroed exactly in the result. Applying the inverse permutations
-    recovers ``u``.
-    """
-    m = u.n_vars
-    row_perm = [i for b in p.blocks for i in b.variable_indices]
-    col_perm = [j for b in p.blocks for j in b.loading_indices]
-    if sorted(row_perm) != list(range(m)) or sorted(col_perm) != list(range(m)):
-        raise InconsistentPartitionError("partition does not cover the matrix")
-    permuted = u.u[np.ix_(row_perm, col_perm)].copy()
-    # Verify and enforce exact zeros off the diagonal blocks.
-    pos = 0
-    mask = np.zeros((m, m), dtype=bool)
-    for b in p.blocks:
-        mask[pos:pos + b.size, pos:pos + b.size] = True
-        pos += b.size
-    off = permuted[~mask]
-    if np.any(np.abs(off) > ZERO_TOL):
-        raise InconsistentPartitionError(
-            "support pattern has entries outside the partition's blocks"
-        )
-    permuted[~mask] = 0.0
-    return LoadingMatrix(permuted), PermutationPair(tuple(row_perm), tuple(col_perm))
-
-
 def pla_detect(cov: CovMatrix, tau: float) -> BlockPartition | None:
     """Hard-threshold block detector on the eigenvectors of ``cov``.
 
-    Eigenvector entries with ``|v_ij| <= tau`` are zeroed and the resulting
-    pattern is fed to :func:`detect_blocks`. Returns ``None`` when the pattern
-    admits no square block structure — absence of structure is a valid result.
+    Eigenvector entries with ``|v_ij| <= tau * (1 + 1e-9)`` are zeroed and
+    the resulting pattern is fed to :func:`detect_blocks`. The band makes an
+    entry within a relative 1e-9 of ``tau`` count as at ``tau``, so an entry
+    whose exact value is ``tau`` is zeroed whichever way the eigensolver
+    rounds it. Returns ``None`` when the pattern admits no square block
+    structure — absence of structure is a valid result.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau} outside (0, 1)")
     _, vecs = sym_eigen(cov.values)
-    thresholded = np.where(np.abs(vecs) > tau, vecs, 0.0)
+    thresholded = np.where(np.abs(vecs) > tau * (1.0 + 1e-9), vecs, 0.0)
     try:
         return detect_blocks(LoadingMatrix(thresholded))
     except (NonSquareBlockError, IsolatedVariableError):

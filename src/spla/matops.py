@@ -6,8 +6,7 @@ Each factorization is a thin wrapper over LAPACK through :mod:`numpy.linalg`
 that adds the package's conventions: the error classes below, eigenvalues
 in descending order with a stable tie-break, eigenvectors supported on one
 connected component of the matrix's nonzero pattern with a nonnegative
-largest-magnitude component, a relative Cholesky pivot floor, and a
-nonnegative diagonal in the QR factor ``R``.
+largest-magnitude component, and a relative Cholesky pivot floor.
 
 Tolerances are module-level constants and may be overridden per call.
 """
@@ -24,7 +23,6 @@ __all__ = [
     "RankDeficientError",
     "sym_eigen",
     "cholesky_upper",
-    "qr_decompose",
     "svd",
     "soft_threshold",
     "solve_spd",
@@ -150,22 +148,6 @@ def cholesky_upper(a) -> np.ndarray:
         i = int(low[0])
         raise NotPositiveDefiniteError(f"pivot {pivots[i]:g} at index {i}")
     return r
-
-
-def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR decomposition via LAPACK (:func:`numpy.linalg.qr`).
-
-    Requires ``rows >= cols``. The diagonal of ``R`` is made nonnegative by
-    flipping signs into ``Q``, so ``r_ii`` is unambiguous. Rank deficiency is
-    not an error: it surfaces as (near-)zero diagonal entries in ``R``.
-    """
-    a = _as_matrix(a)
-    n, m = a.shape
-    if n < m:
-        raise ValueError(f"qr_decompose requires rows >= cols, got {n}x{m}")
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    return q * signs[None, :], signs[:, None] * r
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -311,7 +311,7 @@ def _choose(cov: CovMatrix, found: dict[int, _Found]) -> _Found:
         return found[max(found)]
     m = cov.n_vars
     single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
-    return single, None, [BlockEvaluation(0, None, 0, ())], 1.0
+    return single, None, [BlockEvaluation(0, None)], 1.0
 
 
 def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaReport:

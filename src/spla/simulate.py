@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import Block, BlockPartition
 from .data import CovMatrix, DataMatrix, sample_cov, standardize
-from .evaluation import EcGate, block_ec
+from .evaluation import EcGate, evaluate_partition
 from .pipeline import SplaConfig, structure_scan
 
 __all__ = [
@@ -129,10 +129,9 @@ def ec_distribution(
     p = design.true_partition()
     out = np.empty((reps, len(blocks_to_eval)))
     for r in range(reps):
-        sample = gen_block_sample_keyed(design, n, seed, r)
-        cov = sample_cov(sample)
-        for c, b in enumerate(blocks_to_eval):
-            out[r, c] = block_ec(cov, p, b).ec if b > 0 else 1.0
+        cov = sample_cov(gen_block_sample_keyed(design, n, seed, r))
+        entries, _, _ = evaluate_partition(cov, p)
+        out[r] = [entries[b].ec if b > 0 else 1.0 for b in blocks_to_eval]
     return out
 
 

@@ -1,11 +1,12 @@
 """Explained-variance accounting.
 
 The corrected variance of the i-th projected variable is the squared i-th
-diagonal of the triangular factor: project the sample onto the loadings, then
-QR-decompose — each column's variance is corrected upward for every earlier
-column. Equivalently (and without needing a data matrix), it is the squared
-diagonal of the upper Cholesky factor of the Gram matrix ``U^T S U``, because
-``R^T R = (N-1) U^T S U`` for the QR factor ``R`` of the projected sample.
+diagonal of the upper Cholesky factor of the Gram matrix ``U^T S U``: each
+column's variance is corrected for every earlier column. It needs no data
+matrix; for a sample it equals the squared diagonal of the QR factor ``R``
+of the projected sample over ``N-1``, since ``R^T R = (N-1) U^T S U``. In
+the weight basis the same factor gives each block's EC
+(:func:`spla.evaluation.evaluate_partition`).
 
 Partial covariance conditions one variable block on another by the regression
 projection ``S_22 - S_21 S_11^-1 S_12``; its trace over the total variance is
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPartition
-from .data import CovMatrix, DataMatrix
-from .matops import cholesky_upper, qr_decompose, solve_spd
+from .data import CovMatrix
+from .matops import cholesky_upper, solve_spd
 from .sparse_loadings import LoadingMatrix
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "VarianceShares",
     "PartialCov",
     "corrected_variances",
-    "corrected_variances_from_data",
     "variance_shares",
     "partial_cov",
     "partial_trace_share",
@@ -40,12 +40,10 @@ class CorrectedVariances:
     """Per-loading corrected variances, in covariance units."""
 
     r_squared: np.ndarray
-    loading_order: tuple[int, ...]
 
     def __post_init__(self):
         r2 = np.asarray(self.r_squared, dtype=float)
         object.__setattr__(self, "r_squared", r2)
-        object.__setattr__(self, "loading_order", tuple(self.loading_order))
         if np.any(r2 < 0):
             raise ValueError("corrected variances must be nonnegative")
 
@@ -76,19 +74,7 @@ def corrected_variances(cov: CovMatrix, u: LoadingMatrix) -> CorrectedVariances:
     gram = u.u.T @ cov.values @ u.u
     gram = (gram + gram.T) / 2.0
     r = cholesky_upper(gram)
-    return CorrectedVariances(np.diag(r) ** 2, tuple(range(u.n_vars)))
-
-
-def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedVariances:
-    """Corrected variances via the QR decomposition of the projected sample.
-
-    Agrees with :func:`corrected_variances` applied to the sample covariance;
-    kept as an independent route for cross-checking.
-    """
-    x = d.values - d.values.mean(axis=0)
-    _, r = qr_decompose(x @ u.u)
-    r2 = np.diag(r) ** 2 / (d.n_obs - 1)
-    return CorrectedVariances(r2, tuple(range(u.n_vars)))
+    return CorrectedVariances(np.diag(r) ** 2)
 
 
 def variance_shares(

@@ -1,0 +1,135 @@
+"""Independent computation routes kept as test oracles.
+
+The library computes EC and corrected variances from one Cholesky factor of
+the Gram matrix in the weight basis. The routes here reach the same numbers
+another way and exist only to check it:
+
+- :func:`block_ec_regression` regresses the block on the preceding blocks'
+  variables (one SPD solve per block);
+- :func:`block_ec_literal` builds block-diagonal loadings, replaces the
+  block's leading loading with the equal-weight vector
+  (:func:`replace_with_weight`) and factors the full Gram matrix;
+- :func:`corrected_variances_from_data` QR-decomposes the projected sample.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from spla import Block, BlockEvaluation, BlockPartition, LoadingMatrix
+from spla.blocks import InconsistentPartitionError
+from spla.data import CovMatrix, DataMatrix
+from spla.matops import cholesky_upper, solve_spd, sym_eigen
+from spla.variance import CorrectedVariances
+
+
+def block_ec_regression(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:
+    """EC of block ``b`` by regression on the blocks ordered before it.
+
+    ``num = w^T (S[D,D] - S[D,P] S[P,P]^-1 S[P,D]) w`` and
+    ``den = w^T S[D,D] w`` with ``P`` the union of the preceding blocks'
+    variables and ``w`` the equal-weight vector on the block. For the first
+    block the marker entry is returned.
+    """
+    if not 0 <= b < p.n_blocks:
+        raise InconsistentPartitionError(f"no block {b} in partition")
+    pre = [i for j in range(b) for i in p.blocks[j].variable_indices]
+    if not pre:
+        return BlockEvaluation(b, None)
+    d = list(p.blocks[b].variable_indices)
+    s = cov.values
+    w = np.ones(len(d)) / np.sqrt(len(d))
+    sdd = s[np.ix_(d, d)]
+    sdp = s[np.ix_(d, pre)]
+    spp = s[np.ix_(pre, pre)]
+    num = float(w @ (sdd - sdp @ solve_spd(spp, sdp.T)) @ w)
+    den = float(w @ sdd @ w)
+    return BlockEvaluation(b, min(num / den, 1.0))
+
+
+def replace_with_weight(
+    u: LoadingMatrix, p: BlockPartition, b: int
+) -> LoadingMatrix:
+    """Replace block ``b``'s leading loading by the equal-weight vector.
+
+    The block's other loadings are re-orthogonalized against the new leading
+    loading inside the block subspace (projection onto its orthogonal
+    complement, then Gram-Schmidt), so the full matrix stays orthonormal.
+    Loadings of every other block are untouched.
+    """
+    if not 0 <= b < p.n_blocks:
+        raise InconsistentPartitionError(f"no block {b} in partition")
+    blk = p.blocks[b]
+    rows = np.asarray(blk.variable_indices)
+    cols = np.asarray(blk.loading_indices)
+    sub = u.u[np.ix_(rows, cols)]
+    if np.max(np.abs(sub)) == 0 and blk.size > 0:
+        raise InconsistentPartitionError("block has an all-zero loading sub-matrix")
+    d = blk.size
+    # Gram-Schmidt against w over the old columns, then the standard basis
+    # in case the old columns were degenerate.
+    basis = [np.ones(d) / np.sqrt(d)]
+    for v in itertools.chain(sub.T, np.eye(d)):
+        if len(basis) >= d:
+            break
+        for q in basis:
+            v = v - (q @ v) * q
+        n = np.linalg.norm(v)
+        if n >= 1e-12:
+            basis.append(v / n)
+    out = u.u.copy()
+    out[np.ix_(rows, cols)] = np.column_stack(basis)
+    return LoadingMatrix(out)
+
+
+def _sequential_partition(p: BlockPartition) -> BlockPartition:
+    """The same variable blocks with loadings renumbered in block order."""
+    out, pos = [], 0
+    for blk in p.blocks:
+        out.append(Block(blk.variable_indices, tuple(range(pos, pos + blk.size))))
+        pos += blk.size
+    return BlockPartition(tuple(out))
+
+
+def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:
+    """EC of block ``b`` via the literal loading-replacement construction.
+
+    Builds block-diagonal loadings in evaluation order (within-block columns
+    are eigenvectors of the block's covariance), replaces the block's leading
+    loading with the equal-weight vector, re-orthogonalizes, and takes the
+    ratio of the corrected variance at that position to the quasi-eigenvalue
+    ``w^T S w``.
+    """
+    pos = sum(p.blocks[j].size for j in range(b))
+    if pos == 0:
+        return BlockEvaluation(b, None)
+    m = cov.n_vars
+    u = np.zeros((m, m))
+    q = 0
+    for bb in p.blocks:
+        rows = np.asarray(bb.variable_indices)
+        sub = cov.values[np.ix_(rows, rows)]
+        _, vecs = sym_eigen((sub + sub.T) / 2.0)
+        u[np.ix_(rows, range(q, q + bb.size))] = vecs
+        q += bb.size
+    replaced = replace_with_weight(LoadingMatrix(u), _sequential_partition(p), b)
+    gram = replaced.u.T @ cov.values @ replaced.u
+    gram = (gram + gram.T) / 2.0
+    r = cholesky_upper(gram)
+    num = float(r[pos, pos] ** 2)
+    wcol = replaced.u[:, pos]
+    den = float(wcol @ cov.values @ wcol)
+    return BlockEvaluation(b, min(num / den, 1.0))
+
+
+def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedVariances:
+    """Corrected variances via the QR decomposition of the projected sample.
+
+    ``R^T R = (N-1) U^T S U`` for the QR factor ``R`` of the centred,
+    projected sample, so only ``|diag R|`` is needed.
+    """
+    x = d.values - d.values.mean(axis=0)
+    r = np.linalg.qr(x @ u.u, mode="r")
+    return CorrectedVariances(np.diag(r) ** 2 / (d.n_obs - 1))

@@ -18,9 +18,7 @@ from spla import (
     PenaltyConfig,
     SplaConfig,
     block_ec,
-    block_ec_literal,
     corrected_variances,
-    corrected_variances_from_data,
     ec_distribution,
     evaluate_partition,
     gen_spiked_sample,
@@ -37,6 +35,7 @@ from spla.matops import sym_eigen
 from spla.simulate import BlockDesign
 
 from conftest import RESULTS, random_spd
+from oracles import block_ec_literal, corrected_variances_from_data
 
 SEED = 20240817
 

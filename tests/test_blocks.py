@@ -7,7 +7,6 @@ from spla import (
     BlockPartition,
     LoadingMatrix,
     detect_blocks,
-    permute_to_block_diagonal,
     pla_detect,
 )
 from spla.blocks import (
@@ -210,36 +209,6 @@ class TestDetectBlocksOracle:
         assert detect_blocks(LoadingMatrix(u), tol=0.01).n_blocks == 3
 
 
-class TestPermuteToBlockDiagonal:
-    def test_already_diagonal_unchanged(self):
-        u = _pattern_matrix(["xx..", "xx..", "..xx", "..xx"]) * 0.5
-        p = detect_blocks(LoadingMatrix(u))
-        permuted, perms = permute_to_block_diagonal(LoadingMatrix(u), p)
-        assert np.array_equal(permuted.u, u)
-
-    def test_anti_diagonal_swapped(self):
-        u = np.zeros((4, 4))
-        u[2:, :2] = [[0.6, 0.8], [0.8, -0.6]]
-        u[:2, 2:] = [[0.6, 0.8], [0.8, -0.6]]
-        p = detect_blocks(LoadingMatrix(u))
-        permuted, perms = permute_to_block_diagonal(LoadingMatrix(u), p)
-        assert np.allclose(permuted.u[:2, 2:], 0.0)
-        assert np.allclose(permuted.u[2:, :2], 0.0)
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(32)
-        u = np.zeros((5, 5))
-        u[:2, :2] = rng.normal(size=(2, 2))
-        u[2:, 2:] = rng.normal(size=(3, 3))
-        perm = rng.permutation(5)
-        scrambled = u[np.ix_(perm, perm)]
-        p = detect_blocks(LoadingMatrix(scrambled))
-        permuted, perms = permute_to_block_diagonal(LoadingMatrix(scrambled), p)
-        inv_r = np.argsort(perms.row_perm)
-        inv_c = np.argsort(perms.col_perm)
-        assert np.array_equal(permuted.u[np.ix_(inv_r, inv_c)], scrambled)
-
-
 class TestPlaDetect:
     def test_oecd_tau_040(self, oecd_corr):
         p = pla_detect(oecd_corr, 0.40)
@@ -269,6 +238,31 @@ class TestPlaDetect:
         # Between 1/2 and 1/sqrt2 only the 1/sqrt2 entries survive: variable
         # "b" then carries two loadings alone, which no square block admits.
         assert pla_detect(cov, 0.6) is None
+
+    @pytest.mark.parametrize("ulps", [0, 2, -2])
+    def test_entry_at_tau_is_zeroed_whatever_its_rounding(self, monkeypatch, ulps):
+        import spla.blocks
+        from spla import CovMatrix
+
+        cov = CovMatrix(
+            np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]),
+            ("a", "b", "c"),
+        )
+        real = spla.blocks.sym_eigen
+
+        def nudged(a):
+            lam, vecs = real(a)
+            # The exact 1/2 entries, moved |ulps| ulp away from (or toward) zero.
+            at_half = np.abs(np.abs(vecs) - 0.5) < 1e-12
+            mag = np.full(vecs.shape, 0.5)
+            for _ in range(abs(ulps)):
+                mag = np.nextafter(mag, np.inf if ulps > 0 else 0.0)
+            return lam, np.where(at_half, np.sign(vecs) * mag, vecs)
+
+        if ulps:
+            monkeypatch.setattr(spla.blocks, "sym_eigen", nudged)
+        # At tau = 1/2 only the 1/sqrt2 entries survive, as at tau = 0.6.
+        assert pla_detect(cov, 0.5) is None
 
     def test_exact_block_diagonal_recovered(self):
         from spla import CovMatrix

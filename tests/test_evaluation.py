@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
+import spla.evaluation
+import spla.matops
+import spla.variance
 from spla import (
     Block,
     BlockPartition,
     CovMatrix,
     EcGate,
     LoadingMatrix,
+    NotPositiveDefiniteError,
     block_ec,
-    block_ec_literal,
     evaluate_partition,
-    replace_with_weight,
+    structure_scan,
     weight_basis,
 )
 from spla.blocks import InconsistentPartitionError
 
 from conftest import random_spd
+from oracles import block_ec_literal, replace_with_weight
 
 
 def _seq_partition(sizes) -> BlockPartition:
@@ -47,7 +51,6 @@ class TestBlockEc:
         e = block_ec(cov, _seq_partition([2, 2]), 0)
         assert e.is_first
         assert e.ec is None
-        assert e.corrected_against == ()
 
     def test_exact_block_diagonal_gives_one(self):
         values = np.zeros((5, 5))
@@ -220,3 +223,55 @@ class TestEvaluatePartition:
         vec_last, ok_vec_last = run(("tri", "mec", "vec"))
         assert not ok_vec_last
         assert vec_last == pytest.approx(0.5549, abs=0.005)
+
+    def test_one_factorization_per_partition(self, monkeypatch, exam_cov):
+        calls = {"cholesky_upper": 0, "solve_spd": 0}
+
+        def counting(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        # Wherever the library looks the kernels up.
+        for mod in (spla.matops, spla.evaluation, spla.variance):
+            for name in calls:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        for sizes in ([1, 4], [2, 1, 2], [1, 1, 1, 1, 1]):
+            calls.update(cholesky_upper=0, solve_spd=0)
+            entries, _, _ = evaluate_partition(exam_cov, _seq_partition(sizes))
+            assert len(entries) == len(sizes)
+            assert calls == {"cholesky_upper": 1, "solve_spd": 0}
+        calls.update(cholesky_upper=0, solve_spd=0)
+        evaluate_partition(exam_cov, _seq_partition([5]))
+        assert calls == {"cholesky_upper": 0, "solve_spd": 0}
+
+
+class TestNearSingularPair:
+    """Two variables that are almost one: S = I - (1 - eps) h h^T."""
+
+    @pytest.fixture
+    def cov(self):
+        h = np.zeros(4)
+        h[0], h[1] = 1.0, -1.0
+        h /= np.sqrt(2.0)
+        return CovMatrix(np.eye(4) - (1.0 - 5e-13) * np.outer(h, h), tuple("abcd"))
+
+    def test_pivot_under_the_floor_raises(self, cov):
+        # The pair's completing weight column has variance 5e-13, under the
+        # relative Cholesky floor, although the pair's own EC is well defined.
+        p = BlockPartition(
+            (Block((0, 1), (0, 1)), Block((2,), (2,)), Block((3,), (3,)))
+        )
+        for q in (p, p.reordered([1, 0, 2])):
+            with pytest.raises(NotPositiveDefiniteError):
+                evaluate_partition(cov, q)
+
+    def test_structure_scan_reports_the_pivot(self, cov):
+        # The same class and message as when the report's share accounting
+        # was the first to factor this Gram matrix.
+        with pytest.raises(
+            NotPositiveDefiniteError, match=r"^pivot 5\.00\d*e-13 at index 1$"
+        ):
+            structure_scan(cov)

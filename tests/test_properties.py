@@ -16,9 +16,7 @@ from spla import (
     LoadingMatrix,
     PenaltyConfig,
     block_ec,
-    block_ec_literal,
     corrected_variances,
-    corrected_variances_from_data,
     elastic_net_loadings,
     evaluate_partition,
     sample_cov,
@@ -27,6 +25,11 @@ from spla import (
 from spla.matops import sym_eigen
 
 from conftest import random_spd
+from oracles import (
+    block_ec_literal,
+    block_ec_regression,
+    corrected_variances_from_data,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -140,6 +143,25 @@ class TestDualEcRoutes:
                 assert literal.is_first
             else:
                 assert abs(closed.ec - literal.ec) < 1e-10
+
+
+class TestEcFromOneFactor:
+    """evaluate_partition's one-factor ECs equal both oracles within 1e-10."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, m=st.integers(2, 8))
+    def test_matches_regression_and_literal(self, seed, m):
+        rng = np.random.default_rng(seed)
+        scale = np.diag(rng.uniform(0.2, 5.0, size=m))
+        cov = CovMatrix(scale @ random_spd(rng, m) @ scale,
+                        tuple(f"v{i}" for i in range(m)))
+        p = _random_blocks(rng, m)
+        p = p.reordered(rng.permutation(p.n_blocks))
+        entries, _, _ = evaluate_partition(cov, p)
+        assert entries[0].is_first
+        for b in range(1, p.n_blocks):
+            for oracle in (block_ec_regression, block_ec_literal):
+                assert abs(entries[b].ec - oracle(cov, p, b).ec) < 1e-10
 
 
 class TestVarianceBound:

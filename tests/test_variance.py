@@ -8,7 +8,6 @@ from spla import (
     DataMatrix,
     LoadingMatrix,
     corrected_variances,
-    corrected_variances_from_data,
     partial_cov,
     partial_trace_share,
     sample_cov,
@@ -18,6 +17,7 @@ from spla import (
 from spla.matops import sym_eigen
 
 from conftest import random_spd
+from oracles import corrected_variances_from_data
 
 
 def _seq_partition(sizes) -> BlockPartition:
