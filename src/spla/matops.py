@@ -165,9 +165,15 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt.T
 
 
-def soft_threshold(v, delta: float) -> np.ndarray:
-    """Component-wise ``sign(v_i) * max(|v_i| - delta, 0)``."""
-    if delta < 0:
+def soft_threshold(v, delta) -> np.ndarray:
+    """Component-wise ``sign(v_i) * max(|v_i| - delta_i, 0)``.
+
+    ``delta`` is a scalar or an array that broadcasts against ``v``, e.g.
+    one threshold per column.
+    """
+    # count_nonzero, not np.any: this runs once per coordinate step, and
+    # np.any's dispatch costs more than the test itself on small arrays.
+    if np.count_nonzero(np.asarray(delta) < 0):
         raise ValueError("delta must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - delta, 0.0)

@@ -13,7 +13,7 @@ not guaranteed monotone across grid points, so early stopping is avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class SplaConfig:
     block_order: tuple[tuple[int, ...], ...] | None = None
     standardize: bool = False
     ridge: float = 1e-6
-    max_iter: int = 500
     detect_tol: float = 1e-2
 
     def resolved_grid(self, m: int) -> tuple[float | tuple[float, ...], ...]:
@@ -237,20 +236,18 @@ def _apply_explicit_order(
 def _loadings_for(
     cov: CovMatrix, cfg: SplaConfig, penalty: float | tuple[float, ...]
 ) -> LoadingMatrix:
-    pcfg = PenaltyConfig(max_iter=cfg.max_iter)
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        pcfg = replace(
-            pcfg, l1_bound=penalty, conv_tol=1e-7,
-            strict_convergence=False, max_iter=min(cfg.max_iter, 200),
+        pcfg = PenaltyConfig(
+            l1_bound=penalty, conv_tol=1e-7, strict_convergence=False, max_iter=200,
         )
         return _pmd(cov.values, pcfg.validated_bound(cov.n_vars), pcfg)
     if cfg.method == "spca":
         per = [penalty] if np.isscalar(penalty) else list(penalty)
         return elastic_net_loadings(
             cov, per, cfg.ridge, cov.n_vars,
-            replace(pcfg, conv_tol=1e-4, max_iter=300),
+            PenaltyConfig(conv_tol=1e-4, max_iter=300),
             orthogonalize_result=False,
         )
     raise ValueError(f"unknown method {cfg.method!r}")
@@ -283,17 +280,17 @@ def _scan(
         try:
             lm = _loadings_for(cov, cfg, penalty)
             detected = detect_blocks(lm, tol)
+            if cfg.block_order is not None:
+                try:
+                    ordered = _apply_explicit_order(detected, cfg.block_order)
+                except BlockError:
+                    ordered = _default_order(cov, detected)
+            else:
+                ordered = _default_order(cov, detected)
+            entries, min_ec, passed = evaluate_partition(cov, ordered, cfg.gate)
         except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))
             continue
-        if cfg.block_order is not None:
-            try:
-                ordered = _apply_explicit_order(detected, cfg.block_order)
-            except BlockError:
-                ordered = _default_order(cov, detected)
-        else:
-            ordered = _default_order(cov, detected)
-        entries, min_ec, passed = evaluate_partition(cov, ordered, cfg.gate)
         trace.append(GridPoint(penalty, ordered, min_ec, passed, ""))
         key = ordered.n_blocks
         if passed and (key not in found or min_ec > found[key][3]):

@@ -254,20 +254,24 @@ def elastic_net_loadings(
     _lam, vecs = sym_eigen(s)
     a = vecs[:, :k]
     gram = s + ridge * np.eye(m)
+    half = l1 / 2.0
     b = a.copy()
     for _ in range(cfg.max_iter):
         b_old = b.copy()
         target = s @ a  # columns: S A_j
-        for j in range(k):
-            beta = b[:, j].copy()
-            for _ in range(50):  # inner coordinate-descent sweeps
-                beta_prev = beta.copy()
-                for i in range(m):
-                    rho = target[i, j] - gram[i] @ beta + gram[i, i] * beta[i]
-                    beta[i] = float(soft_threshold(rho, l1[j] / 2.0)) / gram[i, i]
-                if np.linalg.norm(beta - beta_prev) < cfg.conv_tol:
-                    break
-            b[:, j] = beta
+        # The k lasso problems share ``gram``, so coordinate i of every
+        # column is one vector step (Friedman, Hastie & Tibshirani 2010).
+        # A column leaves ``active`` after the sweep that moves it by less
+        # than conv_tol, and stays at that iterate; at most 50 sweeps.
+        active = np.ones(k, dtype=bool)
+        for _ in range(50):
+            b_prev = b.copy()
+            for i in range(m):
+                rho = target[i] - gram[i] @ b + gram[i, i] * b[i]
+                np.copyto(b[i], soft_threshold(rho, half) / gram[i, i], where=active)
+            active &= np.linalg.norm(b - b_prev, axis=0) >= cfg.conv_tol
+            if not active.any():
+                break
         sb = s @ b
         uu, ss_, vv = svd(sb)
         a = uu @ vv.T

@@ -10,6 +10,10 @@ another way and exist only to check it:
   block's leading loading with the equal-weight vector
   (:func:`replace_with_weight`) and factors the full Gram matrix;
 - :func:`corrected_variances_from_data` QR-decomposes the projected sample.
+
+:func:`elastic_net_loadings_percolumn` checks the library's elastic net,
+which updates coordinate ``i`` of all columns in one vector step, against
+scalar coordinate descent on one column at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,17 @@ import numpy as np
 from spla import Block, BlockEvaluation, BlockPartition, LoadingMatrix
 from spla.blocks import InconsistentPartitionError
 from spla.data import CovMatrix, DataMatrix
-from spla.matops import cholesky_upper, solve_spd, sym_eigen
+from spla.matops import (
+    NoConvergenceError,
+    RankDeficientError,
+    _fix_signs,
+    cholesky_upper,
+    soft_threshold,
+    solve_spd,
+    svd,
+    sym_eigen,
+)
+from spla.sparse_loadings import PenaltyConfig, _complement_basis, orthogonalize
 from spla.variance import CorrectedVariances
 
 
@@ -133,3 +147,61 @@ def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedV
     x = d.values - d.values.mean(axis=0)
     r = np.linalg.qr(x @ u.u, mode="r")
     return CorrectedVariances(np.diag(r) ** 2 / (d.n_obs - 1))
+
+
+def elastic_net_loadings_percolumn(
+    cov,
+    per_loading_l1,
+    ridge: float,
+    k: int,
+    cfg: PenaltyConfig = PenaltyConfig(),
+    orthogonalize_result: bool = True,
+) -> LoadingMatrix:
+    """:func:`spla.elastic_net_loadings` by scalar coordinate descent.
+
+    Each column ``B_j`` runs its own sweeps, one coordinate at a time, until
+    a sweep moves it by less than ``conv_tol`` (at most 50 sweeps). The
+    outer alternation and the completion are the library's. Arguments are
+    taken as valid: ``per_loading_l1`` holds one or ``k`` nonnegative
+    penalties.
+    """
+    s = np.asarray(getattr(cov, "values", cov), dtype=float)
+    m = s.shape[0]
+    l1 = np.broadcast_to(np.asarray(per_loading_l1, dtype=float).ravel(), (k,))
+    _lam, vecs = sym_eigen(s)
+    a = vecs[:, :k]
+    gram = s + ridge * np.eye(m)
+    b = a.copy()
+    for _ in range(cfg.max_iter):
+        b_old = b.copy()
+        target = s @ a
+        for j in range(k):
+            beta = b[:, j].copy()
+            for _ in range(50):
+                beta_prev = beta.copy()
+                for i in range(m):
+                    rho = target[i, j] - gram[i] @ beta + gram[i, i] * beta[i]
+                    beta[i] = float(soft_threshold(rho, l1[j] / 2.0)) / gram[i, i]
+                if np.linalg.norm(beta - beta_prev) < cfg.conv_tol:
+                    break
+            b[:, j] = beta
+        uu, _, vv = svd(s @ b)
+        a = uu @ vv.T
+        if np.linalg.norm(b - b_old) < cfg.conv_tol:
+            break
+    else:
+        raise NoConvergenceError(
+            f"elastic-net loadings did not converge in {cfg.max_iter} iterations"
+        )
+
+    norms = np.linalg.norm(b, axis=0)
+    if np.any(norms <= 1e-12):
+        raise RankDeficientError("an elastic-net loading collapsed to zero")
+    b = b / norms
+    if k < m:
+        rest = _complement_basis(b, m)
+        proj = rest.T @ s @ rest
+        _, w = sym_eigen((proj + proj.T) / 2.0)
+        b = np.column_stack([b, rest @ w])
+    u = _fix_signs(b)
+    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)

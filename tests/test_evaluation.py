@@ -17,6 +17,7 @@ from spla import (
     weight_basis,
 )
 from spla.blocks import InconsistentPartitionError
+from spla.pipeline import SplaConfig, _scan
 
 from conftest import random_spd
 from oracles import block_ec_literal, replace_with_weight
@@ -275,3 +276,15 @@ class TestNearSingularPair:
             NotPositiveDefiniteError, match=r"^pivot 5\.00\d*e-13 at index 1$"
         ):
             structure_scan(cov)
+
+    def test_scan_records_the_pivot_per_grid_point(self, cov):
+        # Grid points whose partition hits the floor are rejected with the
+        # pivot as their note; the scan goes on to the sparser points.
+        trace, found = _scan(cov, SplaConfig())
+        assert [(g.partition, g.min_ec, g.passed) for g in trace] == [
+            (None, None, False)
+        ] * 5
+        notes = [g.note for g in trace]
+        assert notes[:3] == ["pivot 5.00249e-13 at index 1"] * 3
+        assert notes[3:] == ["variable 0 has no incident loading"] * 2
+        assert found == {}

@@ -130,6 +130,19 @@ class TestSoftThreshold:
         v = np.array([1.0, -2.0])
         assert np.array_equal(soft_threshold(v, 0.0), v)
 
+    def test_per_column_delta_broadcasts(self):
+        v = np.array([[3.0, -2.0, 0.5], [-1.0, 4.0, -0.25]])
+        out = soft_threshold(v, np.array([1.0, 3.0, 0.0]))
+        assert np.array_equal(out, [[2.0, 0.0, 0.5], [0.0, 1.0, -0.25]])
+        for j, d in enumerate((1.0, 3.0, 0.0)):
+            assert np.array_equal(out[:, j], soft_threshold(v[:, j], d))
+
+    def test_negative_delta_entry_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(np.ones(3), np.array([0.5, -1e-300, 0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(np.ones(3), -0.5)
+
 
 class TestSolveSpd:
     def test_adjugate_inverse_3x3(self):

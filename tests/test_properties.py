@@ -29,6 +29,7 @@ from oracles import (
     block_ec_literal,
     block_ec_regression,
     corrected_variances_from_data,
+    elastic_net_loadings_percolumn,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -162,6 +163,39 @@ class TestEcFromOneFactor:
         for b in range(1, p.n_blocks):
             for oracle in (block_ec_regression, block_ec_literal):
                 assert abs(entries[b].ec - oracle(cov, p, b).ec) < 1e-10
+
+
+class TestElasticNetVectorSweep:
+    """The vector sweep equals scalar per-column coordinate descent.
+
+    Each penalty stays under ``2 lambda_min(S) / sqrt(M)``. Then ``|S a|``
+    has an entry above half the penalty for every unit ``a``, so no column
+    of B is ever zero. A zero column makes ``S B`` rank deficient, and
+    rounding then picks its column of the polar factor, in either route.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, m=st.integers(2, 8), ridge=st.sampled_from([0.0, 1e-6]))
+    def test_matches_percolumn_oracle(self, seed, m, ridge):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, m + 1))
+        s = random_spd(rng, m)
+        bound = 2.0 * np.linalg.eigvalsh(s)[0] / np.sqrt(m)
+        # Distinct penalties, so that columns stop after different sweeps.
+        l1 = bound * rng.uniform(0.0, 0.999, size=k)
+        cfg = PenaltyConfig(conv_tol=1e-4, max_iter=300)
+        out = []
+        for route in (elastic_net_loadings, elastic_net_loadings_percolumn):
+            try:
+                out.append(route(s, l1, ridge, k, cfg, orthogonalize_result=False))
+            except Exception as exc:
+                out.append(type(exc))
+        lib, oracle = out
+        if isinstance(oracle, type):
+            assert lib is oracle
+        else:
+            assert np.array_equal(lib.support_pattern(), oracle.support_pattern())
+            assert np.max(np.abs(lib.u - oracle.u)) < 1e-12
 
 
 class TestVarianceBound:
