@@ -22,7 +22,6 @@ from .data import (
     standardize,
 )
 from .evaluation import (
-    FIRST_BLOCK,
     BlockEvaluation,
     EcGate,
     block_ec,
@@ -53,7 +52,6 @@ from .simulate import (
 )
 from .sparse_loadings import (
     LoadingMatrix,
-    PenaltyConfig,
     elastic_net_loadings,
     orthogonalize,
     penalized_rank_one,

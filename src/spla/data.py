@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class DataMatrix:
             raise DataError(
                 f"{len(self.variable_names)} names for {m} columns"
             )
+        if not all(str(name).strip() for name in self.variable_names):
+            raise DataError("variable names must not be empty")
         if len(set(self.variable_names)) != m:
             raise DataError("variable names must be unique")
         if not np.all(np.isfinite(values)):
@@ -70,7 +72,6 @@ class CovMatrix:
     values: np.ndarray
     variable_names: tuple[str, ...]
     is_correlation: bool = False
-    n_obs: int | None = field(default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -172,5 +173,4 @@ def sample_cov(d: DataMatrix, is_correlation: bool | None = None) -> CovMatrix:
     s = (s + s.T) / 2.0
     if is_correlation is None:
         is_correlation = bool(np.max(np.abs(s.diagonal() - 1.0)) <= 1e-10)
-    return CovMatrix(s, d.variable_names, is_correlation=is_correlation,
-                     n_obs=d.n_obs)
+    return CovMatrix(s, d.variable_names, is_correlation=is_correlation)

@@ -30,16 +30,12 @@ from .matops import cholesky_upper
 from .sparse_loadings import LoadingMatrix
 
 __all__ = [
-    "FIRST_BLOCK",
     "BlockEvaluation",
     "EcGate",
     "weight_basis",
     "block_ec",
     "evaluate_partition",
 ]
-
-#: Marker reported for the first block in the evaluation ordering.
-FIRST_BLOCK = "first-block"
 
 #: Default gate threshold below which a detected structure is rejected.
 DEFAULT_C_EC = 0.6

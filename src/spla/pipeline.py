@@ -34,7 +34,7 @@ from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
     ZERO_TOL,
     LoadingMatrix,
-    PenaltyConfig,
+    _l1_budget,
     _pmd,
     elastic_net_loadings,
     orthogonalize,
@@ -56,6 +56,19 @@ __all__ = [
 ]
 
 
+#: Support tolerance for block detection on the ``'pmd'`` route: loading
+#: components at or below it in magnitude are structural zeros. Deflation
+#: leaves sub-percent residue on otherwise-zero components; a genuine
+#: component this small contributes a negligible variance share, so
+#: suppressing it only removes spurious block bridges.
+DETECT_TOL = 1e-2
+
+#: A block whose SV share (percent) falls below this fraction of the
+#: per-variable average share ``100 / M`` is a discard candidate, confirmed
+#: only when its partial-trace share is also below that bound.
+DISCARD_MARGIN = 0.8
+
+
 class EmptyGridError(ValueError):
     """The penalty grid is empty."""
 
@@ -69,31 +82,15 @@ class SplaConfig:
     L1 penalties for the elastic net (``method='spca'``). An elastic-net
     grid entry may also be a tuple of per-loading penalties (one per
     loading). An empty grid means "derive a default from the data
-    dimension".
-
-    ``discard_sv_threshold`` is the per-variable average share (percent); a
-    block whose SV falls below ``discard_margin`` times that threshold is a
-    discard candidate, confirmed only when its partial-trace share is also
-    below the bound. ``block_order`` optionally pins the
-    evaluation order as a tuple of variable-index tuples.
-
-    ``detect_tol`` is the support tolerance for block detection on the
-    ``'pmd'`` route: loading components at or below it in magnitude are
-    structural zeros. The deflation route leaves sub-percent residue on
-    otherwise-zero components; a genuine component this small contributes
-    a negligible variance share, so suppressing it only removes spurious
-    block bridges.
+    dimension". ``block_order`` optionally pins the evaluation order as a
+    tuple of variable-index tuples.
     """
 
     method: str = "pmd"
     grid: tuple[float | tuple[float, ...], ...] = ()
     gate: EcGate = field(default_factory=EcGate)
-    discard_sv_threshold: float | None = None
-    discard_margin: float = 0.8
     block_order: tuple[tuple[int, ...], ...] | None = None
     standardize: bool = False
-    ridge: float = 1e-6
-    detect_tol: float = 1e-2
 
     def resolved_grid(self, m: int) -> tuple[float | tuple[float, ...], ...]:
         if self.grid:
@@ -239,17 +236,9 @@ def _loadings_for(
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        pcfg = PenaltyConfig(
-            l1_bound=penalty, conv_tol=1e-7, strict_convergence=False, max_iter=200,
-        )
-        return _pmd(cov.values, pcfg.validated_bound(cov.n_vars), pcfg)
+        return _pmd(cov.values, _l1_budget(penalty, cov.n_vars))
     if cfg.method == "spca":
-        per = [penalty] if np.isscalar(penalty) else list(penalty)
-        return elastic_net_loadings(
-            cov, per, cfg.ridge, cov.n_vars,
-            PenaltyConfig(conv_tol=1e-4, max_iter=300),
-            orthogonalize_result=False,
-        )
+        return elastic_net_loadings(cov, penalty)
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
@@ -270,10 +259,9 @@ def _scan(
     grid = cfg.resolved_grid(cov.n_vars)
     if not grid:
         raise EmptyGridError("penalty grid is empty")
-    # Deflation leaves sub-percent residue on structurally-zero components;
-    # the elastic net produces exact zeros, so the detection tolerance
-    # applies to the penalized decomposition only.
-    tol = max(ZERO_TOL, cfg.detect_tol) if cfg.method == "pmd" else ZERO_TOL
+    # The elastic net produces exact zeros, so DETECT_TOL applies to the
+    # penalized decomposition only.
+    tol = DETECT_TOL if cfg.method == "pmd" else ZERO_TOL
     trace: list[GridPoint] = []
     found: dict[int, _Found] = {}
     for penalty in grid:
@@ -333,16 +321,11 @@ def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaRepor
     else:
         partial = (100.0,)
 
-    threshold = (
-        cfg.discard_sv_threshold
-        if cfg.discard_sv_threshold is not None
-        else 100.0 / m
-    )
+    bound = DISCARD_MARGIN * (100.0 / m)
     recs = []
     for i, b in enumerate(chosen.blocks):
         if chosen.n_blocks == 1:
             break
-        bound = cfg.discard_margin * threshold
         sv = float(shares.block_sv[i])
         flagged = sv < bound
         # Step 4 runs only for flagged candidates; unflagged blocks reuse the

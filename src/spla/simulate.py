@@ -120,6 +120,8 @@ def ec_distribution(
     holds a placeholder 1.0, which ``spla simulate ec`` writes as the marker
     (``null`` in JSON, empty in CSV).
     """
+    if reps < 1:
+        raise ValueError(f"reps={reps} must be at least 1")
     blocks_to_eval = list(blocks_to_eval)
     for b in blocks_to_eval:
         if not 0 <= b < design.n_blocks:
@@ -200,6 +202,8 @@ def random_wishart_demo(reps: int, seed: int) -> list[tuple[int, float]]:
     minimum EC among the rejected multi-block candidates (the strength of
     the evidence for splitting, which is small by construction).
     """
+    if reps < 1:
+        raise ValueError(f"reps={reps} must be at least 1")
     out = []
     cfg = SplaConfig()
     r = 0

@@ -2,13 +2,14 @@
 
 Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
-each loading individually. Both finish with a Procrustes orthogonalization so
-the loading matrix is orthonormal.
+each loading individually. Both return the raw loadings, whose zero pattern
+block detection reads; :func:`orthogonalize` gives the nearest orthonormal
+matrix. Each route has one iteration policy, the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "LoadingMatrix",
-    "PenaltyConfig",
     "penalized_rank_one",
     "sparse_loading_matrix",
     "elastic_net_loadings",
@@ -36,6 +36,19 @@ __all__ = [
 
 #: Entries with magnitude at or below this are treated as structural zeros.
 ZERO_TOL = 1e-9
+
+#: PMD route: alternations per factor, and the step below which a factor has
+#: converged. A capped factor keeps its last iterate: with near-tied block
+#: variances it keeps one support and converges linearly but slowly, and
+#: downstream gating judges that support on its own merits.
+PMD_MAX_ITER = 200
+PMD_CONV_TOL = 1e-7
+
+#: Elastic-net route: outer alternations, the convergence step of both the
+#: alternation and the coordinate sweeps, and the ridge weight.
+EN_MAX_ITER = 300
+EN_CONV_TOL = 1e-4
+RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,32 +76,14 @@ class LoadingMatrix:
         return np.abs(self.u) > ZERO_TOL
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Configuration of the sparse-loading computation.
-
-    ``l1_bound`` is the L1 budget ``c`` for the penalized decomposition and
-    must lie in ``[1, sqrt(M)]``: below 1 no unit vector is feasible, above
-    ``sqrt(M)`` the constraint is inactive. The elastic-net route takes its
-    per-loading penalties and ridge weight as arguments and reads only the
-    iteration settings from here.
-    """
-
-    l1_bound: float = 1.0
-    max_iter: int = 500
-    conv_tol: float = 1e-9
-    #: With strict_convergence=False the rank-one alternation returns its
-    #: final iterate instead of raising at max_iter. Capped factors do not
-    #: oscillate: with near-tied block variances they keep one support and
-    #: converge linearly but slowly. The support of the final iterate is
-    #: settled; downstream gating judges it on its own merits.
-    strict_convergence: bool = True
-
-    def validated_bound(self, m: int) -> float:
-        c = float(self.l1_bound)
-        if not (1.0 <= c <= np.sqrt(m) + 1e-12):
-            raise ValueError(f"l1 bound c={c} outside [1, sqrt({m})]")
-        return c
+def _l1_budget(c, m: int) -> float:
+    """The L1 budget ``c`` as a float, checked to lie in ``[1, sqrt(M)]``:
+    below 1 no unit vector is feasible, above ``sqrt(M)`` the bound is
+    inactive."""
+    c = float(c)
+    if not (1.0 <= c <= np.sqrt(m) + 1e-12):
+        raise ValueError(f"l1 bound c={c} outside [1, sqrt({m})]")
+    return c
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -129,29 +124,25 @@ def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
     return _unit(soft_threshold(z, delta))
 
 
-def _rank_one(s: np.ndarray, c: float, cfg: PenaltyConfig) -> np.ndarray:
+def _rank_one(s: np.ndarray, c: float) -> np.ndarray:
     """Loading of the penalized rank-one factor of the Gram matrix ``s``.
 
     From the leading eigenvector of ``s``, alternates ``loading <-
     _unit_within_budget(s @ loading, c)``. For ``s = x^T x`` this is the PMD
     of ``x`` (Witten, Tibshirani & Hastie 2009): its left factor
-    ``unit(x @ loading)`` only rescales ``s @ loading``.
+    ``unit(x @ loading)`` only rescales ``s @ loading``. After
+    ``PMD_MAX_ITER`` alternations the last iterate is returned.
     """
     loading = sym_eigen(s)[1][:, 0]
-    for _ in range(cfg.max_iter):
+    for _ in range(PMD_MAX_ITER):
         new = _unit_within_budget(s @ loading, c)
-        if np.linalg.norm(new - loading) < cfg.conv_tol:
+        if np.linalg.norm(new - loading) < PMD_CONV_TOL:
             return new
         loading = new
-    if cfg.strict_convergence:
-        raise NoConvergenceError(
-            f"penalized rank-one factor did not converge in "
-            f"{cfg.max_iter} iterations"
-        )
     return loading
 
 
-def _pmd(s: np.ndarray, c: float, cfg: PenaltyConfig) -> LoadingMatrix:
+def _pmd(s: np.ndarray, c: float) -> LoadingMatrix:
     """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized.
 
     After each factor ``s`` becomes ``(I - v v^T) s (I - v v^T)``, the Gram
@@ -163,7 +154,7 @@ def _pmd(s: np.ndarray, c: float, cfg: PenaltyConfig) -> LoadingMatrix:
     total = np.trace(s)
     cols = []
     while len(cols) < m and np.trace(s) > 1e-12 * total:
-        v = _rank_one(s, c, cfg)
+        v = _rank_one(s, c)
         cols.append(v)
         p = np.eye(m) - np.outer(v, v)
         s = p @ s @ p
@@ -175,7 +166,7 @@ def _pmd(s: np.ndarray, c: float, cfg: PenaltyConfig) -> LoadingMatrix:
 
 
 def penalized_rank_one(
-    x: np.ndarray, c: float, cfg: PenaltyConfig = PenaltyConfig()
+    x: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Single sparse factor of ``x``: ``(left, loading, d)``.
 
@@ -186,29 +177,21 @@ def penalized_rank_one(
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    c = replace(cfg, l1_bound=c).validated_bound(x.shape[1])
-    loading = _rank_one(x.T @ x, c, cfg)
+    loading = _rank_one(x.T @ x, _l1_budget(c, x.shape[1]))
     fit = x @ loading
     return _unit(fit), loading, float(np.linalg.norm(fit))
 
 
-def sparse_loading_matrix(
-    x: np.ndarray,
-    cfg: PenaltyConfig,
-    orthogonalize_result: bool = True,
-) -> LoadingMatrix:
-    """All ``M`` sparse loadings of ``x`` by deflation.
+def sparse_loading_matrix(x: np.ndarray, c: float) -> LoadingMatrix:
+    """All ``M`` sparse loadings of ``x`` by deflation, not orthogonalized.
 
     ``x`` is the centered sample or any matrix with the same Gram matrix
     ``x^T x``, on which the loadings are computed. Columns are ordered by
-    extraction (descending factor weight). With ``orthogonalize_result=False``
-    the raw deflation output is returned, preserving the exact zero pattern
-    for block detection; callers then re-orthogonalize block-wise once a
-    partition is known.
+    extraction (descending factor weight). The raw deflation output keeps
+    the exact zero pattern for block detection.
     """
     x = np.asarray(x, dtype=float)
-    lm = _pmd(x.T @ x, cfg.validated_bound(x.shape[1]), cfg)
-    return orthogonalize(lm) if orthogonalize_result else lm
+    return _pmd(x.T @ x, _l1_budget(c, x.shape[1]))
 
 
 def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
@@ -223,80 +206,61 @@ def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
     return uu[:, keep][:, : m - u.shape[1]]
 
 
-def elastic_net_loadings(
-    cov,
-    per_loading_l1,
-    ridge: float,
-    k: int,
-    cfg: PenaltyConfig = PenaltyConfig(),
-    orthogonalize_result: bool = True,
-) -> LoadingMatrix:
-    """Elastic-net sparse loadings of a covariance matrix.
+def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
+    """All ``M`` elastic-net sparse loadings of a covariance matrix, not
+    orthogonalized.
 
-    Alternates: for fixed orthonormal ``A`` (M x k), each column ``B_j``
-    minimizes ``b^T (S + ridge I) b - 2 A_j^T S b + l1_j ||b||_1``
+    Alternates: for fixed orthonormal ``A`` (M x M), each column ``B_j``
+    minimizes ``b^T (S + RIDGE I) b - 2 A_j^T S b + l1_j ||b||_1``
     (coordinate descent); then ``A`` is set to the polar factor of ``S B``.
-    The remaining ``M - k`` loadings are completed with eigenvectors of ``S``
-    projected onto the orthogonal complement.
+    ``per_loading_l1`` holds one penalty for every loading or ``M`` of them.
     """
     s = np.asarray(getattr(cov, "values", cov), dtype=float)
     m = s.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} outside [1, {m}]")
     l1 = np.asarray(per_loading_l1, dtype=float)
     if l1.size == 1:
-        l1 = np.full(k, float(l1.reshape(-1)[0]))
-    if l1.size != k:
-        raise ValueError(f"{l1.size} l1 penalties for k={k} loadings")
-    if np.any(l1 < 0) or ridge < 0:
+        l1 = np.full(m, float(l1.reshape(-1)[0]))
+    if l1.size != m:
+        raise ValueError(f"{l1.size} l1 penalties for k={m} loadings")
+    if np.any(l1 < 0):
         raise ValueError("penalties must be nonnegative")
+    if not np.all(np.isfinite(l1)):
+        raise ValueError("penalties must be finite")
 
-    _lam, vecs = sym_eigen(s)
-    a = vecs[:, :k]
-    gram = s + ridge * np.eye(m)
+    _lam, a = sym_eigen(s)
+    gram = s + RIDGE * np.eye(m)
     half = l1 / 2.0
     b = a.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(EN_MAX_ITER):
         b_old = b.copy()
         target = s @ a  # columns: S A_j
-        # The k lasso problems share ``gram``, so coordinate i of every
+        # The M lasso problems share ``gram``, so coordinate i of every
         # column is one vector step (Friedman, Hastie & Tibshirani 2010).
         # A column leaves ``active`` after the sweep that moves it by less
-        # than conv_tol, and stays at that iterate; at most 50 sweeps.
-        active = np.ones(k, dtype=bool)
+        # than EN_CONV_TOL, and stays at that iterate; at most 50 sweeps.
+        active = np.ones(m, dtype=bool)
         for _ in range(50):
             b_prev = b.copy()
             for i in range(m):
                 rho = target[i] - gram[i] @ b + gram[i, i] * b[i]
                 np.copyto(b[i], soft_threshold(rho, half) / gram[i, i], where=active)
-            active &= np.linalg.norm(b - b_prev, axis=0) >= cfg.conv_tol
+            active &= np.linalg.norm(b - b_prev, axis=0) >= EN_CONV_TOL
             if not active.any():
                 break
         sb = s @ b
         uu, ss_, vv = svd(sb)
         a = uu @ vv.T
-        if np.linalg.norm(b - b_old) < cfg.conv_tol:
+        if np.linalg.norm(b - b_old) < EN_CONV_TOL:
             break
     else:
         raise NoConvergenceError(
-            f"elastic-net loadings did not converge in {cfg.max_iter} iterations"
+            f"elastic-net loadings did not converge in {EN_MAX_ITER} iterations"
         )
 
     norms = np.linalg.norm(b, axis=0)
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
-    b = b / norms
-    if k < m:
-        rest = _complement_basis(b, m)
-        # Order the completion by explained variance within the complement.
-        proj = rest.T @ s @ rest
-        lam, w = sym_eigen((proj + proj.T) / 2.0)
-        rest = rest @ w
-        u = np.column_stack([b, rest])
-    else:
-        u = b
-    u = _fix_signs(u)
-    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)
+    return LoadingMatrix(_fix_signs(b / norms))
 
 
 def orthogonalize(

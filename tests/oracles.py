@@ -22,6 +22,7 @@ import itertools
 
 import numpy as np
 
+import spla.sparse_loadings as sl
 from spla import Block, BlockEvaluation, BlockPartition, LoadingMatrix
 from spla.blocks import InconsistentPartitionError
 from spla.data import CovMatrix, DataMatrix
@@ -35,7 +36,6 @@ from spla.matops import (
     svd,
     sym_eigen,
 )
-from spla.sparse_loadings import PenaltyConfig, _complement_basis, orthogonalize
 from spla.variance import CorrectedVariances
 
 
@@ -149,59 +149,44 @@ def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedV
     return CorrectedVariances(np.diag(r) ** 2 / (d.n_obs - 1))
 
 
-def elastic_net_loadings_percolumn(
-    cov,
-    per_loading_l1,
-    ridge: float,
-    k: int,
-    cfg: PenaltyConfig = PenaltyConfig(),
-    orthogonalize_result: bool = True,
-) -> LoadingMatrix:
+def elastic_net_loadings_percolumn(cov, per_loading_l1) -> LoadingMatrix:
     """:func:`spla.elastic_net_loadings` by scalar coordinate descent.
 
     Each column ``B_j`` runs its own sweeps, one coordinate at a time, until
-    a sweep moves it by less than ``conv_tol`` (at most 50 sweeps). The
-    outer alternation and the completion are the library's. Arguments are
-    taken as valid: ``per_loading_l1`` holds one or ``k`` nonnegative
+    a sweep moves it by less than ``EN_CONV_TOL`` (at most 50 sweeps). The
+    outer alternation and the iteration policy are the library's. Arguments
+    are taken as valid: ``per_loading_l1`` holds one or ``M`` nonnegative
     penalties.
     """
     s = np.asarray(getattr(cov, "values", cov), dtype=float)
     m = s.shape[0]
-    l1 = np.broadcast_to(np.asarray(per_loading_l1, dtype=float).ravel(), (k,))
-    _lam, vecs = sym_eigen(s)
-    a = vecs[:, :k]
-    gram = s + ridge * np.eye(m)
+    l1 = np.broadcast_to(np.asarray(per_loading_l1, dtype=float).ravel(), (m,))
+    _lam, a = sym_eigen(s)
+    gram = s + sl.RIDGE * np.eye(m)
     b = a.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(sl.EN_MAX_ITER):
         b_old = b.copy()
         target = s @ a
-        for j in range(k):
+        for j in range(m):
             beta = b[:, j].copy()
             for _ in range(50):
                 beta_prev = beta.copy()
                 for i in range(m):
                     rho = target[i, j] - gram[i] @ beta + gram[i, i] * beta[i]
                     beta[i] = float(soft_threshold(rho, l1[j] / 2.0)) / gram[i, i]
-                if np.linalg.norm(beta - beta_prev) < cfg.conv_tol:
+                if np.linalg.norm(beta - beta_prev) < sl.EN_CONV_TOL:
                     break
             b[:, j] = beta
         uu, _, vv = svd(s @ b)
         a = uu @ vv.T
-        if np.linalg.norm(b - b_old) < cfg.conv_tol:
+        if np.linalg.norm(b - b_old) < sl.EN_CONV_TOL:
             break
     else:
         raise NoConvergenceError(
-            f"elastic-net loadings did not converge in {cfg.max_iter} iterations"
+            f"elastic-net loadings did not converge in {sl.EN_MAX_ITER} iterations"
         )
 
     norms = np.linalg.norm(b, axis=0)
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
-    b = b / norms
-    if k < m:
-        rest = _complement_basis(b, m)
-        proj = rest.T @ s @ rest
-        _, w = sym_eigen((proj + proj.T) / 2.0)
-        b = np.column_stack([b, rest @ w])
-    u = _fix_signs(b)
-    return orthogonalize(u) if orthogonalize_result else LoadingMatrix(u)
+    return LoadingMatrix(_fix_signs(b / norms))

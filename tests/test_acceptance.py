@@ -15,7 +15,6 @@ from spla import (
     DataMatrix,
     EcGate,
     LoadingMatrix,
-    PenaltyConfig,
     SplaConfig,
     block_ec,
     corrected_variances,
@@ -23,6 +22,7 @@ from spla import (
     evaluate_partition,
     gen_spiked_sample,
     identification_rate,
+    orthogonalize,
     partial_cov,
     partial_trace_share,
     run_spla,
@@ -208,10 +208,7 @@ class TestAcceptance:
         for _ in range(5):
             m = int(rng.integers(3, 6))
             x = rng.normal(size=(40, m))
-            lm = sparse_loading_matrix(
-                x, PenaltyConfig(l1_bound=1.5, conv_tol=1e-7,
-                                 strict_convergence=False, max_iter=200),
-            )
+            lm = orthogonalize(sparse_loading_matrix(x, 1.5))
             ok &= bool(np.max(np.abs(lm.u.T @ lm.u - np.eye(m))) < 1e-8)
         cells.append(("(a) U^T U = I within 1e-8", ok))
 

@@ -102,10 +102,16 @@ class TestAnalyze:
         (["simulate", "ec", "--blocks", "99"], EXIT_USAGE),
         (["simulate", "ec", "--blocks", "0"], EXIT_USAGE),
         (["simulate", "rate", "--reps", "0"], EXIT_USAGE),
+        (["simulate", "ec", "--reps", "0"], EXIT_USAGE),
+        (["simulate", "ec", "--reps", "-1"], EXIT_USAGE),
+        (["simulate", "wishart", "--reps", "0"], EXIT_USAGE),
+        (["simulate", "wishart", "--reps", "-1"], EXIT_USAGE),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid", "inf"], EXIT_USAGE),
     ],
     ids=[
         "rho-1", "n-1", "grid-from-0", "short-penalty-vector", "c-ec-above-1",
-        "block-above-design", "block-0", "reps-0",
+        "block-above-design", "block-0", "reps-0", "ec-reps-0", "ec-reps-negative",
+        "wishart-reps-0", "wishart-reps-negative", "spca-grid-inf",
     ],
 )
 def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
@@ -113,6 +119,33 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["simulate", "ec", "--reps", "-1"], "usage error: reps=-1 must be at least 1"),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid", "nan"],
+         "usage error: penalties must be finite"),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid", "0.1/0.1/0.1/0.1/0.1/inf"],
+         "usage error: penalties must be finite"),
+    ],
+    ids=["ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf"],
+)
+def test_invalid_values_are_named(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_blank_header_cell_is_data_error(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text(",b\n1,2\n3,5\n4,4\n")
+    with pytest.raises(DataError, match="^variable names must not be empty$"):
+        load_csv(path)
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "data error: variable names must not be empty\n"
 
 
 def test_non_utf8_csv_is_data_error(tmp_path, capsys):

@@ -30,6 +30,11 @@ class TestDataMatrix:
         with pytest.raises(DataError):
             DataMatrix(np.ones((3, 2)) * [[1], [2], [3]], ("a", "a"))
 
+    @pytest.mark.parametrize("names", [("", "b"), ("a", "  ")])
+    def test_rejects_empty_names(self, names):
+        with pytest.raises(DataError, match="^variable names must not be empty$"):
+            DataMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]), names)
+
 
 class TestCovMatrix:
     def test_rejects_asymmetric(self):

@@ -197,9 +197,9 @@ class TestCovarianceRoute:
             covs.append(sample_cov(d))
             return covs[-1]
 
-        def pmd_spy(s, c, cfg):
+        def pmd_spy(s, c):
             received.append(s)
-            return pmd(s, c, cfg)
+            return pmd(s, c)
 
         monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
         monkeypatch.setattr(spla.pipeline, "_pmd", pmd_spy)
@@ -232,15 +232,14 @@ class TestCovarianceRoute:
 
 class TestSupportTolerance:
     @pytest.mark.parametrize(
-        ("method", "grid", "detect_tol", "want"),
+        ("method", "grid", "pmd_tol", "want"),
         [
             ("pmd", (1.5,), 0.05, 0.05),
-            ("pmd", (1.5,), 1e-12, 1e-9),  # never below ZERO_TOL
             ("spca", (0.05,), 0.05, 1e-9),  # exact zeros: ZERO_TOL only
         ],
     )
     def test_detect_blocks_gets_the_route_tolerance(
-        self, monkeypatch, oecd_corr, method, grid, detect_tol, want
+        self, monkeypatch, oecd_corr, method, grid, pmd_tol, want
     ):
         import spla.pipeline
 
@@ -252,6 +251,6 @@ class TestSupportTolerance:
             return inner(u, tol)
 
         monkeypatch.setattr(spla.pipeline, "detect_blocks", spy)
-        cfg = SplaConfig(method=method, grid=grid, detect_tol=detect_tol)
-        structure_scan(oecd_corr, cfg)
+        monkeypatch.setattr(spla.pipeline, "DETECT_TOL", pmd_tol)
+        structure_scan(oecd_corr, SplaConfig(method=method, grid=grid))
         assert tols == [want]

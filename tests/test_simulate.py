@@ -136,13 +136,13 @@ class TestIdentificationRate:
             return inner(cov, cfg)
 
         monkeypatch.setattr(spla.simulate, "structure_scan", spy)
-        cfg = SplaConfig(grid=(1.5,), detect_tol=0.05)
+        cfg = SplaConfig(grid=(1.5,), standardize=True)
         identification_rate(
             BlockDesign(n_blocks=2), [50], [0.0], reps=2,
             gate=EcGate(0.7), seed=17, cfg=cfg,
         )
         assert len(seen) == 2
-        assert all(c.detect_tol == 0.05 and c.gate == EcGate(0.7) for c in seen)
+        assert all(c.standardize and c.gate == EcGate(0.7) for c in seen)
         assert all(c.grid == (1.5,) for c in seen)
 
     def test_grid_of_cells(self):

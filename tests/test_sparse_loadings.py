@@ -7,8 +7,6 @@ from spla import (
     BlockDesign,
     DataMatrix,
     LoadingMatrix,
-    NoConvergenceError,
-    PenaltyConfig,
     elastic_net_loadings,
     orthogonalize,
     penalized_rank_one,
@@ -51,22 +49,23 @@ def _bisection_loading(z: np.ndarray, c: float) -> np.ndarray:
     return w / n if n > 0 else w
 
 
-def _sample_route(x: np.ndarray, c: float, cfg: PenaltyConfig) -> np.ndarray:
+def _sample_route(x: np.ndarray, c: float) -> np.ndarray:
     """Reference for ``_pmd``: the PMD on the sample side, unorthogonalized.
 
     Each factor starts at the leading right singular vector of the deflated
     ``x`` and alternates ``left <- unit(x v)``, ``v <- unit_within_budget(
     x^T left)``; deflation subtracts ``d left v^T`` and stops once
     ``||x_w|| <= 1e-12 ||x||``. A covariance enters as its square root
-    (``_pseudo_sample``). Capped factors keep their last iterate.
+    (``_pseudo_sample``). The iteration policy is the library's; capped
+    factors keep their last iterate.
     """
     m = x.shape[1]
     work, cols = x.copy(), []
     while len(cols) < m and np.linalg.norm(work) > 1e-12 * np.linalg.norm(x):
         loading = np.linalg.svd(work)[2][0]
-        for _ in range(cfg.max_iter):
+        for _ in range(sl.PMD_MAX_ITER):
             new = sl._unit_within_budget(work.T @ sl._unit(work @ loading), c)
-            done = np.linalg.norm(new - loading) < cfg.conv_tol
+            done = np.linalg.norm(new - loading) < sl.PMD_CONV_TOL
             loading = new
             if done:
                 break
@@ -76,10 +75,6 @@ def _sample_route(x: np.ndarray, c: float, cfg: PenaltyConfig) -> np.ndarray:
     if len(cols) < m:
         cols.extend(sl._complement_basis(np.column_stack(cols) if cols else None, m).T)
     return _fix_signs(np.column_stack(cols))
-
-
-#: The pipeline's settings for the PMD route.
-SCAN_CFG = PenaltyConfig(max_iter=200, conv_tol=1e-7, strict_convergence=False)
 
 
 @pytest.fixture()
@@ -209,33 +204,31 @@ class TestPenalizedRankOne:
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
         x = _pseudo_sample(cov.values)
-        cfg = PenaltyConfig(max_iter=200, conv_tol=1e-7, strict_convergence=False)
         for c in (1.0, 1.409, 2.0, 3.0):
             thresholds.clear()
-            penalized_rank_one(x, c, cfg)
-            assert 0 < len(thresholds) <= cfg.max_iter + 1
+            penalized_rank_one(x, c)
+            assert 0 < len(thresholds) <= sl.PMD_MAX_ITER + 1
 
-    def test_strict_convergence_raises(self):
+    def test_capped_alternation_keeps_its_last_iterate(self, monkeypatch):
         # Seven equal-variance pairs with a shared factor drift slowly at
-        # the pair-budget knot; a tight tolerance with few iterations trips.
+        # the pair-budget knot; two alternations do not converge there.
         from spla import BlockDesign, sample_cov
         from spla.simulate import gen_block_sample_keyed
 
         s = gen_block_sample_keyed(BlockDesign(rho=0.2), 1000, 20240817, 0)
         x = _pseudo_sample(sample_cov(s).values)
-        cfg = PenaltyConfig(max_iter=2, conv_tol=1e-14)
-        with pytest.raises(NoConvergenceError):
-            penalized_rank_one(x, 1.409, cfg)
-        relaxed = PenaltyConfig(max_iter=2, conv_tol=1e-14, strict_convergence=False)
-        _, loading, _ = penalized_rank_one(x, 1.409, relaxed)
+        _, settled, _ = penalized_rank_one(x, 1.409)
+        monkeypatch.setattr(sl, "PMD_MAX_ITER", 2)
+        _, loading, _ = penalized_rank_one(x, 1.409)
         assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(loading - settled) > 1e-3
 
 
 class TestSparseLoadingMatrix:
     def test_orthonormal_after_orthogonalize(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(50, 5))
-        lm = sparse_loading_matrix(x, PenaltyConfig(l1_bound=1.6))
+        lm = orthogonalize(sparse_loading_matrix(x, 1.6))
         assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-8)
 
     def test_sparsity_monotone_on_fixture(self, exam_data):
@@ -243,12 +236,7 @@ class TestSparseLoadingMatrix:
         x = exam_data.values - exam_data.values.mean(axis=0)
         counts = []
         for c in np.linspace(np.sqrt(5), 1.0, 6):
-            lm = sparse_loading_matrix(
-                x,
-                PenaltyConfig(l1_bound=float(c), conv_tol=1e-7,
-                              strict_convergence=False, max_iter=200),
-                orthogonalize_result=False,
-            )
+            lm = sparse_loading_matrix(x, float(c))
             counts.append(int(np.sum(lm.support_pattern())))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -258,9 +246,7 @@ class TestSparseLoadingMatrix:
         cov[:2, :2] = [[2.0, 0.9], [0.9, 2.0]]
         cov[2:, 2:] = [[1.0, 0.4], [0.4, 1.0]]
         x = _pseudo_sample(cov)
-        lm = sparse_loading_matrix(
-            x, PenaltyConfig(l1_bound=1.41), orthogonalize_result=False
-        )
+        lm = sparse_loading_matrix(x, 1.41)
         pat = lm.support_pattern()
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
@@ -274,19 +260,18 @@ class TestCovarianceRoute:
         grid = [c for c in SplaConfig().resolved_grid(14) if c > 1.0]
         assert len(grid) == 14
         for c in grid:
-            got = sl._pmd(cov.values, c, SCAN_CFG).u
-            want = _sample_route(_pseudo_sample(cov.values), c, SCAN_CFG)
+            got = sl._pmd(cov.values, c).u
+            want = _sample_route(_pseudo_sample(cov.values), c)
             assert np.array_equal(np.abs(got) > 1e-2, np.abs(want) > 1e-2), c
             assert np.max(np.abs(got - want)) <= 1e-9, c
 
     @pytest.mark.parametrize("c", [1.5, 2.0, np.sqrt(6.0)])
     def test_fewer_observations_than_variables(self, c):
         x = np.random.default_rng(52).normal(size=(3, 6))
-        cfg = PenaltyConfig(l1_bound=c)
-        u = sparse_loading_matrix(x, cfg).u
+        raw = sparse_loading_matrix(x, c).u
+        u = orthogonalize(raw).u
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
-        raw = sparse_loading_matrix(x, cfg, orthogonalize_result=False).u
-        assert np.max(np.abs(raw[:, :3] - _sample_route(x, c, cfg)[:, :3])) <= 1e-9
+        assert np.max(np.abs(raw[:, :3] - _sample_route(x, c)[:, :3])) <= 1e-9
 
     @pytest.mark.parametrize("c", [2.0, np.sqrt(6.0)])
     def test_deflation_stops_once_the_row_space_is_spent(self, c):
@@ -297,33 +282,23 @@ class TestCovarianceRoute:
         rng = np.random.default_rng(53)
         for _ in range(10):
             x = np.hstack([rng.normal(size=(3, 3)), np.zeros((3, 3))])
-            u = sparse_loading_matrix(x, PenaltyConfig(l1_bound=c), False).u
+            u = sparse_loading_matrix(x, c).u
             assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
             assert not u[3:, :3].any()
 
 
 class TestElasticNet:
     def test_zero_penalty_recovers_eigenvectors(self, exam_cov):
-        lm = elastic_net_loadings(
-            exam_cov, [0.0], 0.0, 5,
-            PenaltyConfig(conv_tol=1e-9),
-        )
+        lm = elastic_net_loadings(exam_cov, [0.0])
         _, vecs = sym_eigen(exam_cov.values)
         assert np.allclose(np.abs(lm.u), np.abs(vecs), atol=1e-6)
 
     def test_penalty_produces_zeros(self, exam_cov):
-        lm = elastic_net_loadings(
-            exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0], 1e-6, 5,
-            PenaltyConfig(conv_tol=1e-4, max_iter=300),
-            orthogonalize_result=False,
-        )
+        lm = elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0])
         assert np.sum(~lm.support_pattern()) > 0
 
     def test_orthonormal_result(self, exam_cov):
-        lm = elastic_net_loadings(
-            exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0], 1e-6, 5,
-            PenaltyConfig(conv_tol=1e-4, max_iter=300),
-        )
+        lm = orthogonalize(elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0]))
         assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-8)
 
 
