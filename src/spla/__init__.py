@@ -16,7 +16,6 @@ from .data import (
     CovMatrix,
     DataError,
     DataMatrix,
-    center,
     load_csv,
     sample_cov,
     standardize,

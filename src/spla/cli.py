@@ -318,9 +318,22 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed {args.seed} must be nonnegative")
+    m = BlockDesign().n_vars
+    if args.experiment != "wishart" and args.n <= m:
+        raise _UsageError(
+            f"--n {args.n} must be at least {m + 1}, one more than the "
+            f"design's {m} variables"
+        )
     if args.experiment == "ec":
         design = BlockDesign(rho=args.rho)
-        blocks = [int(b) for b in args.blocks.split(",")]
+        try:
+            blocks = [int(b) for b in args.blocks.split(",")]
+        except ValueError:
+            raise _UsageError(
+                f"--blocks {args.blocks!r} is not a comma list of block numbers"
+            ) from None
         for b in blocks:
             if not 1 <= b <= design.n_blocks:
                 raise _UsageError(f"--blocks {b} outside 1..{design.n_blocks}")

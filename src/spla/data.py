@@ -1,4 +1,4 @@
-"""Dataset ingestion, centering/standardization and sample covariance."""
+"""Dataset ingestion, standardization and sample covariance."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "DataMatrix",
     "CovMatrix",
     "load_csv",
-    "center",
     "standardize",
     "sample_cov",
 ]
@@ -71,7 +70,6 @@ class CovMatrix:
 
     values: np.ndarray
     variable_names: tuple[str, ...]
-    is_correlation: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -91,8 +89,6 @@ class CovMatrix:
             cholesky_upper(values)
         except NotPositiveDefiniteError as exc:
             raise DataError(f"covariance matrix is not positive definite: {exc}")
-        if self.is_correlation and np.max(np.abs(values.diagonal() - 1.0)) > 1e-10:
-            raise DataError("correlation matrix must have unit diagonal")
 
     @property
     def n_vars(self) -> int:
@@ -105,11 +101,12 @@ class CovMatrix:
 def load_csv(path) -> DataMatrix:
     """Read a CSV dataset: header row of variable names, numeric body.
 
-    Separator ``,``, decimal point ``.``, UTF-8. Wrong-arity rows and
-    non-numeric cells abort with a row/column diagnostic.
+    Separator ``,``, decimal point ``.``, UTF-8 with or without a leading
+    byte-order mark. Wrong-arity rows and non-numeric cells abort with a
+    row/column diagnostic.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -143,11 +140,6 @@ def load_csv(path) -> DataMatrix:
     return DataMatrix(np.array(rows, dtype=float), tuple(names))
 
 
-def center(d: DataMatrix) -> DataMatrix:
-    """Subtract each column's sample mean."""
-    return DataMatrix(d.values - d.values.mean(axis=0), d.variable_names)
-
-
 def standardize(d: DataMatrix) -> DataMatrix:
     """Center and scale each column to unit sample variance (divisor N-1)."""
     centered = d.values - d.values.mean(axis=0)
@@ -160,17 +152,14 @@ def standardize(d: DataMatrix) -> DataMatrix:
     return DataMatrix(centered / sd, d.variable_names)
 
 
-def sample_cov(d: DataMatrix, is_correlation: bool | None = None) -> CovMatrix:
+def sample_cov(d: DataMatrix) -> CovMatrix:
     """Sample covariance ``(N-1)^-1 x^T x`` of the centered data.
 
     Centers internally; a sample whose covariance is not positive definite
     (collinear columns, or fewer observations than variables) raises
     :class:`DataError`.
-    When ``is_correlation`` is omitted it is inferred from the diagonal.
     """
     x = d.values - d.values.mean(axis=0)
     s = (x.T @ x) / (d.n_obs - 1)
     s = (s + s.T) / 2.0
-    if is_correlation is None:
-        is_correlation = bool(np.max(np.abs(s.diagonal() - 1.0)) <= 1e-10)
-    return CovMatrix(s, d.variable_names, is_correlation=is_correlation)
+    return CovMatrix(s, d.variable_names)

@@ -8,7 +8,7 @@ in descending order with a stable tie-break, eigenvectors supported on one
 connected component of the matrix's nonzero pattern with a nonnegative
 largest-magnitude component, and a relative Cholesky pivot floor.
 
-Tolerances are module-level constants and may be overridden per call.
+Tolerances are module-level constants; no routine takes one as an argument.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ __all__ = [
     "solve_spd",
 ]
 
-#: Default symmetry tolerance for :func:`sym_eigen`.
-DEFAULT_SYM_TOL = 1e-8
+#: Largest ``|a_ij - a_ji|`` that :func:`sym_eigen` accepts as symmetric.
+SYM_TOL = 1e-8
 #: Relative pivot floor below which a matrix is declared not positive definite.
 CHOLESKY_PIVOT_RTOL = 1e-12
 
@@ -87,7 +87,7 @@ def _components(adjacency) -> list[np.ndarray]:
     return [np.flatnonzero(reach[i]) for i in firsts]
 
 
-def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``a = V diag(lam) V^T`` of a symmetric matrix.
 
     LAPACK (:func:`numpy.linalg.eigh`) runs once per connected component of
@@ -108,8 +108,10 @@ def sym_eigen(a, tol: float = DEFAULT_SYM_TOL) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[1] != m:
         raise NonSymmetricError("matrix is not square")
     asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
-    if asym > tol:
-        raise NonSymmetricError(f"max |a_ij - a_ji| = {asym:g} exceeds tol {tol:g}")
+    if asym > SYM_TOL:
+        raise NonSymmetricError(
+            f"max |a_ij - a_ji| = {asym:g} exceeds tol {SYM_TOL:g}"
+        )
 
     w = (a + a.T) / 2.0
     lam = np.empty(m)

@@ -128,7 +128,6 @@ class GridPoint:
 class DiscardRecommendation:
     """Step-3 flag plus step-4 verification for one block."""
 
-    block_index: int
     variables: tuple[str, ...]
     block_sv: float
     sv_flagged: bool
@@ -289,14 +288,15 @@ def _scan(
 def _choose(cov: CovMatrix, found: dict[int, _Found]) -> _Found:
     """The passing partition with the most blocks (best minimum EC among them).
 
-    When nothing passed the gate, the trivial single block, with no loadings,
-    its first-block marker entry and ``min_ec = 1``.
+    When nothing passed the gate, the trivial single block with no loadings,
+    evaluated like any other partition.
     """
     if found:
         return found[max(found)]
     m = cov.n_vars
     single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
-    return single, None, [BlockEvaluation(0, None)], 1.0
+    entries, min_ec, _ = evaluate_partition(cov, single)
+    return single, None, entries, min_ec
 
 
 def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaReport:
@@ -335,7 +335,6 @@ def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaRepor
         if flagged:
             recs.append(
                 DiscardRecommendation(
-                    i,
                     tuple(names[j] for j in b.variable_indices),
                     sv,
                     flagged,

@@ -26,12 +26,19 @@ __all__ = [
     "gen_spiked_sample",
 ]
 
+#: The design's fixed shape: variables per block, the variance of each
+#: latent factor (block factor ``Z_i`` and shared spike ``Y``), and the
+#: variance of each variable's own noise ``W``.
+BLOCK_SIZE = 2
+LATENT_VAR = 10.0
+NOISE_VAR = 1.0
+
 
 @dataclass(frozen=True)
 class BlockDesign:
     """Paired-variable design with a shared spike.
 
-    Variables come in ``n_blocks`` consecutive groups of ``block_size``; each
+    Variables come in ``n_blocks`` consecutive groups of ``BLOCK_SIZE``; each
     group shares a latent factor ``Z_i``, all variables share ``Y`` with
     weight ``sqrt(rho)``, and every variable has its own noise ``W``:
     ``X_j = sqrt(1 - rho) Z_i + sqrt(rho) Y + W``. ``rho`` is the approximate
@@ -39,37 +46,33 @@ class BlockDesign:
     """
 
     n_blocks: int = 7
-    block_size: int = 2
     rho: float = 0.0
-    latent_sd_sq: float = 10.0
-    noise_sd_sq: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho={self.rho} outside [0, 1)")
-        if self.n_blocks < 1 or self.block_size < 1:
-            raise ValueError("sizes must be >= 1")
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks={self.n_blocks} must be at least 1")
 
     @property
     def n_vars(self) -> int:
-        return self.n_blocks * self.block_size
+        return self.n_blocks * BLOCK_SIZE
 
     def true_partition(self) -> BlockPartition:
         blocks = []
         for i in range(self.n_blocks):
-            idx = tuple(range(i * self.block_size, (i + 1) * self.block_size))
+            idx = tuple(range(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE))
             blocks.append(Block(idx, idx))
         return BlockPartition(tuple(blocks))
 
     def population_cov(self) -> np.ndarray:
         """Closed-form covariance of ``X`` (before standardization)."""
         m = self.n_vars
-        v, w = self.latent_sd_sq, self.noise_sd_sq
-        cov = np.full((m, m), self.rho * v)
+        cov = np.full((m, m), self.rho * LATENT_VAR)
         for i in range(self.n_blocks):
-            sl = slice(i * self.block_size, (i + 1) * self.block_size)
-            cov[sl, sl] = v  # (1 - rho) v + rho v
-        np.fill_diagonal(cov, v + w)
+            sl = slice(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE)
+            cov[sl, sl] = LATENT_VAR  # block factor plus shared spike
+        np.fill_diagonal(cov, LATENT_VAR + NOISE_VAR)
         return cov
 
     def population_correlation(self) -> np.ndarray:
@@ -83,12 +86,12 @@ def _rng(*key) -> np.random.Generator:
 
 
 def _draw(design: BlockDesign, n: int, rng: np.random.Generator) -> DataMatrix:
-    z = rng.normal(0.0, np.sqrt(design.latent_sd_sq), size=(n, design.n_blocks))
-    y = rng.normal(0.0, np.sqrt(design.latent_sd_sq), size=n)
-    w = rng.normal(0.0, np.sqrt(design.noise_sd_sq), size=(n, design.n_vars))
+    z = rng.normal(0.0, np.sqrt(LATENT_VAR), size=(n, design.n_blocks))
+    y = rng.normal(0.0, np.sqrt(LATENT_VAR), size=n)
+    w = rng.normal(0.0, np.sqrt(NOISE_VAR), size=(n, design.n_vars))
     x = np.empty((n, design.n_vars))
     for j in range(design.n_vars):
-        i = j // design.block_size
+        i = j // BLOCK_SIZE
         x[:, j] = (
             np.sqrt(1.0 - design.rho) * z[:, i]
             + np.sqrt(design.rho) * y
@@ -155,17 +158,16 @@ def identification_rate(
     reps: int,
     gate: EcGate,
     seed: int,
-    cfg: SplaConfig | None = None,
 ) -> list[dict]:
     """Fraction of samples whose detected partition equals the truth.
 
-    Every scan runs with ``cfg`` (default :class:`SplaConfig`) and ``gate``.
+    Every scan runs the default :class:`SplaConfig` with ``gate``.
     Returns one row per ``(n, rho)`` cell:
     ``{detector, n, rho, c_ec, reps, rate}``.
     """
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
-    run_cfg = replace(cfg or SplaConfig(), gate=gate)
+    run_cfg = SplaConfig(gate=gate)
     rows = []
     for n in n_list:
         for rho in rho_list:
@@ -218,7 +220,7 @@ def random_wishart_demo(reps: int, seed: int) -> list[tuple[int, float]]:
             continue
         corr = s / np.outer(d, d)
         np.fill_diagonal(corr, 1.0)
-        cov = CovMatrix(corr, ("A", "B", "C"), is_correlation=True)
+        cov = CovMatrix(corr, ("A", "B", "C"))
         report = structure_scan(cov, cfg)
         k = report.partition.n_blocks
         if k > 1:

@@ -67,14 +67,6 @@ class LoadingMatrix:
     def n_vars(self) -> int:
         return self.u.shape[0]
 
-    def support(self, j: int) -> np.ndarray:
-        """Indices of the nonzero components of loading ``j``."""
-        return np.nonzero(np.abs(self.u[:, j]) > ZERO_TOL)[0]
-
-    def support_pattern(self) -> np.ndarray:
-        """Boolean ``M x M`` mask of the nonzero pattern."""
-        return np.abs(self.u) > ZERO_TOL
-
 
 def _l1_budget(c, m: int) -> float:
     """The L1 budget ``c`` as a float, checked to lie in ``[1, sqrt(M)]``:

@@ -62,8 +62,6 @@ class PartialCov:
     """Covariance of a variable block conditioned on its complement."""
 
     values: np.ndarray
-    d_set: tuple[int, ...]
-    conditioned_on: tuple[int, ...]
 
     def trace(self) -> float:
         return float(np.trace(self.values))
@@ -115,7 +113,7 @@ def partial_cov(cov: CovMatrix, d_set) -> PartialCov:
     skk = s[np.ix_(k, k)]
     values = sdd - sdk @ solve_spd(skk, sdk.T)
     values = (values + values.T) / 2.0
-    return PartialCov(values, tuple(d), tuple(k))
+    return PartialCov(values)
 
 
 def partial_trace_share(cov: CovMatrix, d_set) -> float:

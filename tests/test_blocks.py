@@ -15,6 +15,7 @@ from spla.blocks import (
     IsolatedVariableError,
     NonSquareBlockError,
 )
+from spla.sparse_loadings import ZERO_TOL
 
 
 def _pattern_matrix(pattern: list[str]) -> np.ndarray:
@@ -146,7 +147,7 @@ def _reference_components(pattern: np.ndarray):
 
 def _reference_detect_blocks(u: LoadingMatrix) -> BlockPartition:
     """Independent detector: depth-first search, then the same diagnostics."""
-    pattern = u.support_pattern()
+    pattern = np.abs(u.u) > ZERO_TOL
     lonely = np.nonzero(~pattern.any(axis=1))[0]
     if lonely.size:
         raise IsolatedVariableError(

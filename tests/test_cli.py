@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spla
 from spla import DataError, load_csv
@@ -95,7 +98,7 @@ class TestAnalyze:
     ("argv", "code"),
     [
         (["simulate", "rate", "--rho", "1.0"], EXIT_USAGE),
-        (["simulate", "ec", "--n", "1"], EXIT_DATA),
+        (["simulate", "ec", "--n", "1"], EXIT_USAGE),
         (["analyze", OECD_CSV, "--grid", "0:1:3"], EXIT_USAGE),
         (["analyze", OECD_CSV, "--method", "spca", "--grid", "0.1/0.1"], EXIT_USAGE),
         (["analyze", OECD_CSV, "--c-ec", "1.5"], EXIT_USAGE),
@@ -129,8 +132,26 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
          "usage error: penalties must be finite"),
         (["analyze", OECD_CSV, "--method", "spca", "--grid", "0.1/0.1/0.1/0.1/0.1/inf"],
          "usage error: penalties must be finite"),
+        (["simulate", "wishart", "--reps", "1", "--seed", "-1"],
+         "usage error: --seed -1 must be nonnegative"),
+        (["simulate", "rate", "--seed", "-5"],
+         "usage error: --seed -5 must be nonnegative"),
+        (["simulate", "ec", "--blocks", ","],
+         "usage error: --blocks ',' is not a comma list of block numbers"),
+        (["simulate", "ec", "--blocks", "2,x"],
+         "usage error: --blocks '2,x' is not a comma list of block numbers"),
+        (["simulate", "ec", "--n", "2", "--reps", "1"],
+         "usage error: --n 2 must be at least 15, one more than the design's "
+         "14 variables"),
+        (["simulate", "rate", "--n", "3", "--reps", "1"],
+         "usage error: --n 3 must be at least 15, one more than the design's "
+         "14 variables"),
     ],
-    ids=["ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf"],
+    ids=[
+        "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
+        "wishart-seed-negative", "rate-seed-negative", "ec-blocks-comma",
+        "ec-blocks-not-a-number", "ec-n-2", "rate-n-3",
+    ],
 )
 def test_invalid_values_are_named(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
@@ -146,6 +167,37 @@ def test_blank_header_cell_is_data_error(tmp_path, capsys):
     assert main(["analyze", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err == "data error: variable names must not be empty\n"
+
+
+def test_byte_order_mark_keeps_the_first_name(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("a,b\n1,1\n2,-1\n3,-1\n4,1\n".encode("utf-8-sig"))
+    assert main(["analyze", str(path), "--order", "b;a", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["partition"] == [["b"], ["a"]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    experiment=st.sampled_from(["ec", "rate", "wishart"]),
+    n=st.integers(-3, 40),
+    reps=st.integers(-1, 2),
+    seed=st.integers(-3, 3),
+    blocks=st.text(alphabet="012789,x -", max_size=4),
+)
+def test_simulate_argv_ends_in_a_documented_exit_code(
+    experiment, n, reps, seed, blocks
+):
+    argv = ["simulate", experiment, "--n", str(n), "--reps", str(reps),
+            "--seed", str(seed), f"--blocks={blocks}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert 0 <= code <= 4
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and out.getvalue() == ""
 
 
 def test_non_utf8_csv_is_data_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ from spla import (
     CovMatrix,
     DataError,
     DataMatrix,
-    center,
     load_csv,
     sample_cov,
     standardize,
@@ -45,12 +44,6 @@ class TestCovMatrix:
         with pytest.raises(DataError):
             CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), ("a", "b"))
 
-    def test_correlation_needs_unit_diagonal(self):
-        with pytest.raises(DataError):
-            CovMatrix(
-                np.array([[2.0, 0.0], [0.0, 1.0]]), ("a", "b"), is_correlation=True
-            )
-
     def test_trace(self):
         c = CovMatrix(np.diag([2.0, 3.0]), ("a", "b"))
         assert c.trace() == 5.0
@@ -72,6 +65,13 @@ class TestLoadCsv:
         msg = str(exc.value)
         assert "row" in msg and "b" in msg or "column" in msg
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("a,b\n1,2\n3,5\n".encode("utf-8-sig"))
+        d = load_csv(p)
+        assert d.variable_names == ("a", "b")
+        assert np.array_equal(d.values, [[1.0, 2.0], [3.0, 5.0]])
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n3\n")
@@ -86,11 +86,6 @@ class TestLoadCsv:
 
 
 class TestTransforms:
-    def test_center(self):
-        d = DataMatrix(np.array([[1.0, 10.0], [3.0, 20.0]]), ("a", "b"))
-        c = center(d)
-        assert np.allclose(c.values.mean(axis=0), 0.0)
-
     def test_standardize_matches_numpy(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(40, 3)) * [1.0, 5.0, 0.1]
@@ -109,7 +104,6 @@ class TestTransforms:
         d = DataMatrix(x, ("a", "b", "c", "d"))
         cov = sample_cov(d)
         assert np.allclose(cov.values, np.cov(x, rowvar=False), atol=1e-12)
-        assert not cov.is_correlation
 
     def test_sample_cov_rejects_collinear_sample(self):
         rng = np.random.default_rng(14)
@@ -118,9 +112,8 @@ class TestTransforms:
         with pytest.raises(DataError):
             sample_cov(DataMatrix(x, ("a", "b", "c")))
 
-    def test_sample_cov_flags_correlation(self):
+    def test_sample_cov_of_standardized_has_unit_diagonal(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(50, 3))
         cov = sample_cov(standardize(DataMatrix(x, ("a", "b", "c"))))
-        assert cov.is_correlation
         assert np.allclose(np.diag(cov.values), 1.0)

@@ -12,21 +12,21 @@ from spla import (
     random_wishart_demo,
     sample_cov,
 )
-from spla.simulate import gen_block_sample_keyed
+from spla.simulate import LATENT_VAR, NOISE_VAR, gen_block_sample_keyed
 
 
 class TestBlockDesign:
     def test_population_cov_closed_form(self):
-        d = BlockDesign(n_blocks=2, block_size=2, rho=0.3)
+        d = BlockDesign(n_blocks=2, rho=0.3)
         cov = d.population_cov()
-        v, w = d.latent_sd_sq, d.noise_sd_sq
+        v, w = LATENT_VAR, NOISE_VAR
         assert cov[0, 0] == v + w
         assert cov[0, 1] == v  # same block
         assert cov[0, 2] == pytest.approx(0.3 * v)  # across blocks
         assert np.allclose(cov, cov.T)
 
     def test_population_cov_matches_empirical(self):
-        d = BlockDesign(n_blocks=3, block_size=2, rho=0.4)
+        d = BlockDesign(n_blocks=3, rho=0.4)
         x = np.concatenate(
             [
                 gen_block_sample_keyed(d, 5000, 99, r).values
@@ -47,7 +47,7 @@ class TestBlockDesign:
             BlockDesign(n_blocks=0)
 
     def test_true_partition(self):
-        p = BlockDesign(n_blocks=3, block_size=2).true_partition()
+        p = BlockDesign(n_blocks=3).true_partition()
         assert [b.variable_indices for b in p.blocks] == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -136,14 +136,11 @@ class TestIdentificationRate:
             return inner(cov, cfg)
 
         monkeypatch.setattr(spla.simulate, "structure_scan", spy)
-        cfg = SplaConfig(grid=(1.5,), standardize=True)
         identification_rate(
             BlockDesign(n_blocks=2), [50], [0.0], reps=2,
-            gate=EcGate(0.7), seed=17, cfg=cfg,
+            gate=EcGate(0.7), seed=17,
         )
-        assert len(seen) == 2
-        assert all(c.standardize and c.gate == EcGate(0.7) for c in seen)
-        assert all(c.grid == (1.5,) for c in seen)
+        assert seen == [SplaConfig(gate=EcGate(0.7))] * 2
 
     def test_grid_of_cells(self):
         rows = identification_rate(

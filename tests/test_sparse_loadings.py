@@ -7,6 +7,7 @@ from spla import (
     BlockDesign,
     DataMatrix,
     LoadingMatrix,
+    detect_blocks,
     elastic_net_loadings,
     orthogonalize,
     penalized_rank_one,
@@ -237,7 +238,7 @@ class TestSparseLoadingMatrix:
         counts = []
         for c in np.linspace(np.sqrt(5), 1.0, 6):
             lm = sparse_loading_matrix(x, float(c))
-            counts.append(int(np.sum(lm.support_pattern())))
+            counts.append(int(np.sum(np.abs(lm.u) > sl.ZERO_TOL)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_block_diagonal_input_recovers_blocks(self):
@@ -247,7 +248,7 @@ class TestSparseLoadingMatrix:
         cov[2:, 2:] = [[1.0, 0.4], [0.4, 1.0]]
         x = _pseudo_sample(cov)
         lm = sparse_loading_matrix(x, 1.41)
-        pat = lm.support_pattern()
+        pat = np.abs(lm.u) > sl.ZERO_TOL
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
             assert rows <= {0, 1} or rows <= {2, 3}
@@ -295,7 +296,7 @@ class TestElasticNet:
 
     def test_penalty_produces_zeros(self, exam_cov):
         lm = elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0])
-        assert np.sum(~lm.support_pattern()) > 0
+        assert np.sum(np.abs(lm.u) <= sl.ZERO_TOL) > 0
 
     def test_orthonormal_result(self, exam_cov):
         lm = orthogonalize(elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0]))
@@ -322,8 +323,10 @@ class TestLoadingMatrix:
     def test_support(self):
         u = np.eye(3)
         u[0, 1] = 1e-12
-        lm = LoadingMatrix(u)
-        assert list(lm.support(1)) == [1]
+        assert list(np.flatnonzero(np.abs(u[:, 1]) > sl.ZERO_TOL)) == [1]
+        # detect_blocks owns the rule: at its default tolerance the 1e-12
+        # entry bridges nothing.
+        assert detect_blocks(LoadingMatrix(u)).n_blocks == 3
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

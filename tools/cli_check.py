@@ -35,6 +35,11 @@ def _cases() -> list[list[str]]:
                       ["--standardize", "--format", "json"],
                       ["--method", "spca", "--standardize", "--format", "json"]):
             out.append(["analyze", csv, *flags])
+    # The one full-precision path through an explicit --order, which also
+    # pins the within-block weight basis.
+    out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
+                "--grid", "2,5/5/5/2/2", "--order", "vec;mec;alg,ana,sta",
+                "--format", "json"])
     out += [["reproduce", f] for f in ("oecd", "exam", "synthetic8", "synthetic10")]
     out += [
         ["simulate", "rate", "--reps", "6", "--rho", "0.3", "--n", "200"],
@@ -45,6 +50,12 @@ def _cases() -> list[list[str]]:
         ["simulate", "ec", "--reps", "3", "--n", "50", "--seed", "9"],
         ["simulate", "ec", "--reps", "3", "--n", "50", "--seed", "9",
          "--blocks", "1,2", "--format", "json"],
+        # Usage errors that must name the argument.
+        ["simulate", "wishart", "--reps", "1", "--seed", "-1"],
+        ["simulate", "rate", "--seed", "-5"],
+        ["simulate", "ec", "--blocks", ","],
+        ["simulate", "ec", "--n", "2", "--reps", "1"],
+        ["simulate", "rate", "--n", "3", "--reps", "1"],
     ]
     return out
 
