@@ -54,6 +54,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _grid_number(item: str, kind=float):
+    """One number of ``--grid``; a bad one is a usage error that names it."""
+    try:
+        return kind(item)
+    except ValueError:
+        noun = "a whole number of steps" if kind is int else "a number"
+        raise _UsageError(f"--grid item {item.strip()!r} is not {noun}") from None
+
+
 def _parse_grid(spec: str) -> tuple:
     """Parse ``--grid``: ``lo:hi:steps`` or a comma list of penalties.
 
@@ -65,7 +74,8 @@ def _parse_grid(spec: str) -> tuple:
         parts = spec.split(":")
         if len(parts) != 3:
             raise _UsageError(f"grid {spec!r} is not lo:hi:steps")
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = _grid_number(parts[0]), _grid_number(parts[1])
+        steps = _grid_number(parts[2], int)
         if steps < 1:
             raise _UsageError("grid steps must be >= 1")
         return tuple(np.linspace(lo, hi, steps))
@@ -75,9 +85,9 @@ def _parse_grid(spec: str) -> tuple:
         if not item:
             continue
         if "/" in item:
-            out.append(tuple(float(v) for v in item.split("/")))
+            out.append(tuple(_grid_number(v) for v in item.split("/")))
         else:
-            out.append(float(item))
+            out.append(_grid_number(item))
     if not out:
         raise _UsageError(f"grid {spec!r} is empty")
     return tuple(out)

@@ -140,10 +140,19 @@ def load_csv(path) -> DataMatrix:
     return DataMatrix(np.array(rows, dtype=float), tuple(names))
 
 
+def _check_overflow(variances: np.ndarray, names: tuple[str, ...]) -> None:
+    """Raise :class:`DataError` if a column's sample variance overflows."""
+    bad = [name for name, v in zip(names, variances) if not np.isfinite(v)]
+    if bad:
+        raise DataError(f"sample covariance overflows in column(s) {', '.join(bad)}")
+
+
 def standardize(d: DataMatrix) -> DataMatrix:
     """Center and scale each column to unit sample variance (divisor N-1)."""
-    centered = d.values - d.values.mean(axis=0)
-    sd = centered.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = d.values - d.values.mean(axis=0)
+        sd = centered.std(axis=0, ddof=1)
+    _check_overflow(sd, d.variable_names)
     bad = np.nonzero(sd <= 1e-12)[0]
     if bad.size:
         raise ConstantColumnError(
@@ -155,11 +164,13 @@ def standardize(d: DataMatrix) -> DataMatrix:
 def sample_cov(d: DataMatrix) -> CovMatrix:
     """Sample covariance ``(N-1)^-1 x^T x`` of the centered data.
 
-    Centers internally; a sample whose covariance is not positive definite
-    (collinear columns, or fewer observations than variables) raises
-    :class:`DataError`.
+    Centers internally; a sample whose covariance overflows or is not
+    positive definite (collinear columns, or fewer observations than
+    variables) raises :class:`DataError`.
     """
-    x = d.values - d.values.mean(axis=0)
-    s = (x.T @ x) / (d.n_obs - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = d.values - d.values.mean(axis=0)
+        s = (x.T @ x) / (d.n_obs - 1)
+    _check_overflow(np.diag(s), d.variable_names)
     s = (s + s.T) / 2.0
     return CovMatrix(s, d.variable_names)

@@ -11,11 +11,11 @@ The first block in the evaluation ordering has nothing to be corrected
 against, so its criterion is identically one and carries no information; it
 is reported as a marker, never as the number 1.0.
 
-EC is read off the factor that also gives SV: the upper Cholesky factor of
-the Gram matrix ``W^T S W`` in the block-ordered weight basis ``W`` of
-:func:`weight_basis` (see :func:`spla.variance.corrected_variances`). It
-depends only on the covariance, the partition and the ordering — not on the
-penalty that produced the loadings.
+EC is read off the record that also gives SV: the corrected and uncorrected
+variances of the block-ordered weight basis ``W`` of :func:`weight_basis`,
+from one factor of ``W^T S W`` (:func:`spla.variance.corrected_variances`).
+It depends only on the covariance, the partition and the ordering — not on
+the penalty that produced the loadings.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .blocks import BlockPartition, InconsistentPartitionError
 from .data import CovMatrix
-from .matops import cholesky_upper
 from .sparse_loadings import LoadingMatrix
+from .variance import CorrectedVariances, corrected_variances
 
 __all__ = [
     "BlockEvaluation",
@@ -45,7 +45,6 @@ DEFAULT_C_EC = 0.6
 class BlockEvaluation:
     """EC entry for one block: a number in ``(0, 1]`` or the first-block marker."""
 
-    block_index: int
     ec: float | None  # None <=> first-block marker
 
     @property
@@ -104,6 +103,15 @@ def weight_basis(
     return LoadingMatrix(u)
 
 
+def _block_ecs(cv: CorrectedVariances, p: BlockPartition, gate: EcGate):
+    """:func:`evaluate_partition` read off the variances ``cv`` of a
+    :func:`weight_basis` of ``p``, in any within-block order."""
+    ends = np.cumsum([b.size for b in p.blocks[:-1]], dtype=int)
+    ecs = np.minimum(cv.r_squared[ends] / cv.uncorrected[ends], 1.0).tolist()
+    min_ec = min(ecs, default=1.0)
+    return [BlockEvaluation(e) for e in [None, *ecs]], min_ec, min_ec >= gate.c_ec
+
+
 def evaluate_partition(
     cov: CovMatrix, p: BlockPartition, gate: EcGate = EcGate()
 ) -> tuple[list[BlockEvaluation], float, bool]:
@@ -114,26 +122,16 @@ def evaluate_partition(
     ``k`` has EC ``min(r_kk**2 / G_kk, 1)``: the columns before ``k`` span
     exactly the preceding blocks' variables ``P``, so
     ``r_kk**2 = w^T (S[D,D] - S[D,P] S[P,P]^-1 S[P,D]) w``, and
-    ``G_kk = w^T S[D,D] w``.
+    ``G_kk = w^T S[D,D] w``; a within-block order of ``W`` keeps that span.
 
     Returns ``(entries, min_ec, passes)``. The first block contributes the
     marker, not a number; a single-block partition passes vacuously with
     ``min_ec = 1`` and nothing is factored. A pivot of ``G`` at or below the
     Cholesky floor raises :class:`~spla.matops.NotPositiveDefiniteError`.
     """
-    entries = [BlockEvaluation(0, None)]
     if p.n_blocks == 1:
-        return entries, 1.0, True
-    w = weight_basis(p).u
-    gram = w.T @ cov.values @ w
-    gram = (gram + gram.T) / 2.0
-    pivots = np.diag(cholesky_upper(gram)) ** 2
-    k = 0
-    for b in range(1, p.n_blocks):
-        k += p.blocks[b - 1].size
-        entries.append(BlockEvaluation(b, min(float(pivots[k] / gram[k, k]), 1.0)))
-    min_ec = min(e.ec for e in entries[1:])
-    return entries, min_ec, min_ec >= gate.c_ec
+        return [BlockEvaluation(None)], 1.0, True
+    return _block_ecs(corrected_variances(cov, weight_basis(p)), p, gate)
 
 
 def block_ec(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:

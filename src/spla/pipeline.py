@@ -27,7 +27,7 @@ from .data import CovMatrix, DataMatrix, sample_cov, standardize
 from .evaluation import (
     BlockEvaluation,
     EcGate,
-    evaluate_partition,
+    _block_ecs,
     weight_basis,
 )
 from .matops import MatopsError, sym_eigen
@@ -40,6 +40,7 @@ from .sparse_loadings import (
     orthogonalize,
 )
 from .variance import (
+    CorrectedVariances,
     VarianceShares,
     corrected_variances,
     partial_trace_share,
@@ -199,34 +200,31 @@ class SplaReport:
         }
 
 
-def _default_order(cov: CovMatrix, p: BlockPartition) -> BlockPartition:
-    """Default evaluation order: descending leading block variance.
-
-    Blocks are ranked by the largest eigenvalue of their covariance
-    sub-matrix (the top single-loading variance available inside the block);
-    ties fall back to ascending minimum variable index.
-    """
+def _ordered(cov: CovMatrix, detected: BlockPartition, order: tuple | None):
+    """``detected`` in evaluation order, and its within-block order: an
+    explicit ``order`` of exactly the detected blocks pins both; otherwise
+    blocks go by descending largest eigenvalue of their covariance (ties by
+    ascending first variable), variables ascending within (``None``)."""
+    if order is not None:
+        want = [tuple(sorted(b)) for b in order]
+        have = {b.variable_indices: i for i, b in enumerate(detected.blocks)}
+        if sorted(want) == sorted(have):
+            return detected.reordered([have[w] for w in want]), order
     keys = []
-    for i, b in enumerate(p.blocks):
+    for i, b in enumerate(detected.blocks):
         rows = np.asarray(b.variable_indices)
         sub = cov.values[np.ix_(rows, rows)]
         lam = sym_eigen((sub + sub.T) / 2.0)[0][0]
         keys.append((-lam, b.variable_indices[0], i))
-    order = [i for *_, i in sorted(keys)]
-    return p.reordered(order)
+    return detected.reordered([i for *_, i in sorted(keys)]), None
 
 
-def _apply_explicit_order(
-    p: BlockPartition, order: tuple[tuple[int, ...], ...]
-) -> BlockPartition:
-    want = [tuple(sorted(b)) for b in order]
-    have = {b.variable_indices: i for i, b in enumerate(p.blocks)}
-    if sorted(want) != sorted(have):
-        raise BlockError(
-            f"requested block order {want} does not match detected blocks "
-            f"{sorted(have)}"
-        )
-    return p.reordered([have[w] for w in want])
+def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
+    """Order ``detected`` and factor its weight basis once: that factor gives
+    the EC, the gate verdict and, if the partition is chosen, its shares."""
+    ordered, within = _ordered(cov, detected, cfg.block_order)
+    cv = corrected_variances(cov, weight_basis(ordered, within))
+    return (ordered, cv, *_block_ecs(cv, ordered, cfg.gate))
 
 
 def _loadings_for(
@@ -242,13 +240,12 @@ def _loadings_for(
 
 
 #: A passing grid point kept for selection: its partition, the loadings it
-#: came from, and the EC entries and minimum EC computed for the gate.
-_Found = tuple[BlockPartition, LoadingMatrix | None, list[BlockEvaluation], float]
+#: came from, its weight-basis variances, and the EC entries and minimum EC.
+_Found = tuple[BlockPartition, LoadingMatrix | None, CorrectedVariances,
+               list[BlockEvaluation], float]
 
 
-def _scan(
-    cov: CovMatrix, cfg: SplaConfig
-) -> tuple[list[GridPoint], dict[int, _Found]]:
+def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | None]:
     """Stages 1-2 over the whole grid: loadings, detection and the EC gate.
 
     Both routes read only the covariance ``S``: the penalized decomposition
@@ -262,56 +259,38 @@ def _scan(
     # penalized decomposition only.
     tol = DETECT_TOL if cfg.method == "pmd" else ZERO_TOL
     trace: list[GridPoint] = []
-    found: dict[int, _Found] = {}
+    best: _Found | None = None
     for penalty in grid:
         try:
             lm = _loadings_for(cov, cfg, penalty)
             detected = detect_blocks(lm, tol)
-            if cfg.block_order is not None:
-                try:
-                    ordered = _apply_explicit_order(detected, cfg.block_order)
-                except BlockError:
-                    ordered = _default_order(cov, detected)
-            else:
-                ordered = _default_order(cov, detected)
-            entries, min_ec, passed = evaluate_partition(cov, ordered, cfg.gate)
+            ordered, cv, entries, min_ec, passed = _evaluated(cov, cfg, detected)
         except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))
             continue
         trace.append(GridPoint(penalty, ordered, min_ec, passed, ""))
-        key = ordered.n_blocks
-        if passed and (key not in found or min_ec > found[key][3]):
-            found[key] = (ordered, lm, entries, min_ec)
-    return trace, found
+        key = (ordered.n_blocks, min_ec)
+        if passed and (best is None or key > (best[0].n_blocks, best[4])):
+            best = (ordered, lm, cv, entries, min_ec)
+    return trace, best
 
 
-def _choose(cov: CovMatrix, found: dict[int, _Found]) -> _Found:
-    """The passing partition with the most blocks (best minimum EC among them).
-
-    When nothing passed the gate, the trivial single block with no loadings,
-    evaluated like any other partition.
-    """
-    if found:
-        return found[max(found)]
+def _choose(cov: CovMatrix, cfg: SplaConfig, best: _Found | None) -> _Found:
+    """The scan's best or, when nothing passed the gate, the trivial single
+    block with no loadings, evaluated like any other partition."""
+    if best is not None:
+        return best
     m = cov.n_vars
     single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
-    entries, min_ec, _ = evaluate_partition(cov, single)
-    return single, None, entries, min_ec
+    ordered, cv, entries, min_ec, _ = _evaluated(cov, cfg, single)
+    return ordered, None, cv, entries, min_ec
 
 
-def _report(cov: CovMatrix, cfg: SplaConfig, choice: _Found, trace) -> SplaReport:
-    chosen, lm, entries, min_ec = choice
+def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
+    chosen, lm, cv, entries, min_ec = choice
     names = cov.variable_names
     m = cov.n_vars
-    # Share accounting in the evaluation (weight) basis, laid out block-first.
-    # An explicit block_order also pins the within-block variable sequence.
-    within = None
-    if cfg.block_order is not None and [
-        tuple(sorted(b)) for b in cfg.block_order
-    ] == [b.variable_indices for b in chosen.blocks]:
-        within = tuple(tuple(int(i) for i in b) for b in cfg.block_order)
-    wb = weight_basis(chosen, within_block_order=within)
-    cv = corrected_variances(cov, wb)
+    # Share accounting in the evaluation (weight) basis the scan factored.
     shares = variance_shares(cv, cov, chosen)
 
     if chosen.n_blocks > 1:
@@ -370,5 +349,5 @@ def run_spla(d: DataMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
 
 def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
     """Full analysis (all four stages) driven by a covariance matrix directly."""
-    trace, found = _scan(cov, cfg)
-    return _report(cov, cfg, _choose(cov, found), trace)
+    trace, best = _scan(cov, cfg)
+    return _report(cov, _choose(cov, cfg, best), trace)

@@ -5,7 +5,7 @@ diagonal of the upper Cholesky factor of the Gram matrix ``U^T S U``: each
 column's variance is corrected for every earlier column. It needs no data
 matrix; for a sample it equals the squared diagonal of the QR factor ``R``
 of the projected sample over ``N-1``, since ``R^T R = (N-1) U^T S U``. In
-the weight basis the same factor gives each block's EC
+the weight basis of a partition the same record also gives each block's EC
 (:func:`spla.evaluation.evaluate_partition`).
 
 Partial covariance conditions one variable block on another by the regression
@@ -37,9 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrectedVariances:
-    """Per-loading corrected variances, in covariance units."""
+    """Per-loading corrected and uncorrected (``u^T S u``) variances."""
 
     r_squared: np.ndarray
+    uncorrected: np.ndarray
 
     def __post_init__(self):
         r2 = np.asarray(self.r_squared, dtype=float)
@@ -68,11 +69,11 @@ class PartialCov:
 
 
 def corrected_variances(cov: CovMatrix, u: LoadingMatrix) -> CorrectedVariances:
-    """Corrected variances from the covariance only (Cholesky-on-Gram path)."""
+    """Both variances of ``u``'s columns, from the one factor of ``U^T S U``."""
     gram = u.u.T @ cov.values @ u.u
     gram = (gram + gram.T) / 2.0
     r = cholesky_upper(gram)
-    return CorrectedVariances(np.diag(r) ** 2)
+    return CorrectedVariances(np.diag(r) ** 2, np.diag(gram))
 
 
 def variance_shares(

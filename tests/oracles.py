@@ -51,7 +51,7 @@ def block_ec_regression(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvalu
         raise InconsistentPartitionError(f"no block {b} in partition")
     pre = [i for j in range(b) for i in p.blocks[j].variable_indices]
     if not pre:
-        return BlockEvaluation(b, None)
+        return BlockEvaluation(None)
     d = list(p.blocks[b].variable_indices)
     s = cov.values
     w = np.ones(len(d)) / np.sqrt(len(d))
@@ -60,7 +60,7 @@ def block_ec_regression(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvalu
     spp = s[np.ix_(pre, pre)]
     num = float(w @ (sdd - sdp @ solve_spd(spp, sdp.T)) @ w)
     den = float(w @ sdd @ w)
-    return BlockEvaluation(b, min(num / den, 1.0))
+    return BlockEvaluation(min(num / den, 1.0))
 
 
 def replace_with_weight(
@@ -118,7 +118,7 @@ def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluati
     """
     pos = sum(p.blocks[j].size for j in range(b))
     if pos == 0:
-        return BlockEvaluation(b, None)
+        return BlockEvaluation(None)
     m = cov.n_vars
     u = np.zeros((m, m))
     q = 0
@@ -135,18 +135,22 @@ def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluati
     num = float(r[pos, pos] ** 2)
     wcol = replaced.u[:, pos]
     den = float(wcol @ cov.values @ wcol)
-    return BlockEvaluation(b, min(num / den, 1.0))
+    return BlockEvaluation(min(num / den, 1.0))
 
 
 def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedVariances:
     """Corrected variances via the QR decomposition of the projected sample.
 
     ``R^T R = (N-1) U^T S U`` for the QR factor ``R`` of the centred,
-    projected sample, so only ``|diag R|`` is needed.
+    projected sample, so only ``|diag R|`` is needed; the uncorrected
+    variances are the projected columns' sums of squares over ``N-1``.
     """
     x = d.values - d.values.mean(axis=0)
-    r = np.linalg.qr(x @ u.u, mode="r")
-    return CorrectedVariances(np.diag(r) ** 2 / (d.n_obs - 1))
+    y = x @ u.u
+    r = np.linalg.qr(y, mode="r")
+    return CorrectedVariances(
+        np.diag(r) ** 2 / (d.n_obs - 1), np.sum(y**2, axis=0) / (d.n_obs - 1)
+    )
 
 
 def elastic_net_loadings_percolumn(cov, per_loading_l1) -> LoadingMatrix:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,11 +148,18 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         (["simulate", "rate", "--n", "3", "--reps", "1"],
          "usage error: --n 3 must be at least 15, one more than the design's "
          "14 variables"),
+        (["analyze", OECD_CSV, "--grid", "2,x"],
+         "usage error: --grid item 'x' is not a number"),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid", "5/x"],
+         "usage error: --grid item 'x' is not a number"),
+        (["analyze", OECD_CSV, "--grid", "1:2:x"],
+         "usage error: --grid item 'x' is not a whole number of steps"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
         "wishart-seed-negative", "rate-seed-negative", "ec-blocks-comma",
-        "ec-blocks-not-a-number", "ec-n-2", "rate-n-3",
+        "ec-blocks-not-a-number", "ec-n-2", "rate-n-3", "grid-item",
+        "grid-vector-item", "grid-steps",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):
@@ -193,6 +202,86 @@ def test_simulate_argv_ends_in_a_documented_exit_code(
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert 0 <= code <= 4
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--standardize"]])
+def test_overflowing_covariance_is_one_data_error(tmp_path, capsys, flags):
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n1e200,1\n-2e200,3\n5e199,2\n0,5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", str(path), *flags]) == EXIT_DATA
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == "data error: sample covariance overflows in column(s) a\n"
+    assert captured.out == ""
+
+
+#: Cells that overflow, are not finite, or are not numbers.
+_ODD_CELLS = ["1e150", "-1e200", "1.7e308", "nan", "inf", "x", "", " "]
+_NUMBERS = st.one_of(st.integers(-50, 50).map(lambda v: repr(v / 7)),
+                     st.floats(-10.0, 10.0).map(repr))
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small CSV files: mostly plain numbers, with constant columns, odd
+    cells, duplicate or blank names, ragged rows and a byte-order mark."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([8] * 4 + [5, 1, 0]))
+    names = draw(st.sampled_from([list("abcd")] * 8 + [list("aacd"), list(" bcd")]))
+    cols = []
+    for _ in range(m):
+        col = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["plain"] * 6 + ["constant", "odd"]))
+        if n and kind == "constant":
+            col = col[:1] * n
+        elif n and kind == "odd":
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        cols.append(col)
+    rows = [",".join(r) for r in zip(*cols)]
+    if rows and draw(st.sampled_from([False] * 9 + [True])):
+        rows[-1] += ",1"
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join([",".join(names[:m]), *rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=_csv_texts(),
+    method=st.sampled_from(["pmd", "spca"]),
+    grid=st.one_of(
+        st.none(), st.none(),
+        st.sampled_from(["2,x", "5/x", "1:2:x", "1:2", ",", "nan", "0.5/1/2/3"]),
+        st.builds("{}:{}:{}".format, st.sampled_from([0.01, 1.0, 1.5]),
+                  st.sampled_from([1.0, 2.0, 9.0]), st.integers(-1, 5)),
+    ),
+    order=st.one_of(st.none(), st.none(), st.sampled_from(["b;a", "b,a;c", "d;c;b,a"]),
+                    st.text(alphabet="abcd,;", max_size=6)),
+    c_ec=st.sampled_from(["0.6", "0.6", "0.9", "1.5"]),
+    extra=st.sampled_from([[], ["--standardize"], ["--format", "json"]]),
+)
+def test_analyze_argv_ends_in_a_documented_exit_code(
+    text, method, grid, order, c_ec, extra
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["analyze", str(path), "--method", method, "--c-ec", c_ec, *extra]
+        argv += [] if grid is None else [f"--grid={grid}"]
+        argv += [] if order is None else [f"--order={order}"]
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert 0 <= code <= 4
+    assert [str(w.message) for w in caught] == []
     assert "Traceback" not in err.getvalue()
     if code == EXIT_OK:
         assert err.getvalue() == ""

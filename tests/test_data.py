@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,17 @@ class TestTransforms:
         x[:, 2] = x[:, 0]
         with pytest.raises(DataError):
             sample_cov(DataMatrix(x, ("a", "b", "c")))
+
+    @pytest.mark.parametrize("transform", [standardize, sample_cov])
+    def test_overflowing_variance_is_named_without_warnings(self, transform):
+        # Squares of cells near 1e200 overflow; column b stays representable.
+        x = np.array([[1e200, 1.0], [-2e200, 3.0], [5e199, 2.0], [0.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DataError, match=r"^sample covariance overflows in column\(s\) a$"
+            ):
+                transform(DataMatrix(x, ("a", "b")))
 
     def test_sample_cov_of_standardized_has_unit_diagonal(self):
         rng = np.random.default_rng(13)

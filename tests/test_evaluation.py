@@ -281,11 +281,11 @@ class TestNearSingularPair:
     def test_scan_records_the_pivot_per_grid_point(self, cov):
         # Grid points whose partition hits the floor are rejected with the
         # pivot as their note; the scan goes on to the sparser points.
-        trace, found = _scan(cov, SplaConfig())
+        trace, best = _scan(cov, SplaConfig())
         assert [(g.partition, g.min_ec, g.passed) for g in trace] == [
             (None, None, False)
         ] * 5
         notes = [g.note for g in trace]
         assert notes[:3] == ["pivot 5.00249e-13 at index 1"] * 3
         assert notes[3:] == ["variable 0 has no incident loading"] * 2
-        assert found == {}
+        assert best is None

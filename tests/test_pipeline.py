@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import spla.evaluation
+import spla.pipeline
+import spla.variance
 from spla import (
     CovMatrix,
     DataMatrix,
@@ -8,6 +11,7 @@ from spla import (
     run_spla,
     structure_scan,
 )
+from spla.matops import cholesky_upper
 from spla.sparse_loadings import ZERO_TOL
 
 
@@ -145,6 +149,31 @@ class TestSelectionAndFallback:
         assert [g.penalty for g in report.penalty_trace] == [
             2.0, (5.0, 5.0, 5.0, 2.0, 2.0)
         ]
+
+    @pytest.mark.parametrize("cfg", [SplaConfig(), EXAM_CFG], ids=["pmd", "order"])
+    def test_one_gram_factor_per_partitioned_grid_point(
+        self, exam_cov, monkeypatch, cfg
+    ):
+        # Each candidate's factor gives its EC and gate, and the chosen one's
+        # also gives the report's shares: nothing is factored after the scan.
+        calls, scanning = [], [True]
+
+        def factor(a):
+            calls.append(scanning[0])
+            return cholesky_upper(a)
+
+        def scan(*args):
+            out = inner_scan(*args)
+            scanning[0] = False
+            return out
+
+        assert not hasattr(spla.evaluation, "cholesky_upper")  # one owner
+        monkeypatch.setattr(spla.variance, "cholesky_upper", factor)
+        inner_scan = spla.pipeline._scan
+        monkeypatch.setattr(spla.pipeline, "_scan", scan)
+        report = structure_scan(exam_cov, cfg)
+        partitioned = [g for g in report.penalty_trace if g.partition is not None]
+        assert calls == [True] * len(partitioned)
 
     def test_block_order_mismatch_falls_back(self, exam_data):
         cfg = SplaConfig(

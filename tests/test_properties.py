@@ -22,6 +22,7 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
+from spla.evaluation import EcGate, _block_ecs, weight_basis
 from spla.matops import sym_eigen
 from spla.sparse_loadings import ZERO_TOL
 
@@ -157,6 +158,33 @@ class TestEcFromOneFactor:
         for b in range(1, p.n_blocks):
             for oracle in (block_ec_regression, block_ec_literal):
                 assert abs(entries[b].ec - oracle(cov, p, b).ec) < 1e-10
+
+
+class TestEcInAnyWithinBlockOrder:
+    """EC read off a weight basis built over any within-block variable order
+    equals EC in the ascending basis within a relative 1e-12: the columns
+    before a block's equal-weight column span the same variables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, m=st.integers(2, 8))
+    def test_matches_ascending_basis(self, seed, m):
+        rng = np.random.default_rng(seed)
+        scale = np.diag(rng.uniform(0.2, 5.0, size=m))
+        cov = CovMatrix(scale @ random_spd(rng, m) @ scale,
+                        tuple(f"v{i}" for i in range(m)))
+        p = _random_blocks(rng, m)
+        p = p.reordered(rng.permutation(p.n_blocks))
+        within = tuple(
+            tuple(int(i) for i in rng.permutation(b.variable_indices))
+            for b in p.blocks
+        )
+        cv = corrected_variances(cov, weight_basis(p, within))
+        entries, min_ec, passes = _block_ecs(cv, p, EcGate())
+        want, want_min, want_passes = evaluate_partition(cov, p)
+        assert entries[0].is_first and passes == want_passes
+        assert min_ec == pytest.approx(want_min, rel=1e-12, abs=0)
+        for got, ref in zip(entries[1:], want[1:], strict=True):
+            assert got.ec == pytest.approx(ref.ec, rel=1e-12, abs=0)
 
 
 class TestElasticNetVectorSweep:

@@ -64,9 +64,10 @@ class TestCorrectedVariances:
         cov = sample_cov(d)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         u = LoadingMatrix(q)
-        c1 = corrected_variances(cov, u).r_squared
-        c2 = corrected_variances_from_data(d, u).r_squared
-        assert np.allclose(c1, c2, rtol=1e-8)
+        c1 = corrected_variances(cov, u)
+        c2 = corrected_variances_from_data(d, u)
+        assert np.allclose(c1.r_squared, c2.r_squared, rtol=1e-8)
+        assert np.allclose(c1.uncorrected, c2.uncorrected, rtol=1e-8)
 
     def test_total_bounded_by_trace(self):
         rng = np.random.default_rng(43)

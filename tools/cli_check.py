@@ -35,11 +35,12 @@ def _cases() -> list[list[str]]:
                       ["--standardize", "--format", "json"],
                       ["--method", "spca", "--standardize", "--format", "json"]):
             out.append(["analyze", csv, *flags])
-    # The one full-precision path through an explicit --order, which also
-    # pins the within-block weight basis.
-    out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
-                "--grid", "2,5/5/5/2/2", "--order", "vec;mec;alg,ana,sta",
-                "--format", "json"])
+    # Full-precision paths through an explicit --order, which also pins the
+    # within-block weight basis; in the second a block whose variables are
+    # not in ascending order comes before other blocks.
+    for order in ("vec;mec;alg,ana,sta", "sta,alg,ana;vec;mec"):
+        out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
+                    "--grid", "2,5/5/5/2/2", "--order", order, "--format", "json"])
     out += [["reproduce", f] for f in ("oecd", "exam", "synthetic8", "synthetic10")]
     out += [
         ["simulate", "rate", "--reps", "6", "--rho", "0.3", "--n", "200"],
@@ -57,6 +58,8 @@ def _cases() -> list[list[str]]:
         ["simulate", "ec", "--n", "2", "--reps", "1"],
         ["simulate", "rate", "--n", "3", "--reps", "1"],
     ]
+    out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
+            for grid in ("2,x", "5/x", "1:2:x")]
     return out
 
 
