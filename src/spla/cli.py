@@ -43,6 +43,13 @@ EXIT_NUMERICAL = 3
 EXIT_GOLDEN = 4
 
 
+#: Largest step count of ``--grid lo:hi:steps``; each step is one grid point.
+MAX_GRID_STEPS = 1000
+
+#: Largest ``simulate --n``; each replicate draws ``n`` rows at once.
+MAX_SIM_N = 100_000
+
+
 class _UsageError(ValueError):
     """Invalid command line; like any ``ValueError`` it exits with code 1."""
 
@@ -76,8 +83,8 @@ def _parse_grid(spec: str) -> tuple:
             raise _UsageError(f"grid {spec!r} is not lo:hi:steps")
         lo, hi = _grid_number(parts[0]), _grid_number(parts[1])
         steps = _grid_number(parts[2], int)
-        if steps < 1:
-            raise _UsageError("grid steps must be >= 1")
+        if not 1 <= steps <= MAX_GRID_STEPS:
+            raise _UsageError(f"--grid steps {steps} outside 1..{MAX_GRID_STEPS}")
         return tuple(np.linspace(lo, hi, steps))
     out = []
     for item in spec.split(","):
@@ -336,6 +343,8 @@ def cmd_simulate(args) -> int:
             f"--n {args.n} must be at least {m + 1}, one more than the "
             f"design's {m} variables"
         )
+    if args.experiment != "wishart" and args.n > MAX_SIM_N:
+        raise _UsageError(f"--n {args.n} must be at most {MAX_SIM_N}")
     if args.experiment == "ec":
         design = BlockDesign(rho=args.rho)
         try:

@@ -164,10 +164,15 @@ def standardize(d: DataMatrix) -> DataMatrix:
 def sample_cov(d: DataMatrix) -> CovMatrix:
     """Sample covariance ``(N-1)^-1 x^T x`` of the centered data.
 
-    Centers internally; a sample whose covariance overflows or is not
-    positive definite (collinear columns, or fewer observations than
-    variables) raises :class:`DataError`.
+    Centers internally; a sample with no more rows than variables (its
+    covariance has rank at most N-1 < M), or whose covariance overflows or
+    is not positive definite (collinear columns), raises :class:`DataError`.
     """
+    if d.n_obs <= d.n_vars:
+        raise DataError(
+            f"{d.n_obs} rows for {d.n_vars} variables: the sample covariance "
+            f"needs at least {d.n_vars + 1} rows"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         x = d.values - d.values.mean(axis=0)
         s = (x.T @ x) / (d.n_obs - 1)

@@ -70,10 +70,6 @@ DETECT_TOL = 1e-2
 DISCARD_MARGIN = 0.8
 
 
-class EmptyGridError(ValueError):
-    """The penalty grid is empty."""
-
-
 @dataclass(frozen=True)
 class SplaConfig:
     """Configuration of a full analysis run.
@@ -214,7 +210,7 @@ def _ordered(cov: CovMatrix, detected: BlockPartition, order: tuple | None):
     for i, b in enumerate(detected.blocks):
         rows = np.asarray(b.variable_indices)
         sub = cov.values[np.ix_(rows, rows)]
-        lam = sym_eigen((sub + sub.T) / 2.0)[0][0]
+        lam = sym_eigen(sub)[0][0]
         keys.append((-lam, b.variable_indices[0], i))
     return detected.reordered([i for *_, i in sorted(keys)]), None
 
@@ -253,8 +249,6 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     sample and the cost does not depend on the number of observations.
     """
     grid = cfg.resolved_grid(cov.n_vars)
-    if not grid:
-        raise EmptyGridError("penalty grid is empty")
     # The elastic net produces exact zeros, so DETECT_TOL applies to the
     # penalized decomposition only.
     tol = DETECT_TOL if cfg.method == "pmd" else ZERO_TOL
@@ -300,27 +294,17 @@ def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
     else:
         partial = (100.0,)
 
+    # Step 3 flags a block whose SV share is below the bound; step 4
+    # verifies the flag against its partial share.
     bound = DISCARD_MARGIN * (100.0 / m)
-    recs = []
-    for i, b in enumerate(chosen.blocks):
-        if chosen.n_blocks == 1:
-            break
-        sv = float(shares.block_sv[i])
-        flagged = sv < bound
-        # Step 4 runs only for flagged candidates; unflagged blocks reuse the
-        # reporting value already computed above.
-        share = partial[i]
-        verified = flagged and share < bound
-        if flagged:
-            recs.append(
-                DiscardRecommendation(
-                    tuple(names[j] for j in b.variable_indices),
-                    sv,
-                    flagged,
-                    share,
-                    verified,
-                )
-            )
+    recs = [
+        DiscardRecommendation(
+            tuple(names[j] for j in b.variable_indices), sv, True, share,
+            share < bound,
+        )
+        for b, sv, share in zip(chosen.blocks, shares.block_sv.tolist(), partial)
+        if chosen.n_blocks > 1 and sv < bound
+    ]
 
     final_loadings = None
     if lm is not None:

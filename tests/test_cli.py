@@ -154,18 +154,47 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
          "usage error: --grid item 'x' is not a number"),
         (["analyze", OECD_CSV, "--grid", "1:2:x"],
          "usage error: --grid item 'x' is not a whole number of steps"),
+        (["analyze", OECD_CSV, "--grid", "1:2:1000000000000000"],
+         "usage error: --grid steps 1000000000000000 outside 1..1000"),
+        (["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"],
+         "usage error: --n 99999999999999999999 must be at most 100000"),
+        (["simulate", "rate", "--n", "100001", "--reps", "1"],
+         "usage error: --n 100001 must be at most 100000"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
         "wishart-seed-negative", "rate-seed-negative", "ec-blocks-comma",
         "ec-blocks-not-a-number", "ec-n-2", "rate-n-3", "grid-item",
-        "grid-vector-item", "grid-steps",
+        "grid-vector-item", "grid-steps", "grid-steps-too-many",
+        "ec-n-too-large", "rate-n-over-max",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_grid_step_count_is_bounded():
+    from spla.cli import MAX_GRID_STEPS, _parse_grid
+
+    assert len(_parse_grid(f"1:2:{MAX_GRID_STEPS}")) == MAX_GRID_STEPS
+    with pytest.raises(ValueError, match="^--grid steps 0 outside 1..1000$"):
+        _parse_grid("1:2:0")
+    with pytest.raises(ValueError, match="^--grid steps 1001 outside 1..1000$"):
+        _parse_grid(f"1:2:{MAX_GRID_STEPS + 1}")
+
+
+def test_too_few_rows_is_named(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_text("a,b,c\n1,2,3\n4,5,7\n2,9,1\n")
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "data error: 3 rows for 3 variables: the sample covariance needs at "
+        "least 4 rows\n"
+    )
+    assert captured.out == ""
 
 
 def test_blank_header_cell_is_data_error(tmp_path, capsys):

@@ -114,6 +114,17 @@ class TestTransforms:
         with pytest.raises(DataError):
             sample_cov(DataMatrix(x, ("a", "b", "c")))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sample_cov_needs_more_rows_than_variables(self, n):
+        x = np.random.default_rng(15).normal(size=(5, 4))
+        with pytest.raises(
+            DataError,
+            match=f"^{n} rows for 4 variables: the sample covariance needs at "
+            "least 5 rows$",
+        ):
+            sample_cov(DataMatrix(x[:n], ("a", "b", "c", "d")))
+        assert sample_cov(DataMatrix(x, ("a", "b", "c", "d"))).n_vars == 4
+
     @pytest.mark.parametrize("transform", [standardize, sample_cov])
     def test_overflowing_variance_is_named_without_warnings(self, transform):
         # Squares of cells near 1e200 overflow; column b stays representable.

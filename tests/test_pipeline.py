@@ -205,15 +205,10 @@ class TestConfigValidation:
             assert any(abs(g - (np.sqrt(k) - 0.005)) < 1e-9 for g in grid)
 
     def test_empty_grid_error(self):
-        import unittest.mock as mock
-
-        from spla.pipeline import EmptyGridError
-
-        assert len(SplaConfig(method="spca").resolved_grid(4)) > 0
-        cov = CovMatrix(np.eye(2), ("a", "b"))
-        with mock.patch.object(SplaConfig, "resolved_grid", return_value=()):
-            with pytest.raises(EmptyGridError):
-                structure_scan(cov, SplaConfig())
+        # An empty grid resolves to a non-empty default for either method.
+        for method in ("pmd", "spca"):
+            for m in (1, 2, 14):
+                assert len(SplaConfig(method=method).resolved_grid(m)) > 0
 
 
 class TestCovarianceRoute:

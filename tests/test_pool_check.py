@@ -16,10 +16,24 @@ def _tool():
     return mod
 
 
+def _no_runs(src, name):
+    raise AssertionError(f"ran pool {name!r}")
+
+
 def test_unknown_workload_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert _tool().main(["pmd-scan", "no-such"]) == 2
-    assert "unknown workload 'no-such'" in capsys.readouterr().err
+    assert "unknown pool 'no-such'" in capsys.readouterr().err
+
+
+def test_cli_pool_needs_against(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    monkeypatch.setattr(tool, "outputs", _no_runs)
+    assert tool.main(["cli"]) == 2
+    assert capsys.readouterr().err == (
+        "pool 'cli' has no references; compare it with --against\n"
+    )
 
 
 def test_lists_the_first_difference_of_each_input(tmp_path, monkeypatch):
@@ -41,7 +55,7 @@ def test_lists_the_first_difference_of_each_input(tmp_path, monkeypatch):
         name="fake", pool=4, build=lambda i, work: i, analyze=analyze,
         canonical=lambda r: {"v": r},
     )
-    assert tool.check(fake, mismatch) == [
+    assert tool.check(fake, mismatch, tool.analyses(fake)) == [
         "pool id 1: ./v: got 2, want 5",
         "pool id 3: RuntimeError: exit 3",
     ]
@@ -53,9 +67,37 @@ def test_describe_names_the_first_path_and_the_largest_relative_difference():
     assert describe('{"a": 1.0, "b": [4.0, 2.0]}', '{"a": 1.0, "b": [5.0, 2.2]}') == (
         "./b[0]: 4.0 -> 5.0; max rel diff 0.2"
     )
-    assert describe('{"a": [1]}', '{"a": [1, 2]}') == "./a: [1] -> [1, 2]; max rel diff 0"
+    # A difference in structure has numbers that do not pair up.
+    assert describe('{"a": [1]}', '{"a": [1, 2]}') == "./a: [1] -> [1, 2]; max rel diff n/a"
     # Equal numbers with different JSON text are not byte-identical.
     assert describe('{"a": -0.0}', '{"a": 0.0}') == "./a: -0.0 -> 0.0; max rel diff 0"
+    # Numbers inside a string leaf are compared token by token.
+    assert describe('{"note": "pivot 2e-15 at 3"}', '{"note": "pivot 3e-15 at 3"}') == (
+        "./note: 'pivot 2e-15 at 3' -> 'pivot 3e-15 at 3'; max rel diff 0.333"
+    )
+
+
+def test_describe_compares_error_texts_by_line():
+    describe = _tool().describe
+    assert describe("error: RuntimeError: boom", '{"v": 2}') == (
+        "line 1: 'error: RuntimeError: boom' -> '{\"v\": 2}'; max rel diff n/a"
+    )
+    assert describe("error: RuntimeError: exit 3", "error: RuntimeError: exit 4") == (
+        "line 1: 'error: RuntimeError: exit 3' -> 'error: RuntimeError: exit 4'; "
+        "max rel diff 0.25"
+    )
+
+
+def test_describe_names_the_first_line_and_the_largest_relative_difference():
+    describe = _tool().describe
+    assert describe("a 1.5\n", "a 1.5\n") is None
+    old = "rep,ec\n0,0.25\n1,2.0\n--- exit 0\n"
+    new = "rep,ec\n0,0.2500000000000001\n1,2.5\n--- exit 0\n"
+    assert describe(old, new) == (
+        "line 2: '0,0.25' -> '0,0.2500000000000001'; max rel diff 0.2"
+    )
+    assert describe("x 1\n", "x 1\ny\n") == "line 2: '<none>' -> 'y'; max rel diff 0"
+    assert describe("x 1\n", "x 1 2\n").endswith("max rel diff n/a")
 
 
 def test_against_lists_inputs_that_are_not_byte_identical(tmp_path, monkeypatch, capsys):
@@ -64,38 +106,61 @@ def test_against_lists_inputs_that_are_not_byte_identical(tmp_path, monkeypatch,
     import workloads
 
     tool = _tool()
-    assert tool.main(["--against", str(tmp_path), "fake"]) == 2
-    assert "no src/spla" in capsys.readouterr().err
-
-    refs = {str(i): {"v": i} for i in range(3)}
-    (tmp_path / "fake.json").write_text(json.dumps(refs))
-    monkeypatch.setattr(tool, "REFERENCES", tmp_path)
-    fake = SimpleNamespace(
-        name="fake", pool=3, build=lambda i, work: i, analyze=lambda i: i,
-        canonical=lambda r: {"v": r},
-    )
-    monkeypatch.setitem(workloads.WORKLOADS, "fake", fake)
+    # No references exist for the fake workload: --against must not read them.
+    monkeypatch.setattr(tool, "REFERENCES", tmp_path / "none")
+    monkeypatch.setitem(workloads.WORKLOADS, "fake", SimpleNamespace(name="fake"))
     calls = []
 
-    def other_outputs(src, name):
+    def outputs(src, name):
         calls.append((src, name))
-        return ['{"v": 0}', '{"v": 1.0}', "error: RuntimeError: exit 3"]
+        if src == ROOT / "src":
+            return ['{"v": 0}', '{"v": 1}', '{"v": 2}']
+        return ['{"v": 0}', '{"v": 1.0}', "error: RuntimeError: boom"]
 
-    monkeypatch.setattr(tool, "other_outputs", other_outputs)
+    monkeypatch.setattr(tool, "outputs", outputs)
     other = tmp_path / "other"
     (other / "src" / "spla").mkdir(parents=True)
     assert tool.main(["--against", str(other), "fake"]) == 1
-    assert calls == [(other.resolve() / "src", "fake")]
+    assert calls == [(ROOT / "src", "fake"), (other.resolve() / "src", "fake")]
     assert capsys.readouterr().out.splitlines() == [
-        "fake: 3 of 3 match",
         f"fake: 1 of 3 identical to {other}",
         "  pool id 1: ./v: 1.0 -> 1; max rel diff 0",
-        "  pool id 2: .: 'error: RuntimeError: exit 3' -> {'v': 2}; max rel diff 0",
+        "  pool id 2: line 1: 'error: RuntimeError: boom' -> '{\"v\": 2}'; "
+        "max rel diff n/a",
+    ]
+
+
+def test_exit_status(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    assert tool.main(["--against", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"--against {tmp_path}: no src/spla there\n"
+
+    # A checkout against itself: one real CLI case, byte-identical.
+    monkeypatch.setattr(tool, "CLI_CASES", [["simulate", "ec", "--reps", "1", "--n", "30"]])
+    assert tool.main(["--against", str(ROOT), "cli"]) == 0
+    assert capsys.readouterr().out == f"cli: 1 of 1 identical to {ROOT}\n"
+
+    # Outputs that differ in one case make the status 1.
+    (tmp_path / "src" / "spla").mkdir(parents=True)
+    csv = str(ROOT / "src" / "spla" / "fixtures" / "exam.csv")
+    monkeypatch.setattr(tool, "CLI_CASES", [["analyze", csv], ["b"]])
+
+    def outputs(src, name):
+        new = src == ROOT / "src"
+        return [f"a {1.0 + 1e-15 * new}\n", "b 2.0\n"]
+
+    monkeypatch.setattr(tool, "outputs", outputs)
+    assert tool.main(["--against", str(tmp_path), "cli"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"cli: 1 of 2 identical to {tmp_path}",
+        "  analyze exam.csv: line 1: 'a 1.0' -> 'a 1.000000000000001'; "
+        "max rel diff 1.11e-15",
     ]
 
 
 def test_other_outputs_runs_the_other_package(tmp_path, monkeypatch):
-    # A stand-in workloads module and package: the subprocess must import
+    # A stand-in workloads module and package: each subprocess must import
     # the package under the given src/, whatever PYTHONPATH says.
     bench = tmp_path / "bench"
     bench.mkdir()
@@ -108,11 +173,22 @@ def test_other_outputs_runs_the_other_package(tmp_path, monkeypatch):
         "    analyze=lambda i: [spla.VALUE * i, os.environ['OPENBLAS_NUM_THREADS']],\n"
         "    canonical=lambda r: {'v': r})}\n"
     )
-    (tmp_path / "src" / "spla").mkdir(parents=True)
-    (tmp_path / "src" / "spla" / "__init__.py").write_text("VALUE = 7\n")
+    package = tmp_path / "src" / "spla"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("VALUE = 7\n")
+    (package / "cli.py").write_text(
+        "import os, sys\n"
+        "from spla import VALUE\n"
+        "print(VALUE, os.environ['OMP_NUM_THREADS'], sys.argv[1:])\n"
+        "sys.exit('bad')\n"
+    )
     tool = _tool()
     monkeypatch.setattr(tool, "PERFBENCH", bench)
+    monkeypatch.setattr(tool, "CLI_CASES", [["x", "y"]])
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
-    assert tool.other_outputs(tmp_path / "src", "fake") == [
+    assert tool.outputs(tmp_path / "src", "fake") == [
         '{"v": [0, "1"]}', '{"v": [7, "1"]}',
+    ]
+    assert tool.outputs(tmp_path / "src", "cli") == [
+        "7 1 ['x', 'y']\n--- stderr\nbad\n--- exit 1\n",
     ]

@@ -1,41 +1,37 @@
-"""Check every pool input of the benchmark's workloads against its reference.
+"""Check the benchmark's pool inputs, and compare outputs with another checkout.
 
 Run from anywhere in a checkout:
 
-    python3 tools/pool_check.py [workload ...]
+    python3 tools/pool_check.py [pool ...]
 
-For each named workload (all of them by default) every pool input is built
-with ``perfbench/workloads.py``, analyzed once, reduced to its canonical
-output and compared with ``perfbench/references/<name>.json`` by
-``workloads.mismatch``. One line ``name: k of n match`` is printed per
-workload, then the first difference of each input that does not match. The
-exit status is 0 when every input matches, 1 on any mismatch and 2 for an
-unknown workload name.
+checks every input of the named workloads (all of them by default) against
+``perfbench/references/<name>.json`` with ``workloads.mismatch``, and prints
+``name: k of n match`` per workload, then each mismatch.
 
-Inputs written to disk (the ``ingest-large`` CSVs) go to a temporary
-directory that is removed after each input; nothing under ``perfbench/`` is
-written. This is the check a loading-side change runs on all four pools:
-such a change keeps every output exactly when it keeps every grid point's
-support pattern and error.
+    python3 tools/pool_check.py --against OTHER_CHECKOUT [pool ...]
 
-    python3 tools/pool_check.py --against OTHER_CHECKOUT [workload ...]
+runs every input of the named pools (all workloads and ``cli`` by default)
+on both checkouts and checks only that the outputs are byte-identical. The
+``cli`` pool is ``CLI_CASES``, ``spla.cli`` runs whose output is stdout,
+stderr and exit code. It prints ``name: k of n identical to OTHER_CHECKOUT``
+per pool, then, for each input that differs, its first differing JSON path
+or line (other -> this) and the largest relative difference between the
+numbers there.
 
-also runs every pool input against the other checkout's ``src/``, in one
-subprocess per workload with one BLAS thread; both runs use this checkout's
-``perfbench/workloads.py`` to build, analyze and reduce. A second line
-``name: k of n identical to OTHER_CHECKOUT`` follows, then, for each input
-whose canonical JSON text is not byte-identical, its first differing path
-(other -> this) and the largest relative difference between the numbers of
-the two outputs. This covers workloads whose references are stale. The exit
-status is then 0 only when every input also is identical, and 2 when
-``OTHER_CHECKOUT`` has no ``src/spla``.
+Every run is a subprocess with one BLAS thread and only the checkout's
+``src/`` on ``PYTHONPATH``; both use this checkout's ``perfbench/`` and
+fixtures, and nothing under ``perfbench/`` is written. The exit status is 0
+when every input matches, 1 otherwise and 2 for an unknown pool, for ``cli``
+without ``--against`` or for an ``OTHER_CHECKOUT`` without ``src/spla``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,12 +40,58 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 REFERENCES = PERFBENCH / "references"
+FIXTURES = ROOT / "src" / "spla" / "fixtures"
 
 #: Prefix of an output text that records a failed analysis instead of JSON.
 ERROR = "error: "
 
+#: The pool of CLI invocations; it has no references.
+CLI = "cli"
 
-def outputs(w) -> list[str]:
+
+def _cli_cases() -> list[list[str]]:
+    out = []
+    for name in ("oecd", "exam"):
+        csv = str(FIXTURES / f"{name}.csv")
+        for flags in ([], ["--format", "json"], ["--standardize"],
+                      ["--standardize", "--format", "json"],
+                      ["--method", "spca", "--standardize", "--format", "json"]):
+            out.append(["analyze", csv, *flags])
+    # Full-precision paths through an explicit --order, which also pins the
+    # within-block weight basis; in the second a block whose variables are
+    # not in ascending order comes before other blocks.
+    for order in ("vec;mec;alg,ana,sta", "sta,alg,ana;vec;mec"):
+        out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
+                    "--grid", "2,5/5/5/2/2", "--order", order, "--format", "json"])
+    out += [["reproduce", f] for f in ("oecd", "exam", "synthetic8", "synthetic10")]
+    out += [
+        ["simulate", "rate", "--reps", "6", "--rho", "0.3", "--n", "200"],
+        ["simulate", "rate", "--reps", "4", "--n", "150", "--seed", "3",
+         "--format", "json"],
+        ["simulate", "wishart", "--reps", "5"],
+        ["simulate", "wishart", "--reps", "5", "--format", "json"],
+        ["simulate", "ec", "--reps", "3", "--n", "50", "--seed", "9"],
+        ["simulate", "ec", "--reps", "3", "--n", "50", "--seed", "9",
+         "--blocks", "1,2", "--format", "json"],
+        # Usage errors that must name the argument.
+        ["simulate", "wishart", "--reps", "1", "--seed", "-1"],
+        ["simulate", "rate", "--seed", "-5"],
+        ["simulate", "ec", "--blocks", ","],
+        ["simulate", "ec", "--n", "2", "--reps", "1"],
+        ["simulate", "rate", "--n", "3", "--reps", "1"],
+    ]
+    out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
+            for grid in ("2,x", "5/x", "1:2:x", "1:2:1000000000000000")]
+    out.append(["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"])
+    return out
+
+
+CLI_CASES = _cli_cases()
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def analyses(w) -> list[str]:
     """The canonical JSON text of each pool input of workload ``w``, or
     ``error: <class>: <message>`` where its analysis raised."""
     texts = []
@@ -62,17 +104,44 @@ def outputs(w) -> list[str]:
     return texts
 
 
-def check(w, mismatch, texts: list[str] | None = None) -> list[str]:
-    """The first difference of each pool input of workload ``w`` that does
-    not match its reference, as ``pool id <i>: <difference>``. ``texts`` are
-    the inputs' :func:`outputs`, computed here when not given."""
+def _python(src: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
+    """``python3 args`` in ``cwd`` with only ``src`` on ``PYTHONPATH`` and
+    one BLAS thread (summation order can move last bits)."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def outputs(src: Path, name: str) -> list[str]:
+    """The output text of each input of pool ``name`` with the package under
+    ``src``: :func:`analyses` of a workload, or one CLI run per case as its
+    stdout, stderr and exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if name == CLI:
+            runs = [_python(src, ["-m", "spla.cli", *case], tmp) for case in CLI_CASES]
+            return [f"{r.stdout}--- stderr\n{r.stderr}--- exit {r.returncode}\n"
+                    for r in runs]
+        code = (
+            "import json, sys\n"
+            f"sys.path[:0] = {[str(PERFBENCH), str(ROOT / 'tools')]!r}\n"
+            "import pool_check, workloads\n"
+            f"print(json.dumps(pool_check.analyses(workloads.WORKLOADS[{name!r}])))\n"
+        )
+        run = _python(src, ["-c", code], tmp)
+    if run.returncode:
+        raise RuntimeError(f"{name} with {src} exited {run.returncode}:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
+def check(w, mismatch, texts: list[str]) -> list[str]:
+    """The first difference of each of workload ``w``'s output ``texts``
+    that does not match its reference, as ``pool id <i>: <difference>``."""
     refs = json.loads((REFERENCES / f"{w.name}.json").read_text(encoding="utf-8"))
     diffs = []
-    for i, text in enumerate(outputs(w) if texts is None else texts):
-        if text.startswith(ERROR):
-            diff = text[len(ERROR):]
-        else:
-            diff = mismatch(json.loads(text), refs[str(i)])
+    for i, text in enumerate(texts):
+        diff = (text[len(ERROR):] if text.startswith(ERROR)
+                else mismatch(json.loads(text), refs[str(i)]))
         if diff is not None:
             diffs.append(f"pool id {i}: {diff}")
     return diffs
@@ -91,44 +160,44 @@ def _leaves(a, b, path: str = "."):
         yield path, a, b
 
 
+def _numbers(v) -> list[float] | None:
+    """The numbers of a leaf: itself, or the numeric tokens of a text."""
+    if type(v) in (int, float):
+        return [v]
+    return [float(t) for t in _NUMBER.findall(v)] if isinstance(v, str) else None
+
+
 def describe(old: str, new: str) -> str | None:
-    """None when two output texts are byte-identical; else the first
-    differing path (old -> new) and the largest relative difference."""
+    """None when two output texts are byte-identical. Otherwise the first
+    differing JSON path, or line when either is not JSON (old -> new), and
+    the largest relative difference between the numbers of the differing
+    leaves or lines; ``n/a`` when their numbers do not pair up."""
     if old == new:
         return None
-    values = [t if t.startswith(ERROR) else json.loads(t) for t in (old, new)]
-    found = list(_leaves(*values))
+    try:
+        found = list(_leaves(json.loads(old), json.loads(new)))
+    except ValueError:
+        lines = itertools.zip_longest(old.splitlines(), new.splitlines(),
+                                      fillvalue="<none>")
+        found = [(f"line {i}", a, b) for i, (a, b) in enumerate(lines, 1) if a != b]
     path, a, b = found[0] if found else (".", old, new)
-    rel = max(
-        (abs(x - y) / max(abs(x), abs(y)) for _, x, y in found
-         if all(type(v) in (int, float) for v in (x, y)) and x != y),
-        default=0.0,
-    )
+    pairs = [(_numbers(x), _numbers(y)) for _, x, y in found]
+    if any(x is None or y is None or len(x) != len(y) for x, y in pairs):
+        return f"{path}: {a!r} -> {b!r}; max rel diff n/a"
+    rel = max((abs(x - y) / max(abs(x), abs(y))
+               for xs, ys in pairs for x, y in zip(xs, ys) if x != y), default=0.0)
     return f"{path}: {a!r} -> {b!r}; max rel diff {rel:.3g}"
 
 
-def other_outputs(src: Path, name: str) -> list[str]:
-    """:func:`outputs` of workload ``name`` with the package under ``src``,
-    in a subprocess with one BLAS thread."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "outputs.json"
-        code = (
-            "import json, sys\n"
-            f"sys.path[:0] = {[str(src), str(PERFBENCH), str(ROOT / 'tools')]!r}\n"
-            "import pool_check, workloads\n"
-            f"texts = pool_check.outputs(workloads.WORKLOADS[{name!r}])\n"
-            f"open({str(out)!r}, 'w', encoding='utf-8').write(json.dumps(texts))\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp, check=True,
-                       stdout=subprocess.DEVNULL)
-        return json.loads(out.read_text(encoding="utf-8"))
+def _label(name: str, i: int) -> str:
+    if name != CLI:
+        return f"pool id {i}"
+    return " ".join(Path(a).name if a.endswith(".csv") else a for a in CLI_CASES[i])
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Check every pool input.")
-    parser.add_argument("workloads", nargs="*")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("pools", nargs="*")
     parser.add_argument("--against", metavar="OTHER_CHECKOUT")
     args = parser.parse_args(argv)
     if args.against and not (Path(args.against) / "src" / "spla").is_dir():
@@ -137,37 +206,33 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
     from workloads import WORKLOADS, mismatch
 
-    unknown = [n for n in args.workloads if n not in WORKLOADS]
+    pools = [*WORKLOADS, CLI]
+    names = args.pools or (pools if args.against else list(WORKLOADS))
+    unknown = [n for n in names if n not in pools]
     if unknown:
-        print(f"unknown workload {unknown[0]!r}; choose from {', '.join(WORKLOADS)}",
+        print(f"unknown pool {unknown[0]!r}; choose from {', '.join(pools)}",
+              file=sys.stderr)
+        return 2
+    if CLI in names and not args.against:
+        print(f"pool {CLI!r} has no references; compare it with --against",
               file=sys.stderr)
         return 2
     ok = True
-    for name in args.workloads or list(WORKLOADS):
-        w = WORKLOADS[name]
-        texts = outputs(w)
-        diffs = check(w, mismatch, texts)
-        print(f"{name}: {w.pool - len(diffs)} of {w.pool} match", flush=True)
+    for name in names:
+        texts = outputs(ROOT / "src", name)
+        if args.against:
+            theirs = outputs(Path(args.against).resolve() / "src", name)
+            diffs = [f"{_label(name, i)}: {d}"
+                     for i, d in enumerate(map(describe, theirs, texts)) if d]
+            verdict = f"identical to {args.against}"
+        else:
+            diffs, verdict = check(WORKLOADS[name], mismatch, texts), "match"
+        print(f"{name}: {len(texts) - len(diffs)} of {len(texts)} {verdict}", flush=True)
         for d in diffs:
             print(f"  {d}", flush=True)
         ok = ok and not diffs
-        if args.against:
-            theirs = other_outputs(Path(args.against).resolve() / "src", name)
-            changed = [
-                f"pool id {i}: {diff}"
-                for i, diff in enumerate(map(describe, theirs, texts)) if diff
-            ]
-            print(f"{name}: {w.pool - len(changed)} of {w.pool} identical to "
-                  f"{args.against}", flush=True)
-            for d in changed:
-                print(f"  {d}", flush=True)
-            ok = ok and not changed
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    # One BLAS thread, as the benchmark runs (summation order can move last
-    # bits); set before main imports numpy.
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
     sys.exit(main(sys.argv[1:]))
