@@ -20,12 +20,11 @@ from importlib import resources
 
 import numpy as np
 
-from .data import DataError, load_csv
+from .data import DataError, load_csv, sample_cov
 from .evaluation import EcGate, evaluate_partition
 from .matops import MatopsError
 from .pipeline import SplaConfig, SplaReport, run_spla
 from .blocks import Block, BlockPartition
-from .data import sample_cov
 from .simulate import (
     BlockDesign,
     ec_distribution,
@@ -48,6 +47,9 @@ MAX_GRID_STEPS = 1000
 
 #: Largest ``simulate --n``; each replicate draws ``n`` rows at once.
 MAX_SIM_N = 100_000
+
+#: Largest ``simulate --reps``; ``ec`` holds every replicate's ECs at once.
+MAX_SIM_REPS = 100_000
 
 
 class _UsageError(ValueError):
@@ -188,136 +190,106 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _fixture(name: str):
-    path = resources.files("spla") / "fixtures" / f"{name}.csv"
-    with resources.as_file(path) as p:
-        return load_csv(p)
-
-
-def _check(lines: list[str], failed: list[bool], label: str,
-           computed: float, expected: float, tol: float) -> None:
-    ok = abs(computed - expected) <= tol
-    failed.append(not ok)
-    lines.append(
-        f"  {label:<28} computed {computed:>9.4f}  expected {expected:>7.2f} "
-        f"+/- {tol:<5g} {'PASS' if ok else 'FAIL'}"
-    )
-
-
 def _check_flag(lines: list[str], failed: list[bool], label: str, ok: bool) -> None:
     failed.append(not ok)
     lines.append(f"  {label:<28} {'PASS' if ok else 'FAIL'}")
 
 
-def _reproduce_oecd(lines, failed) -> None:
-    data = _fixture("oecd")
-    idx = {n: i for i, n in enumerate(data.variable_names)}
-    order = (
-        (idx["I/Y"],), (idx["SCH"],), (idx["POP"],),
-        (idx["RD"], idx["Y85"], idx["Y60"]),
-    )
-    cfg = SplaConfig(
-        method="spca", grid=((0.05, 0.05, 0.05, 0.02, 0.02, 0.02),),
-        standardize=True, block_order=order,
-    )
-    report = run_spla(data, cfg)
-    lines.append("OECD fixture:")
-    want = [("I/Y",), ("SCH",), ("POP",), ("Y60", "Y85", "RD")]
-    _check_flag(
-        lines, failed, "partition {I/Y}{SCH}{POP}{RD,Y85,Y60}",
-        report.block_names() == want,
-    )
-    ecs = [e.ec for e in report.evaluations]
-    for label, got, exp in [
-        ("EC block 2", ecs[1], 0.96),
-        ("EC block 3", ecs[2], 0.93),
-        ("EC block 4", ecs[3], 0.84),
-    ]:
-        _check(lines, failed, label, got, exp, 0.01)
-    for i, exp in enumerate([16.67, 16.04, 15.57, 40.26]):
-        _check(lines, failed, f"block SV {i + 1}", report.shares.block_sv[i], exp, 0.05)
-    _check(lines, failed, "final CV", report.shares.block_cv[-1], 88.54, 0.05)
-    for i, exp in enumerate([10.23, 12.41, 12.94, 41.73]):
-        _check(lines, failed, f"partial share {i + 1}", report.partial_shares[i], exp, 0.05)
-    _check_flag(lines, failed, "no discards", not report.recommendations)
+def _check(lines: list[str], failed: list[bool], label: str,
+           computed: float, expected: float, tol: float) -> None:
+    cell = (f"{label:<28} computed {computed:>9.4f}  expected {expected:>7.2f} "
+            f"+/- {tol:<5g}")
+    _check_flag(lines, failed, cell, abs(computed - expected) <= tol)
 
 
-def _reproduce_exam(lines, failed) -> None:
-    data = _fixture("exam")
-    idx = {n: i for i, n in enumerate(data.variable_names)}
-    order = ((idx["vec"],), (idx["mec"],), (idx["alg"], idx["ana"], idx["sta"]))
-    cfg = SplaConfig(
-        method="spca", grid=(2.0, (5.0, 5.0, 5.0, 2.0, 2.0)), block_order=order,
-    )
-    report = run_spla(data, cfg)
-    lines.append("EXAM fixture:")
-    want = [("vec",), ("mec",), ("alg", "ana", "sta")]
-    _check_flag(
-        lines, failed, "partition {vec}{mec}{alg,ana,sta}",
-        report.block_names() == want,
-    )
-    ecs = [e.ec for e in report.evaluations]
-    _check(lines, failed, "EC block 2", ecs[1], 0.74, 0.01)
-    _check(lines, failed, "EC block 3", ecs[2], 0.72, 0.01)
-    for i, exp in enumerate([13.21, 19.28, 38.98]):
+#: The paper's application tables, run on the vendored fixtures: the
+#: ``SplaConfig`` fields and the evaluation order as an ``--order`` string,
+#: then the printed EC of blocks 2.., block SV, final CV and partial shares,
+#: and the blocks whose discard is verified (none: no recommendation at all).
+_TABLES = {
+    "oecd": {
+        "config": dict(method="spca", standardize=True,
+                       grid=((0.05, 0.05, 0.05, 0.02, 0.02, 0.02),)),
+        "order": "I/Y;SCH;POP;RD,Y85,Y60",
+        "ec": (0.96, 0.93, 0.84),
+        "sv": (16.67, 16.04, 15.57, 40.26),
+        "cv": 88.54,
+        "partial": (10.23, 12.41, 12.94, 41.73),
+        "discards": [],
+    },
+    "exam": {
+        "config": dict(method="spca", grid=(2.0, (5.0, 5.0, 5.0, 2.0, 2.0))),
+        "order": "vec;mec;alg,ana,sta",
+        "ec": (0.74, 0.72),
+        "sv": (13.21, 19.28, 38.98),
+        "cv": 71.47,
+        "partial": (7.45, 17.97, 46.49),
+        "discards": [("vec",)],
+    },
+}
+
+
+def _reproduce_table(name: str, lines, failed) -> None:
+    want = _TABLES[name]
+    with resources.as_file(resources.files("spla") / "fixtures" / f"{name}.csv") as p:
+        data = load_csv(p)
+    order = _parse_order(want["order"], data.variable_names)
+    report = run_spla(data, SplaConfig(**want["config"], block_order=order))
+    lines.append(f"{name.upper()} fixture:")
+    blocks = "".join(f"{{{b}}}" for b in want["order"].split(";"))
+    got = [b.variable_indices for b in report.partition.blocks]
+    _check_flag(lines, failed, f"partition {blocks}", got == [tuple(sorted(b)) for b in order])
+    for i, exp in enumerate(want["ec"], 1):
+        _check(lines, failed, f"EC block {i + 1}", report.evaluations[i].ec, exp, 0.01)
+    for i, exp in enumerate(want["sv"]):
         _check(lines, failed, f"block SV {i + 1}", report.shares.block_sv[i], exp, 0.05)
-    _check(lines, failed, "final CV", report.shares.block_cv[-1], 71.47, 0.05)
-    for i, exp in enumerate([7.45, 17.97, 46.49]):
+    _check(lines, failed, "final CV", report.shares.block_cv[-1], want["cv"], 0.05)
+    for i, exp in enumerate(want["partial"]):
         _check(lines, failed, f"partial share {i + 1}", report.partial_shares[i], exp, 0.05)
     discards = [r.variables for r in report.recommendations if r.discard]
-    _check_flag(lines, failed, "{vec} discard verified", discards == [("vec",)])
+    if want["discards"]:
+        label = "".join(f"{{{','.join(b)}}}" for b in want["discards"])
+        _check_flag(lines, failed, f"{label} discard verified", discards == want["discards"])
+    else:
+        _check_flag(lines, failed, "no discards", not report.recommendations)
 
 
 _SYNTH_SEED = 20240817
+#: The paper's spiked designs (8 or 10 variables): for each check, the
+#: consecutive block sizes of a partition, its label, the bound its last
+#: block's EC must meet and the name printed with that EC.
+_SYNTHETIC = {
+    "synthetic8": (8, [
+        ((4, 4), "two-block EC > 0.999", lambda ec: ec > 0.999, "min EC"),
+    ]),
+    "synthetic10": (10, [
+        ((4, 6), "two-block EC in [0.985, 0.995]",
+         lambda ec: 0.985 <= ec <= 0.995, "two-block min EC"),
+        ((4, 4, 2), "forced {9,10} EC < 0.01",
+         lambda ec: ec < 0.01, "forced three-block EC"),
+    ]),
+}
 
 
-def _reproduce_synthetic8(lines, failed) -> None:
-    data = gen_spiked_sample(False, 5000, _SYNTH_SEED)
-    cov = sample_cov(data)
-    p = BlockPartition((
-        Block(tuple(range(4)), tuple(range(4))),
-        Block(tuple(range(4, 8)), tuple(range(4, 8))),
-    ))
-    _, min_ec, _ = evaluate_partition(cov, p)
-    lines.append("Synthetic 8-variable fixture:")
-    _check_flag(lines, failed, "two-block EC > 0.999", min_ec > 0.999)
-    lines.append(f"    (min EC = {min_ec:.6f})")
-
-
-def _reproduce_synthetic10(lines, failed) -> None:
-    data = gen_spiked_sample(True, 5000, _SYNTH_SEED)
-    cov = sample_cov(data)
-    p2 = BlockPartition((
-        Block(tuple(range(4)), tuple(range(4))),
-        Block(tuple(range(4, 10)), tuple(range(4, 10))),
-    ))
-    _, ec2, _ = evaluate_partition(cov, p2)
-    p3 = BlockPartition((
-        Block(tuple(range(4)), tuple(range(4))),
-        Block(tuple(range(4, 8)), tuple(range(4, 8))),
-        Block((8, 9), (8, 9)),
-    ))
-    entries, _, _ = evaluate_partition(cov, p3)
-    ec_last = entries[-1].ec
-    lines.append("Synthetic 10-variable fixture:")
-    _check_flag(
-        lines, failed, "two-block EC in [0.985, 0.995]", 0.985 <= ec2 <= 0.995
-    )
-    lines.append(f"    (two-block min EC = {ec2:.6f})")
-    _check_flag(lines, failed, "forced {9,10} EC < 0.01", ec_last < 0.01)
-    lines.append(f"    (forced three-block EC = {ec_last:.6f})")
+def _reproduce_synthetic(name: str, lines, failed) -> None:
+    m, checks = _SYNTHETIC[name]
+    cov = sample_cov(gen_spiked_sample(m == 10, 5000, _SYNTH_SEED))
+    lines.append(f"Synthetic {m}-variable fixture:")
+    for sizes, label, bound, shown in checks:
+        ranges = [tuple(range(e - s, e)) for s, e in zip(sizes, np.cumsum(sizes))]
+        entries, _, _ = evaluate_partition(
+            cov, BlockPartition(tuple(Block(r, r) for r in ranges))
+        )
+        ec = entries[-1].ec
+        _check_flag(lines, failed, label, bound(ec))
+        lines.append(f"    ({shown} = {ec:.6f})")
 
 
 def cmd_reproduce(args) -> int:
     lines: list[str] = []
     failed: list[bool] = []
-    runner = {
-        "oecd": _reproduce_oecd,
-        "exam": _reproduce_exam,
-        "synthetic8": _reproduce_synthetic8,
-        "synthetic10": _reproduce_synthetic10,
-    }[args.fixture]
-    runner(lines, failed)
+    runner = _reproduce_table if args.fixture in _TABLES else _reproduce_synthetic
+    runner(args.fixture, lines, failed)
     any_failed = any(failed)
     lines.append("RESULT: " + ("FAIL" if any_failed else "PASS"))
     _emit("\n".join(lines) + "\n", args.out)
@@ -325,8 +297,6 @@ def cmd_reproduce(args) -> int:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -345,6 +315,8 @@ def cmd_simulate(args) -> int:
         )
     if args.experiment != "wishart" and args.n > MAX_SIM_N:
         raise _UsageError(f"--n {args.n} must be at most {MAX_SIM_N}")
+    if args.reps > MAX_SIM_REPS:
+        raise _UsageError(f"--reps {args.reps} must be at most {MAX_SIM_REPS}")
     if args.experiment == "ec":
         design = BlockDesign(rho=args.rho)
         try:
@@ -403,9 +375,7 @@ def _build_parser() -> _Parser:
     pa.add_argument("--out")
 
     pr = sub.add_parser("reproduce", help="check a fixture against expected values")
-    pr.add_argument(
-        "fixture", choices=["oecd", "exam", "synthetic8", "synthetic10"],
-    )
+    pr.add_argument("fixture", choices=[*_TABLES, *_SYNTHETIC])
     pr.add_argument("--out")
 
     ps = sub.add_parser("simulate", help="run a Monte-Carlo experiment")

@@ -190,12 +190,9 @@ def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(u)``."""
     if u is None:
         return np.eye(m)
-    q, _, _ = svd(u)
-    # Columns of q span the column space; complete via projection of identity.
-    proj = np.eye(m) - q @ q.T
-    uu, ss, _ = svd(proj)
-    keep = ss > 1e-10
-    return uu[:, keep][:, : m - u.shape[1]]
+    # Of the full SVD's left singular vectors, those past u's k columns
+    # span the complement.
+    return np.linalg.svd(u)[0][:, u.shape[1]:]
 
 
 def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:

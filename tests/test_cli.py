@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spla
-from spla import DataError, load_csv
+from spla import DataError, NoConvergenceError, load_csv
 from spla.cli import (
     EXIT_DATA,
     EXIT_GOLDEN,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -160,19 +161,38 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
          "usage error: --n 99999999999999999999 must be at most 100000"),
         (["simulate", "rate", "--n", "100001", "--reps", "1"],
          "usage error: --n 100001 must be at most 100000"),
+        (["simulate", "ec", "--reps", "1000000000000", "--n", "50"],
+         "usage error: --reps 1000000000000 must be at most 100000"),
+        (["simulate", "rate", "--reps", "100001"],
+         "usage error: --reps 100001 must be at most 100000"),
+        (["simulate", "wishart", "--reps", "99999999999999999999"],
+         "usage error: --reps 99999999999999999999 must be at most 100000"),
+        (["analyze", OECD_CSV, "--order", ";"], "usage error: --order is empty"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
         "wishart-seed-negative", "rate-seed-negative", "ec-blocks-comma",
         "ec-blocks-not-a-number", "ec-n-2", "rate-n-3", "grid-item",
         "grid-vector-item", "grid-steps", "grid-steps-too-many",
-        "ec-n-too-large", "rate-n-over-max",
+        "ec-n-too-large", "rate-n-over-max", "ec-reps-too-large",
+        "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_numerical_error_exits_3(monkeypatch, capsys):
+    def no_convergence(*_):
+        raise NoConvergenceError("iteration did not converge")
+
+    monkeypatch.setattr("spla.cli.run_spla", no_convergence)
+    assert main(["analyze", OECD_CSV]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: iteration did not converge\n"
+    assert captured.out == ""
 
 
 def test_grid_step_count_is_bounded():
@@ -328,31 +348,74 @@ def test_non_utf8_csv_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and len(err.splitlines()) == 1
 
 
+#: The cells ``reproduce oecd`` checks (14), and the numeric cells of
+#: ``reproduce exam`` (9).
+_OECD_CELLS = (
+    ["partition {I/Y}{SCH}{POP}{RD,Y85,Y60}"]
+    + [f"EC block {i}" for i in (2, 3, 4)]
+    + [f"block SV {i}" for i in (1, 2, 3, 4)]
+    + ["final CV"]
+    + [f"partial share {i}" for i in (1, 2, 3, 4)]
+    + ["no discards"]
+)
+_EXAM_NUMERIC = (
+    [f"EC block {i}" for i in (2, 3)]
+    + [f"block SV {i}" for i in (1, 2, 3)]
+    + ["final CV"]
+    + [f"partial share {i}" for i in (1, 2, 3)]
+)
+
+
+def _cells(out: str) -> list[tuple[str, str]]:
+    """The label and verdict of each checked cell of ``reproduce``, in order."""
+    return [
+        (line[:-4].split(" computed ")[0].strip(), line[-4:])
+        for line in out.splitlines()
+        if line.startswith("  ") and line.endswith(("PASS", "FAIL"))
+    ]
+
+
 class TestReproduce:
+    # Each test pins its fixture's cells in order, so that a table edit cannot
+    # drop, reorder or silently turn green a cell.
     def test_oecd_passes(self, capsys):
         rc = main(["reproduce", "oecd"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert out.strip().endswith("RESULT: PASS")
         assert "FAIL" not in out.replace("RESULT: PASS", "")
+        assert _cells(out) == [(label, "PASS") for label in _OECD_CELLS]
 
     def test_exam_is_golden_failure(self, capsys):
         # Partition and discard agree with the reference table, the numeric
-        # cells do not; the command reports per-cell status and exits 4.
+        # cells do not (criterion 4); the command reports per-cell status and
+        # exits 4.
         rc = main(["reproduce", "exam"])
         out = capsys.readouterr().out
         assert rc == EXIT_GOLDEN
         assert "partition {vec}{mec}{alg,ana,sta}" in out
         assert "{vec} discard verified" in out
         assert out.strip().endswith("RESULT: FAIL")
+        assert _cells(out) == (
+            [("partition {vec}{mec}{alg,ana,sta}", "PASS")]
+            + [(label, "FAIL") for label in _EXAM_NUMERIC]
+            + [("{vec} discard verified", "PASS")]
+        )
 
     def test_synthetic8_passes(self, capsys):
         assert main(["reproduce", "synthetic8"]) == EXIT_OK
-        assert "RESULT: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RESULT: PASS" in out
+        assert _cells(out) == [("two-block EC > 0.999", "PASS")]
 
     def test_synthetic10_passes(self, capsys):
         assert main(["reproduce", "synthetic10"]) == EXIT_OK
-        assert "RESULT: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RESULT: PASS" in out
+        assert _cells(out) == [
+            ("two-block EC in [0.985, 0.995]", "PASS"),
+            ("forced {9,10} EC < 0.01", "PASS"),
+        ]
 
     def test_unknown_fixture(self):
         assert main(["reproduce", "nope"]) == EXIT_USAGE

@@ -83,6 +83,7 @@ def _cli_cases() -> list[list[str]]:
     out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
             for grid in ("2,x", "5/x", "1:2:x", "1:2:1000000000000000")]
     out.append(["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"])
+    out.append(["simulate", "ec", "--reps", "1000000000000", "--n", "50"])
     return out
 
 
