@@ -378,19 +378,24 @@ def _build_parser() -> _Parser:
     pr.add_argument("fixture", choices=[*_TABLES, *_SYNTHETIC])
     pr.add_argument("--out")
 
+    # Each experiment takes only the flags it reads: ``shared`` are read by
+    # all three, ``sampled`` by the two that draw from ``BlockDesign``.
+    shared = _Parser(add_help=False)
+    shared.add_argument("--reps", type=int, default=100)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--format", choices=["csv", "json"], default="csv")
+    shared.add_argument("--out")
+    sampled = _Parser(add_help=False)
+    sampled.add_argument("--n", type=int, default=100)
+    sampled.add_argument("--rho", type=float, default=0.0)
+
     ps = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
-    ps.add_argument("experiment", choices=["ec", "rate", "wishart"])
-    ps.add_argument("--n", type=int, default=100)
-    ps.add_argument("--rho", type=float, default=0.0)
-    ps.add_argument("--reps", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--c-ec", type=float, default=0.6, dest="c_ec")
-    ps.add_argument(
-        "--blocks", default="2,4,6",
-        help="1-based block indices to evaluate (ec experiment)",
-    )
-    ps.add_argument("--format", choices=["csv", "json"], default="csv")
-    ps.add_argument("--out")
+    experiments = ps.add_subparsers(dest="experiment", required=True)
+    pe = experiments.add_parser("ec", parents=[shared, sampled])
+    pe.add_argument("--blocks", default="2,4,6", help="1-based block indices to evaluate")
+    pt = experiments.add_parser("rate", parents=[shared, sampled])
+    pt.add_argument("--c-ec", type=float, default=0.6, dest="c_ec")
+    experiments.add_parser("wishart", parents=[shared])
     return parser
 
 

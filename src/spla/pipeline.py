@@ -37,7 +37,6 @@ from .sparse_loadings import (
     _l1_budget,
     _pmd,
     elastic_net_loadings,
-    orthogonalize,
 )
 from .variance import (
     CorrectedVariances,
@@ -97,15 +96,11 @@ class SplaConfig:
             # candidate block size k (the L1 norm of an equal-weight loading
             # on k variables is sqrt(k), so these are the natural knots
             # where a k-variable block becomes expressible), plus the two
-            # endpoints.
+            # endpoints (the same point at M = 1, kept once).
             knots = [np.sqrt(m)] + [
-                max(1.0, np.sqrt(k) - 0.005) for k in range(m, 1, -1)
+                np.sqrt(k) - 0.005 for k in range(m, 1, -1)
             ] + [1.0]
-            out: list[float] = []
-            for c in knots:
-                if not out or abs(out[-1] - c) > 1e-9:
-                    out.append(float(c))
-            return tuple(out)
+            return tuple(dict.fromkeys(float(c) for c in knots))
         # Elastic net: increasing per-loading L1 penalty.
         return tuple(np.geomspace(1e-3, 10.0, 12))
 
@@ -138,11 +133,13 @@ class DiscardRecommendation:
 
 @dataclass(frozen=True)
 class SplaReport:
-    """Everything a run produces; immutable and safe to share."""
+    """Everything a run produces, immutable and safe to share: the blocks in
+    evaluation order, their EC, the SV/CV shares, the partial shares, the
+    discard recommendations and the penalty trace. Loadings enter only
+    through the blocks of their support, so none are kept."""
 
     variable_names: tuple[str, ...]
     partition: BlockPartition
-    loadings: LoadingMatrix | None
     evaluations: tuple[BlockEvaluation, ...]
     min_ec: float
     shares: VarianceShares
@@ -235,10 +232,11 @@ def _loadings_for(
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
-#: A passing grid point kept for selection: its partition, the loadings it
-#: came from, its weight-basis variances, and the EC entries and minimum EC.
-_Found = tuple[BlockPartition, LoadingMatrix | None, CorrectedVariances,
-               list[BlockEvaluation], float]
+#: An evaluated partition, as ``_evaluated`` returns it: the partition in
+#: evaluation order, its weight-basis variances, the EC entries, the minimum
+#: EC and the gate verdict.
+_Found = tuple[BlockPartition, CorrectedVariances, list[BlockEvaluation],
+               float, bool]
 
 
 def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | None]:
@@ -256,32 +254,31 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     best: _Found | None = None
     for penalty in grid:
         try:
-            lm = _loadings_for(cov, cfg, penalty)
-            detected = detect_blocks(lm, tol)
-            ordered, cv, entries, min_ec, passed = _evaluated(cov, cfg, detected)
+            detected = detect_blocks(_loadings_for(cov, cfg, penalty), tol)
+            found = _evaluated(cov, cfg, detected)
         except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))
             continue
+        ordered, _, _, min_ec, passed = found
         trace.append(GridPoint(penalty, ordered, min_ec, passed, ""))
         key = (ordered.n_blocks, min_ec)
-        if passed and (best is None or key > (best[0].n_blocks, best[4])):
-            best = (ordered, lm, cv, entries, min_ec)
+        if passed and (best is None or key > (best[0].n_blocks, best[3])):
+            best = found
     return trace, best
 
 
 def _choose(cov: CovMatrix, cfg: SplaConfig, best: _Found | None) -> _Found:
     """The scan's best or, when nothing passed the gate, the trivial single
-    block with no loadings, evaluated like any other partition."""
+    block, evaluated like any other partition."""
     if best is not None:
         return best
     m = cov.n_vars
     single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
-    ordered, cv, entries, min_ec, _ = _evaluated(cov, cfg, single)
-    return ordered, None, cv, entries, min_ec
+    return _evaluated(cov, cfg, single)
 
 
 def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
-    chosen, lm, cv, entries, min_ec = choice
+    chosen, cv, entries, min_ec, _ = choice
     names = cov.variable_names
     m = cov.n_vars
     # Share accounting in the evaluation (weight) basis the scan factored.
@@ -306,17 +303,9 @@ def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
         if chosen.n_blocks > 1 and sv < bound
     ]
 
-    final_loadings = None
-    if lm is not None:
-        try:
-            final_loadings = orthogonalize(lm.u, partition_hint=chosen)
-        except MatopsError:
-            final_loadings = None
-
     return SplaReport(
         tuple(names),
         chosen,
-        final_loadings,
         tuple(entries),
         min_ec,
         shares,

@@ -3,14 +3,15 @@
 Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
 each loading individually. Both return the raw loadings, whose zero pattern
-block detection reads; :func:`orthogonalize` gives the nearest orthonormal
+block detection reads; the analysis reads nothing else of them.
+:func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from .matops import (
     svd,
     sym_eigen,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .blocks import BlockPartition
 
 __all__ = [
     "LoadingMatrix",
@@ -216,7 +214,7 @@ def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
     if not np.all(np.isfinite(l1)):
         raise ValueError("penalties must be finite")
 
-    _lam, a = sym_eigen(s)
+    a = sym_eigen(s)[1]
     gram = s + RIDGE * np.eye(m)
     half = l1 / 2.0
     b = a.copy()
@@ -236,11 +234,10 @@ def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
             active &= np.linalg.norm(b - b_prev, axis=0) >= EN_CONV_TOL
             if not active.any():
                 break
-        sb = s @ b
-        uu, ss_, vv = svd(sb)
-        a = uu @ vv.T
         if np.linalg.norm(b - b_old) < EN_CONV_TOL:
             break
+        uu, _, vv = svd(s @ b)
+        a = uu @ vv.T
     else:
         raise NoConvergenceError(
             f"elastic-net loadings did not converge in {EN_MAX_ITER} iterations"
@@ -252,31 +249,15 @@ def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
     return LoadingMatrix(_fix_signs(b / norms))
 
 
-def orthogonalize(
-    u, partition_hint: "Optional[BlockPartition]" = None
-) -> LoadingMatrix:
-    """Nearest orthonormal matrix via Procrustes (SVD with unit singular values).
-
-    With ``partition_hint`` the replacement runs block-by-block on the diagonal
-    sub-matrices, so zeros outside the blocks are preserved exactly.
-    """
+def orthogonalize(u) -> LoadingMatrix:
+    """Nearest orthonormal matrix to the whole of ``u`` via Procrustes (SVD
+    with unit singular values)."""
     u = np.asarray(getattr(u, "u", u), dtype=float)
     if u.shape[0] != u.shape[1]:
         raise ValueError("loading matrix must be square")
-    out = np.zeros_like(u)
-    if partition_hint is None:
-        blocks = [(np.arange(u.shape[0]), np.arange(u.shape[1]))]
-    else:
-        blocks = [
-            (np.asarray(b.variable_indices), np.asarray(b.loading_indices))
-            for b in partition_hint.blocks
-        ]
-    for rows, colidx in blocks:
-        sub = u[np.ix_(rows, colidx)]
-        uu, ss, vv = svd(sub)
-        if np.min(ss) < 1e-10:
-            raise RankDeficientError(
-                f"singular value {np.min(ss):g} below 1e-10 during orthogonalization"
-            )
-        out[np.ix_(rows, colidx)] = uu @ vv.T
-    return LoadingMatrix(_fix_signs(out))
+    uu, ss, vv = svd(u)
+    if np.min(ss) < 1e-10:
+        raise RankDeficientError(
+            f"singular value {np.min(ss):g} below 1e-10 during orthogonalization"
+        )
+    return LoadingMatrix(_fix_signs(uu @ vv.T))

@@ -168,6 +168,12 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         (["simulate", "wishart", "--reps", "99999999999999999999"],
          "usage error: --reps 99999999999999999999 must be at most 100000"),
         (["analyze", OECD_CSV, "--order", ";"], "usage error: --order is empty"),
+        (["simulate", "wishart", "--reps", "1", "--n", "20"],
+         "usage error: unrecognized arguments: --n 20"),
+        (["simulate", "ec", "--reps", "1", "--n", "20", "--c-ec", "0.7"],
+         "usage error: unrecognized arguments: --c-ec 0.7"),
+        (["simulate", "rate", "--reps", "1", "--n", "20", "--blocks", "2"],
+         "usage error: unrecognized arguments: --blocks 2"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
@@ -176,6 +182,7 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         "grid-vector-item", "grid-steps", "grid-steps-too-many",
         "ec-n-too-large", "rate-n-over-max", "ec-reps-too-large",
         "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
+        "wishart-takes-no-n", "ec-takes-no-c-ec", "rate-takes-no-blocks",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):

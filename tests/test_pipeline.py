@@ -12,7 +12,6 @@ from spla import (
     structure_scan,
 )
 from spla.matops import cholesky_upper
-from spla.sparse_loadings import ZERO_TOL
 
 
 def _names(report):
@@ -59,15 +58,6 @@ class TestRunSplaExam:
     def test_vec_discarded(self, report):
         discards = [r.variables for r in report.recommendations if r.discard]
         assert discards == [("vec",)]
-
-    def test_loadings_orthonormal_block_diagonal(self, report):
-        u = report.loadings.u
-        assert np.allclose(u.T @ u, np.eye(5), atol=1e-8)
-        pat = np.abs(report.loadings.u) > ZERO_TOL
-        for b in report.partition.blocks:
-            rows = set(b.variable_indices)
-            for j in b.loading_indices:
-                assert set(np.nonzero(pat[:, j])[0]) <= rows
 
     def test_shares_sum_to_cv(self, report):
         assert report.shares.block_cv[-1] == pytest.approx(
@@ -126,7 +116,6 @@ class TestSelectionAndFallback:
         report = run_spla(DataMatrix(x, ("a", "b")), SplaConfig(grid=(1.0,)))
         assert report.partition.n_blocks == 1
         assert report.min_ec == 1.0
-        assert report.loadings is None
         assert report.partial_shares == (100.0,)
         assert report.recommendations == ()
         assert not report.penalty_trace[0].passed

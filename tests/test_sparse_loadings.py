@@ -14,7 +14,7 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
-from spla.matops import _fix_signs, soft_threshold, sym_eigen
+from spla.matops import _fix_signs, soft_threshold, svd, sym_eigen
 from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
 
@@ -297,6 +297,20 @@ class TestElasticNet:
     def test_penalty_produces_zeros(self, exam_cov):
         lm = elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0])
         assert np.sum(np.abs(lm.u) <= sl.ZERO_TOL) > 0
+
+    def test_converged_iteration_takes_no_polar_factor(self, oecd_corr, monkeypatch):
+        # With no penalty B converges in the first alternation, and the polar
+        # factor of S B, which only a further alternation would read, is
+        # never taken.
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return svd(a)
+
+        monkeypatch.setattr(sl, "svd", counted)
+        elastic_net_loadings(oecd_corr, [0.0])
+        assert calls == []
 
     def test_orthonormal_result(self, exam_cov):
         lm = orthogonalize(elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0]))

@@ -84,6 +84,13 @@ def _cli_cases() -> list[list[str]]:
             for grid in ("2,x", "5/x", "1:2:x", "1:2:1000000000000000")]
     out.append(["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"])
     out.append(["simulate", "ec", "--reps", "1000000000000", "--n", "50"])
+    # The single-block fallback: no grid point passes the gate.
+    out.append(["analyze", str(FIXTURES / "exam.csv"), "--grid", "1",
+                "--c-ec", "0.99", "--format", "json"])
+    # A flag the experiment does not read is a usage error.
+    out += [["simulate", "wishart", "--reps", "1", "--n", "20"],
+            ["simulate", "ec", "--reps", "1", "--n", "20", "--c-ec", "0.7"],
+            ["simulate", "rate", "--reps", "1", "--n", "20", "--blocks", "2"]]
     return out
 
 
