@@ -1,10 +1,10 @@
 """Block-structure detection from sparse loading patterns.
 
-Variables (rows) and loadings (columns) form a bipartite graph with an edge
-wherever a loading component is nonzero; connected components of that graph
-are the blocks. A valid partition pairs each variable group with an equally
-sized loading group, so a row/column permutation brings the loading matrix to
-block-diagonal form.
+Two variables (rows) are adjacent when some loading (column) is nonzero on
+both; connected components of that variable graph are the blocks, and a
+block's loadings are the columns its variables touch. A valid partition pairs
+each variable group with an equally sized loading group, so a row/column
+permutation brings the loading matrix to block-diagonal form.
 """
 
 from __future__ import annotations
@@ -104,10 +104,12 @@ def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
     """Partition variables and loadings by the support pattern of ``u``.
 
     Entries with magnitude at or below ``tol`` are structural zeros. Blocks
-    are the connected components of the bipartite support graph, in
-    ascending order of their smallest variable index; the order is data, not
-    a commitment — evaluation routines take it as explicit input. When
-    several components are invalid, the one with the smallest node reports.
+    are the components of the variable graph (variables sharing a nonzero
+    loading are adjacent), each paired with the loadings its variables
+    touch, in ascending order of their smallest variable index; the order is
+    data, not a commitment — evaluation routines take it as explicit input.
+    When several components are invalid, the one with the smallest variable
+    reports; a loading without support leaves some component short.
     """
     pattern = np.abs(u.u) > tol
     # Diagnose isolated variables up front: the more specific error should
@@ -117,16 +119,9 @@ def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
         raise IsolatedVariableError(
             f"variable {int(lonely[0])} has no incident loading"
         )
-    # Nodes 0..M-1 are variables (rows), M..2M-1 are loadings (columns). A
-    # loading without support is a component of its own, but it comes after
-    # every component holding a variable, and one of those is then short of
-    # a loading and reports first.
-    m = u.n_vars
-    graph = np.zeros((2 * m, 2 * m), dtype=bool)
-    graph[:m, m:], graph[m:, :m] = pattern, pattern.T
     blocks = []
-    for comp in _components(graph):
-        rows, cols = comp[comp < m].tolist(), (comp[comp >= m] - m).tolist()
+    for comp in _components(pattern.astype(float) @ pattern.T > 0):
+        rows, cols = comp.tolist(), np.flatnonzero(pattern[comp].any(axis=0)).tolist()
         if len(rows) != len(cols):
             raise NonSquareBlockError(
                 f"component with variables {rows} pairs {len(cols)} loadings"
@@ -138,18 +133,17 @@ def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
 def pla_detect(cov: CovMatrix, tau: float) -> BlockPartition | None:
     """Hard-threshold block detector on the eigenvectors of ``cov``.
 
-    Eigenvector entries with ``|v_ij| <= tau * (1 + 1e-9)`` are zeroed and
-    the resulting pattern is fed to :func:`detect_blocks`. The band makes an
-    entry within a relative 1e-9 of ``tau`` count as at ``tau``, so an entry
-    whose exact value is ``tau`` is zeroed whichever way the eigensolver
-    rounds it. Returns ``None`` when the pattern admits no square block
-    structure — absence of structure is a valid result.
+    The eigenvectors go to :func:`detect_blocks` with the tolerance
+    ``tau * (1 + 1e-9)``, never below ``ZERO_TOL``. The band makes an entry
+    within a relative 1e-9 of ``tau`` count as at ``tau``, so an entry whose
+    exact value is ``tau`` is zeroed whichever way the eigensolver rounds
+    it. Returns ``None`` when the pattern admits no square block structure —
+    absence of structure is a valid result.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau} outside (0, 1)")
     _, vecs = sym_eigen(cov.values)
-    thresholded = np.where(np.abs(vecs) > tau * (1.0 + 1e-9), vecs, 0.0)
     try:
-        return detect_blocks(LoadingMatrix(thresholded))
+        return detect_blocks(LoadingMatrix(vecs), max(tau * (1.0 + 1e-9), ZERO_TOL))
     except (NonSquareBlockError, IsolatedVariableError):
         return None

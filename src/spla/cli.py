@@ -400,8 +400,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
+        # argparse would read such a flag's value as the experiment name.
+        flag = argv[1] if argv[:1] == ["simulate"] and len(argv) > 1 else ""
+        if flag.startswith("-") and flag not in ("-h", "--help"):
+            raise _UsageError(f"{flag} comes before the experiment name; flags "
+                              "follow it, e.g. spla simulate ec --reps 2")
         args = parser.parse_args(argv)
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -34,7 +34,6 @@ from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
     ZERO_TOL,
     LoadingMatrix,
-    _l1_budget,
     _pmd,
     elastic_net_loadings,
 )
@@ -226,7 +225,7 @@ def _loadings_for(
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        return _pmd(cov.values, _l1_budget(penalty, cov.n_vars))
+        return _pmd(cov.values, penalty)
     if cfg.method == "spca":
         return elastic_net_loadings(cov, penalty)
     raise ValueError(f"unknown method {cfg.method!r}")

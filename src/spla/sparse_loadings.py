@@ -3,7 +3,8 @@
 Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
 each loading individually. Both return the raw loadings, whose zero pattern
-block detection reads; the analysis reads nothing else of them.
+block detection reads; the analysis reads nothing else of them. Each factor
+of the first is :func:`penalized_rank_one` of the deflated covariance.
 :func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
@@ -114,7 +115,7 @@ def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
     return _unit(soft_threshold(z, delta))
 
 
-def _rank_one(s: np.ndarray, c: float) -> np.ndarray:
+def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     """Loading of the penalized rank-one factor of the Gram matrix ``s``.
 
     From the leading eigenvector of ``s``, alternates ``loading <-
@@ -123,6 +124,10 @@ def _rank_one(s: np.ndarray, c: float) -> np.ndarray:
     ``unit(x @ loading)`` only rescales ``s @ loading``. After
     ``PMD_MAX_ITER`` alternations the last iterate is returned.
     """
+    s = np.asarray(s, dtype=float)
+    if not np.any(s):
+        raise ValueError("s must be nonzero")
+    c = _l1_budget(c, s.shape[0])
     loading = sym_eigen(s)[1][:, 0]
     for _ in range(PMD_MAX_ITER):
         new = _unit_within_budget(s @ loading, c)
@@ -135,16 +140,17 @@ def _rank_one(s: np.ndarray, c: float) -> np.ndarray:
 def _pmd(s: np.ndarray, c: float) -> LoadingMatrix:
     """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized.
 
-    After each factor ``s`` becomes ``(I - v v^T) s (I - v v^T)``, the Gram
-    matrix of the deflated sample ``x (I - v v^T)`` (projection deflation,
-    Mackey, NIPS 2008). Once its trace is at most ``1e-12`` of the original,
-    the rest is an orthonormal basis of the complement.
+    Each factor checks the budget ``c``. After each factor ``s`` becomes
+    ``(I - v v^T) s (I - v v^T)``, the Gram matrix of the deflated sample
+    ``x (I - v v^T)`` (projection deflation, Mackey, NIPS 2008). Once its
+    trace is at most ``1e-12`` of the original, the rest is an orthonormal
+    basis of the complement.
     """
     m = s.shape[0]
     total = np.trace(s)
     cols = []
     while len(cols) < m and np.trace(s) > 1e-12 * total:
-        v = _rank_one(s, c)
+        v = penalized_rank_one(s, c)
         cols.append(v)
         p = np.eye(m) - np.outer(v, v)
         s = p @ s @ p
@@ -153,23 +159,6 @@ def _pmd(s: np.ndarray, c: float) -> LoadingMatrix:
     if len(cols) < m:
         cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
     return LoadingMatrix(_fix_signs(np.column_stack(cols)))
-
-
-def penalized_rank_one(
-    x: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Single sparse factor of ``x``: ``(left, loading, d)``.
-
-    ``loading`` is the penalized rank-one loading of ``x^T x`` (deterministic:
-    it starts at the leading eigenvector), ``d = ||x @ loading||`` and
-    ``left = unit(x @ loading)``.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ValueError("x must be nonzero")
-    loading = _rank_one(x.T @ x, _l1_budget(c, x.shape[1]))
-    fit = x @ loading
-    return _unit(fit), loading, float(np.linalg.norm(fit))
 
 
 def sparse_loading_matrix(x: np.ndarray, c: float) -> LoadingMatrix:

@@ -276,6 +276,25 @@ class TestPlaDetect:
         assert p is not None
         assert sorted(b.variable_indices for b in p.blocks) == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("tau", [1e-12, 0.1, 0.5])
+    def test_matches_two_step_reference(self, oecd_corr, exam_cov, tau):
+        # Reference: zero the entries at or below the band, then detect at
+        # the default tolerance. At tau = 1e-12 that default is the bound:
+        # the third covariance couples its variables by an eigenvector
+        # entry of about 1e-10, which is above tau but a structural zero.
+        from spla import CovMatrix
+        from spla.matops import sym_eigen
+
+        coupled = CovMatrix(np.array([[2.0, 1e-10], [1e-10, 1.0]]), ("a", "b"))
+        for cov in (oecd_corr, exam_cov, coupled):
+            vecs = sym_eigen(cov.values)[1]
+            zeroed = np.where(np.abs(vecs) > tau * (1.0 + 1e-9), vecs, 0.0)
+            try:
+                want = detect_blocks(LoadingMatrix(zeroed))
+            except (NonSquareBlockError, IsolatedVariableError):
+                want = None
+            assert pla_detect(cov, tau) == want
+
     def test_tau_range_validated(self, oecd_corr):
         with pytest.raises(ValueError):
             pla_detect(oecd_corr, 0.0)

@@ -174,6 +174,9 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
          "usage error: unrecognized arguments: --c-ec 0.7"),
         (["simulate", "rate", "--reps", "1", "--n", "20", "--blocks", "2"],
          "usage error: unrecognized arguments: --blocks 2"),
+        (["simulate", "--reps", "2", "ec"],
+         "usage error: --reps comes before the experiment name; flags follow "
+         "it, e.g. spla simulate ec --reps 2"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
@@ -183,6 +186,7 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         "ec-n-too-large", "rate-n-over-max", "ec-reps-too-large",
         "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
         "wishart-takes-no-n", "ec-takes-no-c-ec", "rate-takes-no-blocks",
+        "flag-before-experiment",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):

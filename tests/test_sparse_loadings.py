@@ -13,6 +13,7 @@ from spla import (
     penalized_rank_one,
     sample_cov,
     sparse_loading_matrix,
+    structure_scan,
 )
 from spla.matops import _fix_signs, soft_threshold, svd, sym_eigen
 from spla.pipeline import SplaConfig
@@ -171,28 +172,32 @@ class TestPenalizedRankOne:
     def test_loose_budget_is_leading_singular_vector(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(40, 5))
-        _, loading, d = penalized_rank_one(x, np.sqrt(5))
-        _, s, vt = np.linalg.svd(x)
+        s = x.T @ x
+        loading = penalized_rank_one(s, np.sqrt(5))
+        _, sv, vt = np.linalg.svd(x)
         lead = vt[0]
         assert np.allclose(np.abs(loading), np.abs(lead), atol=1e-6)
-        assert d == pytest.approx(s[0], rel=1e-6)
+        assert loading @ s @ loading == pytest.approx(sv[0] ** 2, rel=1e-6)
 
     def test_c1_selects_max_variance_singleton(self):
         # Brute-force oracle: with budget 1 the loading must be a standard
         # basis vector; the optimum is the column maximizing ||x e_j||.
         rng = np.random.default_rng(22)
         x = rng.normal(size=(30, 4)) * [1.0, 3.0, 0.5, 2.0]
-        _, loading, d = penalized_rank_one(x, 1.0)
+        s = x.T @ x
+        loading = penalized_rank_one(s, 1.0)
         assert np.sum(np.abs(loading) > 1e-9) == 1
         best = np.argmax(np.linalg.norm(x, axis=0))
         assert np.argmax(np.abs(loading)) == best
-        assert d == pytest.approx(np.linalg.norm(x[:, best]), rel=1e-9)
+        assert loading @ s @ loading == pytest.approx(
+            np.linalg.norm(x[:, best]) ** 2, rel=1e-9
+        )
 
     def test_l1_budget_respected(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(25, 6))
         for c in (1.0, 1.5, 2.0):
-            _, loading, _ = penalized_rank_one(x, c)
+            loading = penalized_rank_one(x.T @ x, c)
             assert np.sum(np.abs(loading)) <= c + 1e-6
             assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-9)
 
@@ -202,27 +207,43 @@ class TestPenalizedRankOne:
             with pytest.raises(ValueError, match=r"^l1 bound c=.* outside \[1, sqrt\(3\)\]$"):
                 penalized_rank_one(x, c)
 
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^s must be nonzero$"):
+            penalized_rank_one(np.zeros((3, 3)), 1.5)
+
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
-        x = _pseudo_sample(cov.values)
         for c in (1.0, 1.409, 2.0, 3.0):
             thresholds.clear()
-            penalized_rank_one(x, c)
+            penalized_rank_one(cov.values, c)
             assert 0 < len(thresholds) <= sl.PMD_MAX_ITER + 1
 
     def test_capped_alternation_keeps_its_last_iterate(self, monkeypatch):
         # Seven equal-variance pairs with a shared factor drift slowly at
         # the pair-budget knot; two alternations do not converge there.
-        from spla import BlockDesign, sample_cov
         from spla.simulate import gen_block_sample_keyed
 
         s = gen_block_sample_keyed(BlockDesign(rho=0.2), 1000, 20240817, 0)
-        x = _pseudo_sample(sample_cov(s).values)
-        _, settled, _ = penalized_rank_one(x, 1.409)
+        cov = sample_cov(s).values
+        settled = penalized_rank_one(cov, 1.409)
         monkeypatch.setattr(sl, "PMD_MAX_ITER", 2)
-        _, loading, _ = penalized_rank_one(x, 1.409)
+        loading = penalized_rank_one(cov, 1.409)
         assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(loading - settled) > 1e-3
+
+    def test_scan_runs_one_factor_per_loading(self, monkeypatch, exam_cov):
+        # The scan's PMD factors go through the public function, so a wrapper
+        # of it sees each one: one per loading of the 5 variables.
+        calls = []
+        real = sl.penalized_rank_one
+
+        def counted(s, c):
+            calls.append(c)
+            return real(s, c)
+
+        monkeypatch.setattr(sl, "penalized_rank_one", counted)
+        structure_scan(exam_cov, SplaConfig(grid=(2.0,)))
+        assert calls == [2.0] * 5
 
 
 class TestSparseLoadingMatrix:

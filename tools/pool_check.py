@@ -91,6 +91,8 @@ def _cli_cases() -> list[list[str]]:
     out += [["simulate", "wishart", "--reps", "1", "--n", "20"],
             ["simulate", "ec", "--reps", "1", "--n", "20", "--c-ec", "0.7"],
             ["simulate", "rate", "--reps", "1", "--n", "20", "--blocks", "2"]]
+    # A flag before the experiment name is a usage error that says where it goes.
+    out.append(["simulate", "--reps", "2", "ec"])
     return out
 
 
