@@ -50,7 +50,6 @@ from .simulate import (
     random_wishart_demo,
 )
 from .sparse_loadings import (
-    LoadingMatrix,
     elastic_net_loadings,
     orthogonalize,
     penalized_rank_one,

@@ -1,6 +1,7 @@
 """Block-structure detection from sparse loading patterns.
 
-Two variables (rows) are adjacent when some loading (column) is nonzero on
+A loading matrix is a square ``M x M`` array, variables in rows and loadings
+in columns. Two variables are adjacent when some loading is nonzero on
 both; connected components of that variable graph are the blocks, and a
 block's loadings are the columns its variables touch. A valid partition pairs
 each variable group with an equally sized loading group, so a row/column
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CovMatrix
-from .sparse_loadings import LoadingMatrix, ZERO_TOL
+from .sparse_loadings import ZERO_TOL
 from .matops import _components, sym_eigen
 
 __all__ = [
@@ -100,8 +101,9 @@ class BlockPartition:
         return BlockPartition(tuple(self.blocks[i] for i in order))
 
 
-def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
-    """Partition variables and loadings by the support pattern of ``u``.
+def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
+    """Partition variables and loadings by the support pattern of the square
+    loading matrix ``u`` (variables are rows, loadings columns).
 
     Entries with magnitude at or below ``tol`` are structural zeros. Blocks
     are the components of the variable graph (variables sharing a nonzero
@@ -111,7 +113,10 @@ def detect_blocks(u: LoadingMatrix, tol: float = ZERO_TOL) -> BlockPartition:
     When several components are invalid, the one with the smallest variable
     reports; a loading without support leaves some component short.
     """
-    pattern = np.abs(u.u) > tol
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"loading matrix must be square, got {u.shape}")
+    pattern = np.abs(u) > tol
     # Diagnose isolated variables up front: the more specific error should
     # win over a non-square component elsewhere in the pattern.
     lonely = np.nonzero(~pattern.any(axis=1))[0]
@@ -144,6 +149,6 @@ def pla_detect(cov: CovMatrix, tau: float) -> BlockPartition | None:
         raise ValueError(f"tau={tau} outside (0, 1)")
     _, vecs = sym_eigen(cov.values)
     try:
-        return detect_blocks(LoadingMatrix(vecs), max(tau * (1.0 + 1e-9), ZERO_TOL))
+        return detect_blocks(vecs, max(tau * (1.0 + 1e-9), ZERO_TOL))
     except (NonSquareBlockError, IsolatedVariableError):
         return None

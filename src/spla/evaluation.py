@@ -26,7 +26,6 @@ import numpy as np
 
 from .blocks import BlockPartition, InconsistentPartitionError
 from .data import CovMatrix
-from .sparse_loadings import LoadingMatrix
 from .variance import CorrectedVariances, corrected_variances
 
 __all__ = [
@@ -76,7 +75,7 @@ def _helmert(m: int) -> np.ndarray:
 def weight_basis(
     p: BlockPartition,
     within_block_order: tuple[tuple[int, ...], ...] | None = None,
-) -> LoadingMatrix:
+) -> np.ndarray:
     """Block-diagonal orthonormal basis, equal-weight column leading each block.
 
     Columns are laid out in the partition's block order, so corrected
@@ -100,7 +99,7 @@ def weight_basis(
             rows = np.asarray(b.variable_indices)
         u[np.ix_(rows, range(pos, pos + b.size))] = _helmert(b.size)
         pos += b.size
-    return LoadingMatrix(u)
+    return u
 
 
 def _block_ecs(cv: CorrectedVariances, p: BlockPartition, gate: EcGate):

@@ -33,9 +33,8 @@ from .evaluation import (
 from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
     ZERO_TOL,
-    LoadingMatrix,
-    _pmd,
     elastic_net_loadings,
+    sparse_loading_matrix,
 )
 from .variance import (
     CorrectedVariances,
@@ -78,7 +77,9 @@ class SplaConfig:
     grid entry may also be a tuple of per-loading penalties (one per
     loading). An empty grid means "derive a default from the data
     dimension". ``block_order`` optionally pins the evaluation order as a
-    tuple of variable-index tuples.
+    tuple of variable-index tuples. ``standardize`` is read by
+    :func:`run_spla` alone, which then analyzes the correlation matrix;
+    :func:`structure_scan` uses its covariance as given.
     """
 
     method: str = "pmd"
@@ -221,13 +222,13 @@ def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
 
 def _loadings_for(
     cov: CovMatrix, cfg: SplaConfig, penalty: float | tuple[float, ...]
-) -> LoadingMatrix:
+) -> np.ndarray:
     if cfg.method == "pmd":
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        return _pmd(cov.values, penalty)
+        return sparse_loading_matrix(cov.values, penalty)
     if cfg.method == "spca":
-        return elastic_net_loadings(cov, penalty)
+        return elastic_net_loadings(cov.values, penalty)
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
@@ -320,6 +321,10 @@ def run_spla(d: DataMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
 
 
 def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport:
-    """Full analysis (all four stages) driven by a covariance matrix directly."""
+    """Full analysis (all four stages) driven by a covariance matrix directly.
+
+    ``cov`` is used as given: ``cfg.standardize`` is not read here, so pass a
+    correlation matrix to analyze standardized variables.
+    """
     trace, best = _scan(cov, cfg)
     return _report(cov, _choose(cov, cfg, best), trace)

@@ -89,14 +89,8 @@ def _draw(design: BlockDesign, n: int, rng: np.random.Generator) -> DataMatrix:
     z = rng.normal(0.0, np.sqrt(LATENT_VAR), size=(n, design.n_blocks))
     y = rng.normal(0.0, np.sqrt(LATENT_VAR), size=n)
     w = rng.normal(0.0, np.sqrt(NOISE_VAR), size=(n, design.n_vars))
-    x = np.empty((n, design.n_vars))
-    for j in range(design.n_vars):
-        i = j // BLOCK_SIZE
-        x[:, j] = (
-            np.sqrt(1.0 - design.rho) * z[:, i]
-            + np.sqrt(design.rho) * y
-            + w[:, j]
-        )
+    x = (np.sqrt(1.0 - design.rho) * np.repeat(z, BLOCK_SIZE, axis=1)
+         + np.sqrt(design.rho) * y[:, None] + w)
     names = tuple(f"X{j + 1}" for j in range(design.n_vars))
     return standardize(DataMatrix(x, names))
 
@@ -252,12 +246,8 @@ def gen_spiked_sample(ten_vars: bool, n: int, seed: int) -> DataMatrix:
     m = 10 if ten_vars else 8
     theta = rng.normal(0.0, 1.0, size=(n, m))
     x = np.empty((n, m))
-    for j in range(4):
-        x[:, j] = z1 + theta[:, j]
-    for j in range(4, 8):
-        x[:, j] = z2 + theta[:, j]
-    if ten_vars:
-        for j in range(8, 10):
-            x[:, j] = -0.3 * z1 + 0.925 * z2 + theta[:, j]
+    x[:, :4] = z1[:, None] + theta[:, :4]
+    x[:, 4:8] = z2[:, None] + theta[:, 4:8]
+    x[:, 8:] = -0.3 * z1[:, None] + 0.925 * z2[:, None] + theta[:, 8:]
     names = tuple(f"X{j + 1}" for j in range(m))
     return DataMatrix(x, names)

@@ -1,17 +1,17 @@
-"""Sparse orthonormal loading matrices.
+"""Sparse loading matrices of a covariance matrix.
 
 Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
-each loading individually. Both return the raw loadings, whose zero pattern
-block detection reads; the analysis reads nothing else of them. Each factor
-of the first is :func:`penalized_rank_one` of the deflated covariance.
+each loading individually. Both take the covariance (Gram) matrix ``S`` and
+return the raw loadings as a plain ``M x M`` array, whose zero pattern block
+detection reads; the analysis reads nothing else of them. Each factor of the
+first is :func:`penalized_rank_one` of the deflated covariance.
 :func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .matops import (
 )
 
 __all__ = [
-    "LoadingMatrix",
     "penalized_rank_one",
     "sparse_loading_matrix",
     "elastic_net_loadings",
@@ -48,23 +47,6 @@ PMD_CONV_TOL = 1e-7
 EN_MAX_ITER = 300
 EN_CONV_TOL = 1e-4
 RIDGE = 1e-6
-
-
-@dataclass(frozen=True)
-class LoadingMatrix:
-    """An ``M x M`` matrix whose columns are (sparse) loadings."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"loading matrix must be square, got {u.shape}")
-
-    @property
-    def n_vars(self) -> int:
-        return self.u.shape[0]
 
 
 def _l1_budget(c, m: int) -> float:
@@ -137,16 +119,20 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     return loading
 
 
-def _pmd(s: np.ndarray, c: float) -> LoadingMatrix:
+def sparse_loading_matrix(s: np.ndarray, c: float) -> np.ndarray:
     """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized.
 
-    Each factor checks the budget ``c``. After each factor ``s`` becomes
+    Columns are ordered by extraction (descending factor weight); the raw
+    deflation output keeps the exact zero pattern for block detection. Each
+    factor is :func:`penalized_rank_one` of ``s``, after which ``s`` becomes
     ``(I - v v^T) s (I - v v^T)``, the Gram matrix of the deflated sample
     ``x (I - v v^T)`` (projection deflation, Mackey, NIPS 2008). Once its
     trace is at most ``1e-12`` of the original, the rest is an orthonormal
     basis of the complement.
     """
+    s = np.asarray(s, dtype=float)
     m = s.shape[0]
+    c = _l1_budget(c, m)
     total = np.trace(s)
     cols = []
     while len(cols) < m and np.trace(s) > 1e-12 * total:
@@ -158,19 +144,7 @@ def _pmd(s: np.ndarray, c: float) -> LoadingMatrix:
         s = (s + s.T) / 2.0
     if len(cols) < m:
         cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
-    return LoadingMatrix(_fix_signs(np.column_stack(cols)))
-
-
-def sparse_loading_matrix(x: np.ndarray, c: float) -> LoadingMatrix:
-    """All ``M`` sparse loadings of ``x`` by deflation, not orthogonalized.
-
-    ``x`` is the centered sample or any matrix with the same Gram matrix
-    ``x^T x``, on which the loadings are computed. Columns are ordered by
-    extraction (descending factor weight). The raw deflation output keeps
-    the exact zero pattern for block detection.
-    """
-    x = np.asarray(x, dtype=float)
-    return _pmd(x.T @ x, _l1_budget(c, x.shape[1]))
+    return _fix_signs(np.column_stack(cols))
 
 
 def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
@@ -182,7 +156,7 @@ def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
     return np.linalg.svd(u)[0][:, u.shape[1]:]
 
 
-def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
+def elastic_net_loadings(s: np.ndarray, per_loading_l1) -> np.ndarray:
     """All ``M`` elastic-net sparse loadings of a covariance matrix, not
     orthogonalized.
 
@@ -191,7 +165,7 @@ def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
     (coordinate descent); then ``A`` is set to the polar factor of ``S B``.
     ``per_loading_l1`` holds one penalty for every loading or ``M`` of them.
     """
-    s = np.asarray(getattr(cov, "values", cov), dtype=float)
+    s = np.asarray(s, dtype=float)
     m = s.shape[0]
     l1 = np.asarray(per_loading_l1, dtype=float)
     if l1.size == 1:
@@ -235,13 +209,13 @@ def elastic_net_loadings(cov, per_loading_l1) -> LoadingMatrix:
     norms = np.linalg.norm(b, axis=0)
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
-    return LoadingMatrix(_fix_signs(b / norms))
+    return _fix_signs(b / norms)
 
 
-def orthogonalize(u) -> LoadingMatrix:
+def orthogonalize(u: np.ndarray) -> np.ndarray:
     """Nearest orthonormal matrix to the whole of ``u`` via Procrustes (SVD
     with unit singular values)."""
-    u = np.asarray(getattr(u, "u", u), dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.shape[0] != u.shape[1]:
         raise ValueError("loading matrix must be square")
     uu, ss, vv = svd(u)
@@ -249,4 +223,4 @@ def orthogonalize(u) -> LoadingMatrix:
         raise RankDeficientError(
             f"singular value {np.min(ss):g} below 1e-10 during orthogonalization"
         )
-    return LoadingMatrix(_fix_signs(uu @ vv.T))
+    return _fix_signs(uu @ vv.T)

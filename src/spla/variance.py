@@ -22,7 +22,6 @@ import numpy as np
 from .blocks import BlockPartition
 from .data import CovMatrix
 from .matops import cholesky_upper, solve_spd
-from .sparse_loadings import LoadingMatrix
 
 __all__ = [
     "CorrectedVariances",
@@ -68,9 +67,9 @@ class PartialCov:
         return float(np.trace(self.values))
 
 
-def corrected_variances(cov: CovMatrix, u: LoadingMatrix) -> CorrectedVariances:
+def corrected_variances(cov: CovMatrix, u: np.ndarray) -> CorrectedVariances:
     """Both variances of ``u``'s columns, from the one factor of ``U^T S U``."""
-    gram = u.u.T @ cov.values @ u.u
+    gram = u.T @ cov.values @ u
     gram = (gram + gram.T) / 2.0
     r = cholesky_upper(gram)
     return CorrectedVariances(np.diag(r) ** 2, np.diag(gram))

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 import spla.sparse_loadings as sl
-from spla import Block, BlockEvaluation, BlockPartition, LoadingMatrix
+from spla import Block, BlockEvaluation, BlockPartition
 from spla.blocks import InconsistentPartitionError
 from spla.data import CovMatrix, DataMatrix
 from spla.matops import (
@@ -64,8 +64,8 @@ def block_ec_regression(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvalu
 
 
 def replace_with_weight(
-    u: LoadingMatrix, p: BlockPartition, b: int
-) -> LoadingMatrix:
+    u: np.ndarray, p: BlockPartition, b: int
+) -> np.ndarray:
     """Replace block ``b``'s leading loading by the equal-weight vector.
 
     The block's other loadings are re-orthogonalized against the new leading
@@ -78,7 +78,7 @@ def replace_with_weight(
     blk = p.blocks[b]
     rows = np.asarray(blk.variable_indices)
     cols = np.asarray(blk.loading_indices)
-    sub = u.u[np.ix_(rows, cols)]
+    sub = u[np.ix_(rows, cols)]
     if np.max(np.abs(sub)) == 0 and blk.size > 0:
         raise InconsistentPartitionError("block has an all-zero loading sub-matrix")
     d = blk.size
@@ -93,9 +93,9 @@ def replace_with_weight(
         n = np.linalg.norm(v)
         if n >= 1e-12:
             basis.append(v / n)
-    out = u.u.copy()
+    out = u.copy()
     out[np.ix_(rows, cols)] = np.column_stack(basis)
-    return LoadingMatrix(out)
+    return out
 
 
 def _sequential_partition(p: BlockPartition) -> BlockPartition:
@@ -128,17 +128,17 @@ def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluati
         _, vecs = sym_eigen((sub + sub.T) / 2.0)
         u[np.ix_(rows, range(q, q + bb.size))] = vecs
         q += bb.size
-    replaced = replace_with_weight(LoadingMatrix(u), _sequential_partition(p), b)
-    gram = replaced.u.T @ cov.values @ replaced.u
+    replaced = replace_with_weight(u, _sequential_partition(p), b)
+    gram = replaced.T @ cov.values @ replaced
     gram = (gram + gram.T) / 2.0
     r = cholesky_upper(gram)
     num = float(r[pos, pos] ** 2)
-    wcol = replaced.u[:, pos]
+    wcol = replaced[:, pos]
     den = float(wcol @ cov.values @ wcol)
     return BlockEvaluation(min(num / den, 1.0))
 
 
-def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedVariances:
+def corrected_variances_from_data(d: DataMatrix, u: np.ndarray) -> CorrectedVariances:
     """Corrected variances via the QR decomposition of the projected sample.
 
     ``R^T R = (N-1) U^T S U`` for the QR factor ``R`` of the centred,
@@ -146,14 +146,14 @@ def corrected_variances_from_data(d: DataMatrix, u: LoadingMatrix) -> CorrectedV
     variances are the projected columns' sums of squares over ``N-1``.
     """
     x = d.values - d.values.mean(axis=0)
-    y = x @ u.u
+    y = x @ u
     r = np.linalg.qr(y, mode="r")
     return CorrectedVariances(
         np.diag(r) ** 2 / (d.n_obs - 1), np.sum(y**2, axis=0) / (d.n_obs - 1)
     )
 
 
-def elastic_net_loadings_percolumn(cov, per_loading_l1) -> LoadingMatrix:
+def elastic_net_loadings_percolumn(s, per_loading_l1) -> np.ndarray:
     """:func:`spla.elastic_net_loadings` by scalar coordinate descent.
 
     Each column ``B_j`` runs its own sweeps, one coordinate at a time, until
@@ -162,7 +162,7 @@ def elastic_net_loadings_percolumn(cov, per_loading_l1) -> LoadingMatrix:
     are taken as valid: ``per_loading_l1`` holds one or ``M`` nonnegative
     penalties.
     """
-    s = np.asarray(getattr(cov, "values", cov), dtype=float)
+    s = np.asarray(s, dtype=float)
     m = s.shape[0]
     l1 = np.broadcast_to(np.asarray(per_loading_l1, dtype=float).ravel(), (m,))
     _lam, a = sym_eigen(s)
@@ -193,4 +193,4 @@ def elastic_net_loadings_percolumn(cov, per_loading_l1) -> LoadingMatrix:
     norms = np.linalg.norm(b, axis=0)
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
-    return LoadingMatrix(_fix_signs(b / norms))
+    return _fix_signs(b / norms)

@@ -14,7 +14,6 @@ from spla import (
     CovMatrix,
     DataMatrix,
     EcGate,
-    LoadingMatrix,
     SplaConfig,
     block_ec,
     corrected_variances,
@@ -208,8 +207,8 @@ class TestAcceptance:
         for _ in range(5):
             m = int(rng.integers(3, 6))
             x = rng.normal(size=(40, m))
-            lm = orthogonalize(sparse_loading_matrix(x, 1.5))
-            ok &= bool(np.max(np.abs(lm.u.T @ lm.u - np.eye(m))) < 1e-8)
+            lm = orthogonalize(sparse_loading_matrix(x.T @ x, 1.5))
+            ok &= bool(np.max(np.abs(lm.T @ lm - np.eye(m))) < 1e-8)
         cells.append(("(a) U^T U = I within 1e-8", ok))
 
         # (b) EC in (0, 1] on 1000 random SPD matrices.
@@ -264,11 +263,11 @@ class TestAcceptance:
             a = random_spd(rng, m)
             cov = CovMatrix(a, tuple(f"v{i}" for i in range(m)))
             q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-            total = float(np.sum(corrected_variances(cov, LoadingMatrix(q)).r_squared))
+            total = float(np.sum(corrected_variances(cov, q).r_squared))
             ok &= total <= np.trace(a) + 1e-8
             _, vecs = sym_eigen(a)
             at_eig = float(
-                np.sum(corrected_variances(cov, LoadingMatrix(vecs)).r_squared)
+                np.sum(corrected_variances(cov, vecs).r_squared)
             )
             ok &= abs(at_eig - np.trace(a)) < 1e-8 * max(1.0, np.trace(a))
         cells.append(("(e) variance bound, equality at eigenvectors", ok))
@@ -296,9 +295,8 @@ class TestAcceptance:
             d = DataMatrix(x, tuple(f"v{i}" for i in range(m)))
             cov = sample_cov(d)
             q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-            u = LoadingMatrix(q)
-            c1 = corrected_variances(cov, u).r_squared
-            c2 = corrected_variances_from_data(d, u).r_squared
+            c1 = corrected_variances(cov, q).r_squared
+            c2 = corrected_variances_from_data(d, q).r_squared
             ok &= bool(np.max(np.abs(c1 - c2)) < 1e-8 * max(1.0, float(np.max(c1))))
         cells.append(("(g) Cholesky and QR variance paths agree", ok))
 

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps the functions each layer lists in ``__all__``
 and reports ``layer.func.calls`` and ``layer.func.self_s`` only for those.
 A metric in ``BENCHMARK.json`` that names anything else has no value, and
-the harness fails on it when it assembles a traced run's metrics.
+the harness fails on it when it assembles a traced run's metrics. A metric
+that names a function the analysis bypasses reads 0, so the scan is traced
+too.
 """
 
 import importlib
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SPEC = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 TRACED = sorted({
     m["name"].rsplit(".", 1)[0]
@@ -33,3 +36,35 @@ def test_traced_name_is_an_exported_function(name):
     assert func in mod.__all__
     fn = getattr(mod, func)
     assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+@pytest.mark.parametrize(
+    ("method", "grid", "loadings"),
+    [
+        ("pmd", (2.0, 1.5), "sparse_loadings.sparse_loading_matrix"),
+        # At smaller penalties the elastic net does not converge on this
+        # covariance, and a grid point that ends there detects nothing.
+        ("spca", (5.0,), "sparse_loadings.elastic_net_loadings"),
+    ],
+)
+def test_scan_calls_the_traced_routes(monkeypatch, exam_cov, method, grid, loadings):
+    # Each grid point computes its loadings and detects its blocks through
+    # the public functions, so their metrics count every grid point.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from spans import Tracer
+
+    import spla.pipeline
+
+    tracer = Tracer()
+    tracer.install(0)
+    try:
+        spla.pipeline.structure_scan(
+            exam_cov, spla.pipeline.SplaConfig(method=method, grid=grid)
+        )
+    finally:
+        tracer.remove()
+    calls = tracer.calls_in([0])
+    assert calls[loadings] == len(grid)
+    assert calls["blocks.detect_blocks"] == len(grid)
+    if method == "pmd":
+        assert calls["sparse_loadings.penalized_rank_one"] >= 1

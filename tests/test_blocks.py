@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from spla import (
     Block,
     BlockPartition,
-    LoadingMatrix,
     detect_blocks,
     pla_detect,
 )
@@ -25,14 +24,14 @@ def _pattern_matrix(pattern: list[str]) -> np.ndarray:
 
 class TestDetectBlocks:
     def test_identity_gives_singletons(self):
-        p = detect_blocks(LoadingMatrix(np.eye(4)))
+        p = detect_blocks(np.eye(4))
         assert p.n_blocks == 4
         assert [b.variable_indices for b in p.blocks] == [(0,), (1,), (2,), (3,)]
 
     def test_dense_column_gives_single_block(self):
         u = np.eye(4)
         u[:, 0] = 1.0
-        p = detect_blocks(LoadingMatrix(u))
+        p = detect_blocks(u)
         assert p.n_blocks == 1
         assert p.blocks[0].variable_indices == (0, 1, 2, 3)
 
@@ -43,7 +42,7 @@ class TestDetectBlocks:
             "..xx",
             "..xx",
         ])
-        p = detect_blocks(LoadingMatrix(u))
+        p = detect_blocks(u)
         assert [b.variable_indices for b in p.blocks] == [(0, 1), (2, 3)]
         assert [b.loading_indices for b in p.blocks] == [(0, 1), (2, 3)]
 
@@ -60,7 +59,7 @@ class TestDetectBlocks:
             "x...xx",  # Y85
             "x...xx",  # Y60
         ])
-        p = detect_blocks(LoadingMatrix(u))
+        p = detect_blocks(u)
         got = {b.variable_indices: b.loading_indices for b in p.blocks}
         assert got == {
             (0,): (2,),
@@ -76,14 +75,14 @@ class TestDetectBlocks:
             "..x",
         ])
         with pytest.raises(NonSquareBlockError):
-            detect_blocks(LoadingMatrix(u))
+            detect_blocks(u)
 
     def test_isolated_variable(self):
         u = np.eye(3)
         u[1, 1] = 0.0
         u[0, 1] = 1.0
         with pytest.raises(IsolatedVariableError):
-            detect_blocks(LoadingMatrix(u))
+            detect_blocks(u)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(31)
@@ -94,10 +93,10 @@ class TestDetectBlocks:
             "...xx",
             "...xx",
         ])
-        p0 = detect_blocks(LoadingMatrix(u))
+        p0 = detect_blocks(u)
         rows = rng.permutation(5)
         cols = rng.permutation(5)
-        p1 = detect_blocks(LoadingMatrix(u[np.ix_(rows, cols)]))
+        p1 = detect_blocks(u[np.ix_(rows, cols)])
         relabeled = sorted(
             tuple(sorted(int(np.nonzero(rows == i)[0][0]) for i in b.variable_indices))
             for b in p0.blocks
@@ -107,7 +106,7 @@ class TestDetectBlocks:
 
     def test_cover_is_complete(self):
         u = _pattern_matrix(["x..", ".xx", ".xx"])
-        p = detect_blocks(LoadingMatrix(u))
+        p = detect_blocks(u)
         covered = sorted(i for b in p.blocks for i in b.variable_indices)
         assert covered == [0, 1, 2]
 
@@ -145,9 +144,9 @@ def _reference_components(pattern: np.ndarray):
     return components
 
 
-def _reference_detect_blocks(u: LoadingMatrix) -> BlockPartition:
+def _reference_detect_blocks(u: np.ndarray) -> BlockPartition:
     """Independent detector: depth-first search, then the same diagnostics."""
-    pattern = np.abs(u.u) > ZERO_TOL
+    pattern = np.abs(u) > ZERO_TOL
     lonely = np.nonzero(~pattern.any(axis=1))[0]
     if lonely.size:
         raise IsolatedVariableError(
@@ -168,7 +167,7 @@ def _reference_detect_blocks(u: LoadingMatrix) -> BlockPartition:
     return BlockPartition(tuple(blocks))
 
 
-def _outcome(detector, u: LoadingMatrix):
+def _outcome(detector, u: np.ndarray):
     """A detector's partition, or the class and message of its error."""
     try:
         return detector(u)
@@ -200,14 +199,14 @@ class TestDetectBlocksOracle:
     @given(_patterns())
     def test_matches_depth_first_reference(self, pattern):
         # The error chosen and its message reach the penalty trace's note.
-        u = LoadingMatrix(pattern.astype(float))
+        u = pattern.astype(float)
         assert _outcome(detect_blocks, u) == _outcome(_reference_detect_blocks, u)
 
     def test_tol_sets_the_support(self):
         u = np.eye(3)
         u[0, 1] = u[1, 0] = 0.005
-        assert detect_blocks(LoadingMatrix(u)).n_blocks == 2
-        assert detect_blocks(LoadingMatrix(u), tol=0.01).n_blocks == 3
+        assert detect_blocks(u).n_blocks == 2
+        assert detect_blocks(u, tol=0.01).n_blocks == 3
 
 
 class TestPlaDetect:
@@ -290,7 +289,7 @@ class TestPlaDetect:
             vecs = sym_eigen(cov.values)[1]
             zeroed = np.where(np.abs(vecs) > tau * (1.0 + 1e-9), vecs, 0.0)
             try:
-                want = detect_blocks(LoadingMatrix(zeroed))
+                want = detect_blocks(zeroed)
             except (NonSquareBlockError, IsolatedVariableError):
                 want = None
             assert pla_detect(cov, tau) == want

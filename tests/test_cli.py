@@ -5,6 +5,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,6 +281,28 @@ def test_overflowing_covariance_is_one_data_error(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.err == "data error: sample covariance overflows in column(s) a\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("flags", "code"), [([], EXIT_DATA), (["--standardize"], EXIT_OK)]
+)
+def test_disparate_column_scales_need_standardize(tmp_path, capsys, flags, code):
+    # Column variances 1e14 apart: the relative Cholesky floor takes the
+    # small columns' pivots for zero, so the covariance is refused as it is
+    # and analyzed once standardized.
+    x = np.random.default_rng(0).normal(size=(50, 3)) * [1e7, 1.0, 1.0]
+    path = tmp_path / "scales.csv"
+    np.savetxt(path, x, delimiter=",", header="a,b,c", comments="")
+    assert main(["analyze", str(path), *flags]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.err == "" and captured.out
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            "data error: covariance matrix is not positive definite: "
+            "pivot 0.695273 at index 1\n"
+        )
 
 
 #: Cells that overflow, are not finite, or are not numbers.

@@ -9,7 +9,6 @@ from spla import (
     BlockPartition,
     CovMatrix,
     EcGate,
-    LoadingMatrix,
     NotPositiveDefiniteError,
     block_ec,
     evaluate_partition,
@@ -124,8 +123,7 @@ class TestBlockEc:
 class TestWeightBasis:
     def test_orthonormal_and_equal_weight_leads(self):
         p = _seq_partition([1, 2, 3])
-        wb = weight_basis(p)
-        u = wb.u
+        u = weight_basis(p)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-12)
         # Leading column of each block is the equal-weight vector.
         assert u[0, 0] == pytest.approx(1.0)
@@ -135,7 +133,7 @@ class TestWeightBasis:
     def test_block_diagonal_support(self):
         p = BlockPartition((Block((0, 2), (0, 1)), Block((1, 3), (2, 3))))
         wb = weight_basis(p)
-        pat = np.abs(wb.u) > ZERO_TOL
+        pat = np.abs(wb) > ZERO_TOL
         assert not pat[1, 0] and not pat[3, 1] and not pat[0, 2] and not pat[2, 3]
 
     def test_within_block_order_changes_completion(self):
@@ -143,9 +141,9 @@ class TestWeightBasis:
         a = weight_basis(p, within_block_order=((0, 1, 2),))
         b = weight_basis(p, within_block_order=((2, 1, 0),))
         # Equal-weight leading column is order-free ...
-        assert np.allclose(a.u[:, 0], b.u[:, 0])
+        assert np.allclose(a[:, 0], b[:, 0])
         # ... but the completing columns differ.
-        assert not np.allclose(a.u[:, 1:], b.u[:, 1:])
+        assert not np.allclose(a[:, 1:], b[:, 1:])
 
     def test_within_block_order_validated(self):
         p = _seq_partition([2, 2])
@@ -162,16 +160,16 @@ class TestReplaceWithWeight:
         q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         u[:2, :2] = q1
         u[2:, 2:] = q2
-        out = replace_with_weight(LoadingMatrix(u), p, 1)
-        assert np.allclose(out.u.T @ out.u, np.eye(5), atol=1e-10)
-        assert np.allclose(out.u[2:, 2], 1 / np.sqrt(3))
+        out = replace_with_weight(u, p, 1)
+        assert np.allclose(out.T @ out, np.eye(5), atol=1e-10)
+        assert np.allclose(out[2:, 2], 1 / np.sqrt(3))
         # Other block untouched.
-        assert np.array_equal(out.u[:2, :2], q1)
+        assert np.array_equal(out[:2, :2], q1)
 
     def test_invalid_block_index(self):
         p = _seq_partition([2, 2])
         with pytest.raises(InconsistentPartitionError):
-            replace_with_weight(LoadingMatrix(np.eye(4)), p, 5)
+            replace_with_weight(np.eye(4), p, 5)
 
 
 class TestEvaluatePartition:

@@ -205,7 +205,8 @@ class TestCovarianceRoute:
         import spla.pipeline
 
         covs, received = [], []
-        sample_cov, pmd = spla.pipeline.sample_cov, spla.pipeline._pmd
+        sample_cov = spla.pipeline.sample_cov
+        pmd = spla.pipeline.sparse_loading_matrix
 
         def cov_spy(d):
             covs.append(sample_cov(d))
@@ -216,7 +217,7 @@ class TestCovarianceRoute:
             return pmd(s, c)
 
         monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
-        monkeypatch.setattr(spla.pipeline, "_pmd", pmd_spy)
+        monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", pmd_spy)
         x = np.random.default_rng(5).normal(size=(500, 4))
         run_spla(DataMatrix(x, ("a", "b", "c", "d")), SplaConfig(grid=(1.5, 1.2)))
         assert len(covs) == 1 and len(received) == 2

@@ -6,7 +6,6 @@ import spla.sparse_loadings as sl
 from spla import (
     BlockDesign,
     DataMatrix,
-    LoadingMatrix,
     detect_blocks,
     elastic_net_loadings,
     orthogonalize,
@@ -52,7 +51,8 @@ def _bisection_loading(z: np.ndarray, c: float) -> np.ndarray:
 
 
 def _sample_route(x: np.ndarray, c: float) -> np.ndarray:
-    """Reference for ``_pmd``: the PMD on the sample side, unorthogonalized.
+    """Reference for :func:`sparse_loading_matrix`: the PMD on the sample
+    side, unorthogonalized.
 
     Each factor starts at the leading right singular vector of the deflated
     ``x`` and alternates ``left <- unit(x v)``, ``v <- unit_within_budget(
@@ -250,16 +250,16 @@ class TestSparseLoadingMatrix:
     def test_orthonormal_after_orthogonalize(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(50, 5))
-        lm = orthogonalize(sparse_loading_matrix(x, 1.6))
-        assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-8)
+        lm = orthogonalize(sparse_loading_matrix(x.T @ x, 1.6))
+        assert np.allclose(lm.T @ lm, np.eye(5), atol=1e-8)
 
     def test_sparsity_monotone_on_fixture(self, exam_data):
         # Total nonzero count is non-increasing as the budget c decreases.
         x = exam_data.values - exam_data.values.mean(axis=0)
         counts = []
         for c in np.linspace(np.sqrt(5), 1.0, 6):
-            lm = sparse_loading_matrix(x, float(c))
-            counts.append(int(np.sum(np.abs(lm.u) > sl.ZERO_TOL)))
+            lm = sparse_loading_matrix(x.T @ x, float(c))
+            counts.append(int(np.sum(np.abs(lm) > sl.ZERO_TOL)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_block_diagonal_input_recovers_blocks(self):
@@ -267,9 +267,8 @@ class TestSparseLoadingMatrix:
         cov = np.zeros((4, 4))
         cov[:2, :2] = [[2.0, 0.9], [0.9, 2.0]]
         cov[2:, 2:] = [[1.0, 0.4], [0.4, 1.0]]
-        x = _pseudo_sample(cov)
-        lm = sparse_loading_matrix(x, 1.41)
-        pat = np.abs(lm.u) > sl.ZERO_TOL
+        lm = sparse_loading_matrix(cov, 1.41)
+        pat = np.abs(lm) > sl.ZERO_TOL
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
             assert rows <= {0, 1} or rows <= {2, 3}
@@ -282,7 +281,7 @@ class TestCovarianceRoute:
         grid = [c for c in SplaConfig().resolved_grid(14) if c > 1.0]
         assert len(grid) == 14
         for c in grid:
-            got = sl._pmd(cov.values, c).u
+            got = sparse_loading_matrix(cov.values, c)
             want = _sample_route(_pseudo_sample(cov.values), c)
             assert np.array_equal(np.abs(got) > 1e-2, np.abs(want) > 1e-2), c
             assert np.max(np.abs(got - want)) <= 1e-9, c
@@ -290,8 +289,8 @@ class TestCovarianceRoute:
     @pytest.mark.parametrize("c", [1.5, 2.0, np.sqrt(6.0)])
     def test_fewer_observations_than_variables(self, c):
         x = np.random.default_rng(52).normal(size=(3, 6))
-        raw = sparse_loading_matrix(x, c).u
-        u = orthogonalize(raw).u
+        raw = sparse_loading_matrix(x.T @ x, c)
+        u = orthogonalize(raw)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
         assert np.max(np.abs(raw[:, :3] - _sample_route(x, c)[:, :3])) <= 1e-9
 
@@ -304,20 +303,20 @@ class TestCovarianceRoute:
         rng = np.random.default_rng(53)
         for _ in range(10):
             x = np.hstack([rng.normal(size=(3, 3)), np.zeros((3, 3))])
-            u = sparse_loading_matrix(x, c).u
+            u = sparse_loading_matrix(x.T @ x, c)
             assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
             assert not u[3:, :3].any()
 
 
 class TestElasticNet:
     def test_zero_penalty_recovers_eigenvectors(self, exam_cov):
-        lm = elastic_net_loadings(exam_cov, [0.0])
+        lm = elastic_net_loadings(exam_cov.values, [0.0])
         _, vecs = sym_eigen(exam_cov.values)
-        assert np.allclose(np.abs(lm.u), np.abs(vecs), atol=1e-6)
+        assert np.allclose(np.abs(lm), np.abs(vecs), atol=1e-6)
 
     def test_penalty_produces_zeros(self, exam_cov):
-        lm = elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0])
-        assert np.sum(np.abs(lm.u) <= sl.ZERO_TOL) > 0
+        lm = elastic_net_loadings(exam_cov.values, [5.0, 5.0, 5.0, 2.0, 2.0])
+        assert np.sum(np.abs(lm) <= sl.ZERO_TOL) > 0
 
     def test_converged_iteration_takes_no_polar_factor(self, oecd_corr, monkeypatch):
         # With no penalty B converges in the first alternation, and the polar
@@ -330,12 +329,12 @@ class TestElasticNet:
             return svd(a)
 
         monkeypatch.setattr(sl, "svd", counted)
-        elastic_net_loadings(oecd_corr, [0.0])
+        elastic_net_loadings(oecd_corr.values, [0.0])
         assert calls == []
 
     def test_orthonormal_result(self, exam_cov):
-        lm = orthogonalize(elastic_net_loadings(exam_cov, [5.0, 5.0, 5.0, 2.0, 2.0]))
-        assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-8)
+        lm = orthogonalize(elastic_net_loadings(exam_cov.values, [5.0, 5.0, 5.0, 2.0, 2.0]))
+        assert np.allclose(lm.T @ lm, np.eye(5), atol=1e-8)
 
 
 class TestOrthogonalize:
@@ -344,14 +343,14 @@ class TestOrthogonalize:
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         noisy = q + 1e-3 * rng.normal(size=(5, 5))
         lm = orthogonalize(noisy)
-        assert np.allclose(lm.u.T @ lm.u, np.eye(5), atol=1e-10)
+        assert np.allclose(lm.T @ lm, np.eye(5), atol=1e-10)
         # Columns may come back sign-normalized; compare up to column sign.
-        signs = np.sign(np.sum(lm.u * q, axis=0))
-        assert np.max(np.abs(lm.u * signs - q)) < 5e-3
+        signs = np.sign(np.sum(lm * q, axis=0))
+        assert np.max(np.abs(lm * signs - q)) < 5e-3
 
     def test_already_orthonormal_unchanged(self):
         lm = orthogonalize(np.eye(4))
-        assert np.allclose(lm.u, np.eye(4), atol=1e-12)
+        assert np.allclose(lm, np.eye(4), atol=1e-12)
 
 
 class TestLoadingMatrix:
@@ -361,8 +360,10 @@ class TestLoadingMatrix:
         assert list(np.flatnonzero(np.abs(u[:, 1]) > sl.ZERO_TOL)) == [1]
         # detect_blocks owns the rule: at its default tolerance the 1e-12
         # entry bridges nothing.
-        assert detect_blocks(LoadingMatrix(u)).n_blocks == 3
+        assert detect_blocks(u).n_blocks == 3
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            LoadingMatrix(np.ones((2, 3)))
+        with pytest.raises(
+            ValueError, match=r"^loading matrix must be square, got \(2, 3\)$"
+        ):
+            detect_blocks(np.ones((2, 3)))

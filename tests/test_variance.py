@@ -6,7 +6,6 @@ from spla import (
     BlockPartition,
     CovMatrix,
     DataMatrix,
-    LoadingMatrix,
     corrected_variances,
     partial_cov,
     partial_trace_share,
@@ -35,12 +34,12 @@ class TestCorrectedVariances:
         a = random_spd(rng, 5)
         cov = CovMatrix(a, tuple("abcde"))
         lam, vecs = sym_eigen(a)
-        cv = corrected_variances(cov, LoadingMatrix(vecs))
+        cv = corrected_variances(cov, vecs)
         assert np.allclose(cv.r_squared, lam, atol=1e-8)
 
     def test_identity_loadings_on_diagonal_cov(self):
         cov = CovMatrix(np.diag([3.0, 1.0, 2.0]), ("a", "b", "c"))
-        cv = corrected_variances(cov, LoadingMatrix(np.eye(3)))
+        cv = corrected_variances(cov, np.eye(3))
         assert np.allclose(cv.r_squared, [3.0, 1.0, 2.0])
 
     def test_regression_residual_oracle_3x3(self):
@@ -48,7 +47,7 @@ class TestCorrectedVariances:
         # variable i regressed on variables 0..i-1.
         a = np.array([[1.0, 0.2, 0.2], [0.2, 1.0, 0.0], [0.2, 0.0, 1.0]])
         cov = CovMatrix(a, ("a", "b", "c"))
-        cv = corrected_variances(cov, LoadingMatrix(np.eye(3)))
+        cv = corrected_variances(cov, np.eye(3))
         assert cv.r_squared[0] == pytest.approx(1.0)
         assert cv.r_squared[1] == pytest.approx(1.0 - 0.04)
         # Residual of X3 on (X1, X2) via explicit least squares.
@@ -63,9 +62,8 @@ class TestCorrectedVariances:
         d = DataMatrix(x, tuple("abcd"))
         cov = sample_cov(d)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        u = LoadingMatrix(q)
-        c1 = corrected_variances(cov, u)
-        c2 = corrected_variances_from_data(d, u)
+        c1 = corrected_variances(cov, q)
+        c2 = corrected_variances_from_data(d, q)
         assert np.allclose(c1.r_squared, c2.r_squared, rtol=1e-8)
         assert np.allclose(c1.uncorrected, c2.uncorrected, rtol=1e-8)
 
@@ -75,10 +73,10 @@ class TestCorrectedVariances:
         cov = CovMatrix(a, tuple("abcdef"))
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-            cv = corrected_variances(cov, LoadingMatrix(q))
+            cv = corrected_variances(cov, q)
             assert np.sum(cv.r_squared) <= np.trace(a) + 1e-8
         lam, vecs = sym_eigen(a)
-        cv = corrected_variances(cov, LoadingMatrix(vecs))
+        cv = corrected_variances(cov, vecs)
         assert np.sum(cv.r_squared) == pytest.approx(np.trace(a), abs=1e-8)
 
 
@@ -88,7 +86,7 @@ class TestVarianceShares:
         a = random_spd(rng, 4)
         cov = CovMatrix(a, tuple("abcd"))
         lam, vecs = sym_eigen(a)
-        cv = corrected_variances(cov, LoadingMatrix(vecs))
+        cv = corrected_variances(cov, vecs)
         shares = variance_shares(cv, cov, _seq_partition([4]))
         assert shares.block_cv[-1] == pytest.approx(100.0, abs=1e-8)
 
@@ -114,7 +112,7 @@ class TestVarianceShares:
         assert shares.block_cv[-1] == pytest.approx(88.54, abs=0.05)
 
     def test_dimension_mismatch(self, oecd_corr):
-        cv = corrected_variances(oecd_corr, LoadingMatrix(np.eye(6)))
+        cv = corrected_variances(oecd_corr, np.eye(6))
         with pytest.raises(ValueError):
             variance_shares(cv, oecd_corr, _seq_partition([2, 2]))
 
