@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,11 @@ def load_csv(path) -> DataMatrix:
     """Read a CSV dataset: header row of variable names, numeric body.
 
     Separator ``,``, decimal point ``.``, UTF-8 with or without a leading
-    byte-order mark. Wrong-arity rows and non-numeric cells abort with a
-    row/column diagnostic.
+    byte-order mark. A cell is what Python ``float()`` accepts once
+    surrounding whitespace is stripped, quoted or not. A plain numeric body
+    is parsed in one vectorised pass; any other body is read cell by cell,
+    where wrong-arity rows and non-numeric cells abort with a row/column
+    diagnostic.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -113,31 +117,64 @@ def load_csv(path) -> DataMatrix:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             names = [h.strip() for h in header]
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(names):
-                    raise DataError(
-                        f"{path}: row {lineno} has {len(row)} fields, "
-                        f"expected {len(names)}"
-                    )
-                parsed = []
-                for col, cell in zip(names, row):
-                    cell = cell.strip()
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {lineno}, column {col!r}: "
-                            f"non-numeric value {cell!r}"
-                        ) from None
-                rows.append(parsed)
+            values = _body_at_once(fh, len(names))
+            if values is None:
+                values = _body_by_cell(reader, names, path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return DataMatrix(values, tuple(names))
+
+
+def _body_at_once(fh, m: int) -> np.ndarray | None:
+    """The rest of ``fh`` as an ``N x m`` array from one ``np.loadtxt`` pass.
+
+    None, with ``fh`` back at the first line after the header, where
+    ``loadtxt`` refuses the text (quotes, whitespace-only lines, cells it
+    does not parse), finds no rows or another column count. Where it
+    accepts, it reads each cell as ``float()`` does, correctly rounded. A
+    stream that cannot be read twice is left to the cell-by-cell route.
+    """
+    if not fh.seekable():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        if values.shape[0] and values.shape[1] == m:
+            return values
+    except ValueError:  # UnicodeDecodeError too: the second route reports it
+        pass
+    fh.seek(0)
+    next(csv.reader(fh))  # the header again
+    return None
+
+
+def _body_by_cell(reader, names: list[str], path) -> np.ndarray:
+    """The remaining rows of ``reader``, one ``float()`` per cell; blank rows
+    are skipped, and the first bad row or cell raises :class:`DataError`."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(names):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, "
+                f"expected {len(names)}"
+            )
+        parsed = []
+        for col, cell in zip(names, row):
+            cell = cell.strip()
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {lineno}, column {col!r}: "
+                    f"non-numeric value {cell!r}"
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return DataMatrix(np.array(rows, dtype=float), tuple(names))
+    return np.array(rows, dtype=float)
 
 
 def _check_overflow(variances: np.ndarray, names: tuple[str, ...]) -> None:

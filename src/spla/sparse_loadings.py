@@ -49,6 +49,15 @@ EN_CONV_TOL = 1e-4
 RIDGE = 1e-6
 
 
+def _square(a, name: str) -> np.ndarray:
+    """``a`` as a float array, checked to be a square matrix; the error
+    names the argument ``name`` and the shape it has."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    return a
+
+
 def _l1_budget(c, m: int) -> float:
     """The L1 budget ``c`` as a float, checked to lie in ``[1, sqrt(M)]``:
     below 1 no unit vector is feasible, above ``sqrt(M)`` the bound is
@@ -106,7 +115,7 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     ``unit(x @ loading)`` only rescales ``s @ loading``. After
     ``PMD_MAX_ITER`` alternations the last iterate is returned.
     """
-    s = np.asarray(s, dtype=float)
+    s = _square(s, "s")
     if not np.any(s):
         raise ValueError("s must be nonzero")
     c = _l1_budget(c, s.shape[0])
@@ -130,7 +139,7 @@ def sparse_loading_matrix(s: np.ndarray, c: float) -> np.ndarray:
     trace is at most ``1e-12`` of the original, the rest is an orthonormal
     basis of the complement.
     """
-    s = np.asarray(s, dtype=float)
+    s = _square(s, "s")
     m = s.shape[0]
     c = _l1_budget(c, m)
     total = np.trace(s)
@@ -165,7 +174,7 @@ def elastic_net_loadings(s: np.ndarray, per_loading_l1) -> np.ndarray:
     (coordinate descent); then ``A`` is set to the polar factor of ``S B``.
     ``per_loading_l1`` holds one penalty for every loading or ``M`` of them.
     """
-    s = np.asarray(s, dtype=float)
+    s = _square(s, "s")
     m = s.shape[0]
     l1 = np.asarray(per_loading_l1, dtype=float)
     if l1.size == 1:
@@ -215,9 +224,7 @@ def elastic_net_loadings(s: np.ndarray, per_loading_l1) -> np.ndarray:
 def orthogonalize(u: np.ndarray) -> np.ndarray:
     """Nearest orthonormal matrix to the whole of ``u`` via Procrustes (SVD
     with unit singular values)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError("loading matrix must be square")
+    u = _square(u, "u")
     uu, ss, vv = svd(u)
     if np.min(ss) < 1e-10:
         raise RankDeficientError(

@@ -14,10 +14,14 @@ another way and exist only to check it:
 :func:`elastic_net_loadings_percolumn` checks the library's elastic net,
 which updates coordinate ``i`` of all columns in one vector step, against
 scalar coordinate descent on one column at a time.
+
+:func:`load_csv_cell_by_cell` is the loader as it was before the body was
+parsed in one vectorised pass: one ``float()`` per cell.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -25,7 +29,7 @@ import numpy as np
 import spla.sparse_loadings as sl
 from spla import Block, BlockEvaluation, BlockPartition
 from spla.blocks import InconsistentPartitionError
-from spla.data import CovMatrix, DataMatrix
+from spla.data import CovMatrix, DataError, DataMatrix
 from spla.matops import (
     NoConvergenceError,
     RankDeficientError,
@@ -194,3 +198,41 @@ def elastic_net_loadings_percolumn(s, per_loading_l1) -> np.ndarray:
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
     return _fix_signs(b / norms)
+
+
+def load_csv_cell_by_cell(path) -> DataMatrix:
+    """:func:`spla.load_csv` with every body cell read by its own ``float()``
+    call after ``csv.reader``; same values and the same diagnostics."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            names = [h.strip() for h in header]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(names):
+                    raise DataError(
+                        f"{path}: row {lineno} has {len(row)} fields, "
+                        f"expected {len(names)}"
+                    )
+                parsed = []
+                for col, cell in zip(names, row):
+                    cell = cell.strip()
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {lineno}, column {col!r}: "
+                            f"non-numeric value {cell!r}"
+                        ) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return DataMatrix(np.array(rows, dtype=float), tuple(names))

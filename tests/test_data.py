@@ -1,7 +1,13 @@
+import os
+import re
+import tempfile
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spla import (
     ConstantColumnError,
@@ -12,6 +18,8 @@ from spla import (
     sample_cov,
     standardize,
 )
+
+from oracles import load_csv_cell_by_cell
 
 
 class TestDataMatrix:
@@ -80,11 +88,109 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p)
 
+    def test_quoted_cells_load(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text('"a",b\n"1.5",2\n3," 4e1 "\n')
+        d = load_csv(p)
+        assert d.variable_names == ("a", "b")
+        assert np.array_equal(d.values, [[1.5, 2.0], [3.0, 40.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "body, want",
+        [("1,2\n3,5\n", [[1.0, 2.0], [3.0, 5.0]]),
+         ("1,2\n3,x\n", "row 3, column 'b': non-numeric value 'x'")],
+    )
+    def test_pipe_is_read_once(self, tmp_path, body, want):
+        # A pipe cannot be read twice, so it goes the cell-by-cell route.
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("a,b\n" + body,),
+                                  daemon=True)
+        writer.start()
+        try:
+            if isinstance(want, str):
+                with pytest.raises(DataError, match=f"^{re.escape(f'{fifo}: {want}')}$"):
+                    load_csv(fifo)
+            else:
+                assert load_csv(fifo).values.tolist() == want
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_fixtures_shapes(self, oecd_data, exam_data):
         assert oecd_data.values.shape == (22, 6)
         assert oecd_data.variable_names == ("Y60", "Y85", "I/Y", "SCH", "POP", "RD")
         assert exam_data.values.shape == (88, 5)
         assert exam_data.variable_names == ("mec", "vec", "alg", "ana", "sta")
+
+
+#: Cells where Python ``float()`` and a vectorised parser may disagree:
+#: quotes, underscores, non-ASCII digits and spaces, non-finite values,
+#: blanks, text and comment marks.
+_ODD_CELLS = ['"1.5"', '" -2 "', "1_0", "\uff11", "\u0663", " 3\xa0", "inf",
+              "-Infinity", "nan", "1e400", "-1e400", "5e-324", "", " ", "x",
+              "#1", "0x1", "1e", "+.5", "5."]
+_PLAIN_CELLS = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV files: mostly plain numbers, with odd cells, CRLF or lone-CR line
+    ends, blank, whitespace-only and ``#`` lines, trailing commas, ragged
+    rows, a header of another width, a header-only file, one column or row
+    and a byte-order mark."""
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    n = draw(st.sampled_from([0, 1, 2, 3, 6, 6]))
+    # Half the files are plain numbers, with at most blank lines in between.
+    odd = draw(st.booleans())
+    cell = st.one_of(_PLAIN_CELLS, _PLAIN_CELLS, st.sampled_from(_ODD_CELLS))
+    cells = st.lists(cell if odd else _PLAIN_CELLS, min_size=m, max_size=m)
+    extras = ["blank", "spaces", "comment", "trailing comma", "short", "long"]
+    # Now and then the header has a column more or less than every row.
+    h = draw(st.sampled_from([m] * 6 + [m + 1] + [max(m - 1, 1)]))
+    lines = ["a,b,c,d"[: 2 * h - 1]]
+    for _ in range(n):
+        row = draw(cells)
+        extra = draw(st.sampled_from(["none"] * 12 + (extras if odd else ["blank"])))
+        if extra == "short":
+            row = row[:-1]
+        elif extra == "long":
+            row = row + ["1"]
+        lines.append(",".join(row) + ("," if extra == "trailing comma" else ""))
+        if extra in ("blank", "spaces", "comment"):
+            lines.append({"blank": "", "spaces": " \t ", "comment": "# note"}[extra])
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _outcome(load, path):
+    """The values (as bytes), shape and names ``load`` reads from ``path``,
+    or its error class and message; and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = load(path)
+            result = (d.values.tobytes(), d.values.shape, d.variable_names)
+        except DataError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_files())
+def test_load_csv_matches_cell_by_cell_parse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got, caught = _outcome(load_csv, path)
+        want, _ = _outcome(load_csv_cell_by_cell, path)
+    assert caught == []
+    assert got == want
 
 
 class TestTransforms:

@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -157,6 +159,33 @@ def test_exit_status(tmp_path, monkeypatch, capsys):
         "  analyze exam.csv: line 1: 'a 1.0' -> 'a 1.000000000000001'; "
         "max rel diff 1.11e-15",
     ]
+
+
+def test_cli_csv_cases_read_their_files_by_relative_name(monkeypatch):
+    import spla.data
+
+    tool = _tool()
+    cases = [case for case in tool.CLI_CASES if case[1] in tool.CLI_CSV]
+    assert [case[1] for case in cases] == list(tool.CLI_CSV)
+    # Of the files that load, the first takes the vectorised route of
+    # load_csv and the other two the cell-by-cell route.
+    for name, at_once in (("plain.csv", True), ("quoted.csv", False),
+                          ("spaces.csv", False)):
+        with io.StringIO(tool.CLI_CSV[name], newline="") as fh:
+            next(csv.reader(fh))
+            assert (spla.data._body_at_once(fh, 3) is not None) == at_once
+    monkeypatch.setattr(tool, "CLI_CASES", cases)
+    runs = dict(zip(tool.CLI_CSV, tool.outputs(ROOT / "src", "cli")))
+    report, tail = runs["plain.csv"].split("--- stderr\n")
+    assert tail == "--- exit 0\n"
+    assert json.loads(report)["partition"] == [["a", "b", "c"]]
+    assert runs["quoted.csv"] == runs["spaces.csv"] == runs["plain.csv"]
+    for name, error in (
+        ("bad-cell.csv", "row 5, column 'b': non-numeric value 'oops'"),
+        ("ragged.csv", "row 8 has 2 fields, expected 3"),
+        ("header-only.csv", "no data rows"),
+    ):
+        assert runs[name] == f"--- stderr\ndata error: {name}: {error}\n--- exit 2\n"
 
 
 def test_other_outputs_runs_the_other_package(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -367,3 +369,25 @@ class TestLoadingMatrix:
             ValueError, match=r"^loading matrix must be square, got \(2, 3\)$"
         ):
             detect_blocks(np.ones((2, 3)))
+
+
+class TestShapes:
+    """Each loading route names its matrix argument and shape when the
+    argument is not a square matrix."""
+
+    @pytest.mark.parametrize(
+        "route, name, extra",
+        [
+            (penalized_rank_one, "s", (1.2,)),
+            (sparse_loading_matrix, "s", (1.2,)),
+            (elastic_net_loadings, "s", ([1.0],)),
+            (orthogonalize, "u", ()),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_rejects_non_square(self, route, name, extra, shape):
+        with pytest.raises(
+            ValueError,
+            match=rf"^{name} must be a square matrix, got shape {re.escape(str(shape))}$",
+        ):
+            route(np.ones(shape), *extra)

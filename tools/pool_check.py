@@ -13,10 +13,11 @@ checks every input of the named workloads (all of them by default) against
 runs every input of the named pools (all workloads and ``cli`` by default)
 on both checkouts and checks only that the outputs are byte-identical. The
 ``cli`` pool is ``CLI_CASES``, ``spla.cli`` runs whose output is stdout,
-stderr and exit code. It prints ``name: k of n identical to OTHER_CHECKOUT``
-per pool, then, for each input that differs, its first differing JSON path
-or line (other -> this) and the largest relative difference between the
-numbers there.
+stderr and exit code; they run in a directory that holds the ``CLI_CSV``
+files. It prints ``name: k of n identical to OTHER_CHECKOUT`` per pool,
+then, for each input that differs, its first differing JSON path or line
+(other -> this) and the largest relative difference between the numbers
+there.
 
 Every run is a subprocess with one BLAS thread and only the checkout's
 ``src/`` on ``PYTHONPATH``; both use this checkout's ``perfbench/`` and
@@ -47,6 +48,28 @@ ERROR = "error: "
 
 #: The pool of CLI invocations; it has no references.
 CLI = "cli"
+
+#: A small sample (M = 3, N = 10) as CSV text.
+_SAMPLE = (
+    "a,b,c\n-0.80,-1.54,-0.25\n0.42,1.16,0.11\n-0.55,-0.96,0.75\n1.63,1.20,-1.23\n"
+    "-0.96,0.71,0.20\n-1.73,-1.11,-1.16\n-0.63,-0.77,-0.71\n0.55,0.28,-0.59\n"
+    "0.41,0.91,-1.64\n-0.26,-0.94,-0.17\n"
+)
+
+#: CSV files of the ``cli`` pool by name. Each is written into the run's
+#: working directory and passed by that relative name, so the file name in a
+#: diagnostic reads the same on both checkouts. The first three load the
+#: same values: ``plain.csv`` in one vectorised pass, the next two cell by
+#: cell (``np.loadtxt`` refuses a quoted cell and a whitespace-only line).
+#: The other three exit 2 with a row, column or file diagnostic.
+CLI_CSV = {
+    "plain.csv": _SAMPLE,
+    "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
+    "spaces.csv": _SAMPLE.replace("\n0.55", "\n  \t\n0.55"),
+    "bad-cell.csv": _SAMPLE.replace("1.20", "oops"),
+    "ragged.csv": _SAMPLE.replace(",-0.71", ""),
+    "header-only.csv": "a,b,c\n",
+}
 
 
 def _cli_cases() -> list[list[str]]:
@@ -93,6 +116,7 @@ def _cli_cases() -> list[list[str]]:
             ["simulate", "rate", "--reps", "1", "--n", "20", "--blocks", "2"]]
     # A flag before the experiment name is a usage error that says where it goes.
     out.append(["simulate", "--reps", "2", "ec"])
+    out += [["analyze", name, "--format", "json"] for name in CLI_CSV]
     return out
 
 
@@ -129,6 +153,8 @@ def outputs(src: Path, name: str) -> list[str]:
     stdout, stderr and exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         if name == CLI:
+            for csv_name, text in CLI_CSV.items():
+                (Path(tmp) / csv_name).write_text(text, encoding="utf-8")
             runs = [_python(src, ["-m", "spla.cli", *case], tmp) for case in CLI_CASES]
             return [f"{r.stdout}--- stderr\n{r.stderr}--- exit {r.returncode}\n"
                     for r in runs]
