@@ -54,7 +54,11 @@ class DataMatrix:
         if len(set(self.variable_names)) != m:
             raise DataError("variable names must be unique")
         if not np.all(np.isfinite(values)):
-            raise DataError("data contains missing or non-finite cells")
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            raise DataError(
+                f"observation {i + 1}, column {self.variable_names[j]!r}: "
+                f"non-finite value {values[i, j]}"
+            )
 
     @property
     def n_obs(self) -> int:

@@ -54,9 +54,11 @@ class RankDeficientError(MatopsError):
     """A matrix required to have full rank is (numerically) rank deficient."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float matrix or, if ``stacked``, also a stack of
+    matrices (``G x M x N``)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim not in ((2, 3) if stacked else (2,)) or 0 in a.shape[-2:]:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -156,15 +158,18 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``a = U diag(s) V^T``.
 
     Returns ``(U, s, V)`` (note: ``V``, not ``V^T``) with singular values in
-    descending order. Delegates to LAPACK; a LAPACK convergence failure is
-    reported as :class:`NoConvergenceError`.
+    descending order. ``a`` may be a stack of matrices (``G x M x N``); each
+    is factored alone, by the same LAPACK call as a single matrix, and the
+    factors are stacked alike. Delegates to LAPACK; a LAPACK convergence
+    failure, of any matrix of a stack, is reported as
+    :class:`NoConvergenceError`.
     """
-    a = _as_matrix(a)
+    a = _as_matrix(a, stacked=True)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergenceError(str(exc)) from exc
-    return u, s, vt.T
+    return u, s, np.swapaxes(vt, -1, -2)
 
 
 def soft_threshold(v, delta) -> np.ndarray:

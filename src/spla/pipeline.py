@@ -220,16 +220,24 @@ def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
     return (ordered, cv, *_block_ecs(cv, ordered, cfg.gate))
 
 
-def _loadings_for(
-    cov: CovMatrix, cfg: SplaConfig, penalty: float | tuple[float, ...]
-) -> np.ndarray:
-    if cfg.method == "pmd":
+def _loadings(cov: CovMatrix, cfg: SplaConfig, grid):
+    """The loadings at each grid point, in grid order: an ``M x M`` array, or
+    the numerical error that ended the point. The elastic net solves the
+    whole grid at once; the penalized decomposition solves each point when
+    the scan reaches it."""
+    if cfg.method == "spca":
+        yield from elastic_net_loadings(cov.values, grid)
+        return
+    if cfg.method != "pmd":
+        raise ValueError(f"unknown method {cfg.method!r}")
+    for penalty in grid:
         if not np.isscalar(penalty):
             raise ValueError("per-loading penalty vectors require method 'spca'")
-        return sparse_loading_matrix(cov.values, penalty)
-    if cfg.method == "spca":
-        return elastic_net_loadings(cov.values, penalty)
-    raise ValueError(f"unknown method {cfg.method!r}")
+        try:
+            loadings = sparse_loading_matrix(cov.values, penalty)
+        except MatopsError as exc:
+            loadings = exc
+        yield loadings
 
 
 #: An evaluated partition, as ``_evaluated`` returns it: the partition in
@@ -252,9 +260,11 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     tol = DETECT_TOL if cfg.method == "pmd" else ZERO_TOL
     trace: list[GridPoint] = []
     best: _Found | None = None
-    for penalty in grid:
+    for penalty, loadings in zip(grid, _loadings(cov, cfg, grid)):
         try:
-            detected = detect_blocks(_loadings_for(cov, cfg, penalty), tol)
+            if isinstance(loadings, MatopsError):
+                raise loadings
+            detected = detect_blocks(loadings, tol)
             found = _evaluated(cov, cfg, detected)
         except (BlockError, MatopsError) as exc:
             trace.append(GridPoint(penalty, None, None, False, str(exc)))

@@ -4,8 +4,10 @@ Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
 each loading individually. Both take the covariance (Gram) matrix ``S`` and
 return the raw loadings as a plain ``M x M`` array, whose zero pattern block
-detection reads; the analysis reads nothing else of them. Each factor of the
-first is :func:`penalized_rank_one` of the deflated covariance.
+detection reads; the analysis reads nothing else of them. The first solves
+one penalty per call, and each of its factors is :func:`penalized_rank_one`
+of the deflated covariance. The second solves a whole penalty grid per
+call, its points in lock step, and returns one result per point.
 :func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
@@ -165,18 +167,10 @@ def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
     return np.linalg.svd(u)[0][:, u.shape[1]:]
 
 
-def elastic_net_loadings(s: np.ndarray, per_loading_l1) -> np.ndarray:
-    """All ``M`` elastic-net sparse loadings of a covariance matrix, not
-    orthogonalized.
-
-    Alternates: for fixed orthonormal ``A`` (M x M), each column ``B_j``
-    minimizes ``b^T (S + RIDGE I) b - 2 A_j^T S b + l1_j ||b||_1``
-    (coordinate descent); then ``A`` is set to the polar factor of ``S B``.
-    ``per_loading_l1`` holds one penalty for every loading or ``M`` of them.
-    """
-    s = _square(s, "s")
-    m = s.shape[0]
-    l1 = np.asarray(per_loading_l1, dtype=float)
+def _penalties(entry, m: int) -> np.ndarray:
+    """The ``M`` penalties of one grid entry: one for every loading or ``M``
+    of them, each finite and nonnegative."""
+    l1 = np.asarray(entry, dtype=float)
     if l1.size == 1:
         l1 = np.full(m, float(l1.reshape(-1)[0]))
     if l1.size != m:
@@ -185,40 +179,99 @@ def elastic_net_loadings(s: np.ndarray, per_loading_l1) -> np.ndarray:
         raise ValueError("penalties must be nonnegative")
     if not np.all(np.isfinite(l1)):
         raise ValueError("penalties must be finite")
+    return l1
 
-    a = sym_eigen(s)[1]
+
+def _polar_factors(sb: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Polar factor ``U V^T`` of each matrix of the stack ``sb``, and the
+    error of each matrix whose SVD LAPACK refused, by stack index."""
+    try:
+        uu, _, vv = svd(sb)
+        return uu @ np.swapaxes(vv, 1, 2), {}
+    except NoConvergenceError:
+        pass
+    # One refusal fails the whole stack: factor each matrix alone, so that
+    # only the refused one ends with the error.
+    out, failed = np.zeros_like(sb), {}
+    for k, one in enumerate(sb):
+        try:
+            uu, _, vv = svd(one)
+        except NoConvergenceError as exc:
+            failed[k] = exc
+        else:
+            out[k] = uu @ vv.T
+    return out, failed
+
+
+def _unit_columns(b: np.ndarray):
+    """``b`` with unit columns and fixed signs, or the error of a zero column."""
+    norms = np.linalg.norm(b, axis=0)
+    if np.any(norms <= 1e-12):
+        return RankDeficientError("an elastic-net loading collapsed to zero")
+    return _fix_signs(b / norms)
+
+
+def elastic_net_loadings(s: np.ndarray, grid) -> list:
+    """All ``M`` elastic-net sparse loadings of a covariance matrix at every
+    point of a penalty grid, not orthogonalized.
+
+    At each point, alternates: for fixed orthonormal ``A`` (M x M), each
+    column ``B_j`` minimizes ``b^T (S + RIDGE I) b - 2 A_j^T S b + l1_j
+    ||b||_1`` (coordinate descent); then ``A`` is set to the polar factor of
+    ``S B``. A grid entry is one penalty for every loading or a sequence of
+    ``M`` of them. Returns one result per grid point, in grid order: the
+    ``M x M`` loadings, or the :class:`NoConvergenceError` or
+    :class:`RankDeficientError` that ended the point, returned, not raised.
+    A bad penalty raises ``ValueError`` before any point is iterated.
+    """
+    s = _square(s, "s")
+    m = s.shape[0]
+    half = np.array([_penalties(entry, m) for entry in grid]).reshape(-1, m) / 2.0
+    results: list = [None] * len(half)
+
+    a0 = sym_eigen(s)[1]
     gram = s + RIDGE * np.eye(m)
-    half = l1 / 2.0
+    # The points share ``gram``, so they run in lock step on G x M x M
+    # stacks (Friedman, Hastie & Tibshirani 2010): coordinate i of every
+    # column of every running point is one array step. ``point`` maps a
+    # stack index to its grid index; a point leaves the stacks when its
+    # alternation converges or fails.
+    point = np.arange(len(half))
+    a = np.repeat(a0[None], len(half), axis=0)
     b = a.copy()
     for _ in range(EN_MAX_ITER):
+        if not point.size:  # an empty grid, or every point failed its SVD
+            break
         b_old = b.copy()
         target = s @ a  # columns: S A_j
-        # The M lasso problems share ``gram``, so coordinate i of every
-        # column is one vector step (Friedman, Hastie & Tibshirani 2010).
         # A column leaves ``active`` after the sweep that moves it by less
         # than EN_CONV_TOL, and stays at that iterate; at most 50 sweeps.
-        active = np.ones(m, dtype=bool)
+        active = np.ones((point.size, m), dtype=bool)
         for _ in range(50):
             b_prev = b.copy()
             for i in range(m):
-                rho = target[i] - gram[i] @ b + gram[i, i] * b[i]
-                np.copyto(b[i], soft_threshold(rho, half) / gram[i, i], where=active)
-            active &= np.linalg.norm(b - b_prev, axis=0) >= EN_CONV_TOL
+                rho = target[:, i] - gram[i] @ b + gram[i, i] * b[:, i]
+                np.copyto(b[:, i], soft_threshold(rho, half) / gram[i, i], where=active)
+            active &= np.linalg.norm(b - b_prev, axis=1) >= EN_CONV_TOL
             if not active.any():
                 break
-        if np.linalg.norm(b - b_old) < EN_CONV_TOL:
+        done = np.array([np.linalg.norm(d) < EN_CONV_TOL for d in b - b_old])
+        for k in np.flatnonzero(done):
+            results[point[k]] = _unit_columns(b[k])
+        point, b, half = point[~done], b[~done], half[~done]
+        if not point.size:
             break
-        uu, _, vv = svd(s @ b)
-        a = uu @ vv.T
-    else:
-        raise NoConvergenceError(
+        a, failed = _polar_factors(s @ b)
+        if failed:
+            for k, exc in failed.items():
+                results[point[k]] = exc
+            keep = np.isin(np.arange(point.size), list(failed), invert=True)
+            point, a, b, half = point[keep], a[keep], b[keep], half[keep]
+    for k in point:
+        results[k] = NoConvergenceError(
             f"elastic-net loadings did not converge in {EN_MAX_ITER} iterations"
         )
-
-    norms = np.linalg.norm(b, axis=0)
-    if np.any(norms <= 1e-12):
-        raise RankDeficientError("an elastic-net loading collapsed to zero")
-    return _fix_signs(b / norms)
+    return results
 
 
 def orthogonalize(u: np.ndarray) -> np.ndarray:

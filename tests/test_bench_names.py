@@ -45,11 +45,15 @@ def test_traced_name_is_an_exported_function(name):
         # At smaller penalties the elastic net does not converge on this
         # covariance, and a grid point that ends there detects nothing.
         ("spca", (5.0,), "sparse_loadings.elastic_net_loadings"),
+        ("spca", (5.0, 20.0, (5.0, 5.0, 5.0, 2.0, 2.0)),
+         "sparse_loadings.elastic_net_loadings"),
     ],
 )
 def test_scan_calls_the_traced_routes(monkeypatch, exam_cov, method, grid, loadings):
-    # Each grid point computes its loadings and detects its blocks through
-    # the public functions, so their metrics count every grid point.
+    # The penalized decomposition computes each grid point's loadings with
+    # one call, the elastic net the whole grid's with one call; every grid
+    # point then detects its blocks through the public function. So the
+    # metrics count both routes' work.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from spans import Tracer
 
@@ -64,7 +68,7 @@ def test_scan_calls_the_traced_routes(monkeypatch, exam_cov, method, grid, loadi
     finally:
         tracer.remove()
     calls = tracer.calls_in([0])
-    assert calls[loadings] == len(grid)
+    assert calls[loadings] == (len(grid) if method == "pmd" else 1)
     assert calls["blocks.detect_blocks"] == len(grid)
     if method == "pmd":
         assert calls["sparse_loadings.penalized_rank_one"] >= 1

@@ -372,6 +372,20 @@ def test_analyze_argv_ends_in_a_documented_exit_code(
         assert len(err.getvalue().splitlines()) == 1 and out.getvalue() == ""
 
 
+@pytest.mark.parametrize(
+    ("cell", "where"),
+    [("nan", "observation 2, column 'b': non-finite value nan"),
+     ("-1e400", "observation 2, column 'b': non-finite value -inf")],
+)
+def test_non_finite_cell_is_named(tmp_path, capsys, cell, where):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n5,7\n2,1\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {where}\n"
+
+
 def test_non_utf8_csv_is_data_error(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")

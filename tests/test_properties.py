@@ -22,7 +22,8 @@ from spla import (
     sparse_loading_matrix,
 )
 from spla.evaluation import EcGate, _block_ecs, weight_basis
-from spla.matops import sym_eigen
+from spla.pipeline import SplaConfig
+from spla.matops import NoConvergenceError, RankDeficientError, sym_eigen
 from spla.sparse_loadings import ZERO_TOL
 
 from conftest import random_spd
@@ -31,6 +32,7 @@ from oracles import (
     block_ec_regression,
     corrected_variances_from_data,
     elastic_net_loadings_percolumn,
+    elastic_net_loadings_pointwise,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -64,17 +66,16 @@ class TestOrthonormality:
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, m=st.integers(3, 5), l1=st.floats(0.0, 2.0))
     def test_elastic_net_loadings(self, seed, m, l1):
-        from spla import NoConvergenceError
-
         rng = np.random.default_rng(seed)
         cov = CovMatrix(random_spd(rng, m), tuple(f"v{i}" for i in range(m)))
-        try:
-            lm = orthogonalize(elastic_net_loadings(cov.values, [l1]))
-        except NoConvergenceError:
-            # Near-tied eigenvalues can make the alternation oscillate; an
-            # explicit refusal is an accepted outcome — the property covers
-            # matrices that are actually produced.
-            assume(False)
+        raw, = elastic_net_loadings(cov.values, [l1])
+        # Near-tied eigenvalues can make the alternation oscillate; an
+        # explicit refusal is an accepted outcome — the property covers
+        # matrices that are actually produced. Any other error fails.
+        assume(not isinstance(raw, NoConvergenceError))
+        if isinstance(raw, Exception):
+            raise raw
+        lm = orthogonalize(raw)
         assert np.max(np.abs(lm.T @ lm - np.eye(m))) < 1e-8
 
 
@@ -203,13 +204,13 @@ class TestElasticNetVectorSweep:
         bound = 2.0 * np.linalg.eigvalsh(s)[0] / np.sqrt(m)
         # Distinct penalties, so that columns stop after different sweeps.
         l1 = bound * rng.uniform(0.0, 0.999, size=m)
-        out = []
-        for route in (elastic_net_loadings, elastic_net_loadings_percolumn):
-            try:
-                out.append(route(s, l1))
-            except Exception as exc:
-                out.append(type(exc))
-        lib, oracle = out
+        lib, = elastic_net_loadings(s, [l1])
+        if isinstance(lib, Exception):
+            lib = type(lib)
+        try:
+            oracle = elastic_net_loadings_percolumn(s, l1)
+        except Exception as exc:
+            oracle = type(exc)
         if isinstance(oracle, type):
             assert lib is oracle
         else:
@@ -217,6 +218,54 @@ class TestElasticNetVectorSweep:
                 np.abs(lib) > ZERO_TOL, np.abs(oracle) > ZERO_TOL
             )
             assert np.max(np.abs(lib - oracle)) < 1e-12
+
+
+class TestElasticNetLockStep:
+    """The lock step over a grid equals one grid point at a time.
+
+    Penalties reach ``max diag(S)``, so zero columns, the knife-edge of a
+    column that a penalty just zeroes, and stalled alternations all occur.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        m=st.integers(2, 8),
+        kinds=st.lists(st.booleans(), min_size=1, max_size=6),
+    )
+    def test_matches_pointwise_oracle(self, seed, m, kinds):
+        rng = np.random.default_rng(seed)
+        s = random_spd(rng, m)
+        top = float(np.max(np.diag(s)))
+        # A scalar entry, or one penalty per loading; some at exactly 0.
+        grid = [
+            tuple(rng.uniform(0.0, top, size=m)) if per_loading
+            else float(rng.choice([0.0, top, rng.uniform(0.0, top)]))
+            for per_loading in kinds
+        ]
+        for got, entry in zip(elastic_net_loadings(s, grid), grid, strict=True):
+            try:
+                want = elastic_net_loadings_pointwise(s, entry)
+            except (NoConvergenceError, RankDeficientError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fixture", ["exam_cov", "oecd_corr"])
+    def test_default_grid_on_the_fixtures(self, request, fixture):
+        # Most of these points stall until EN_MAX_ITER, which random
+        # matrices seldom do.
+        s = request.getfixturevalue(fixture).values
+        grid = SplaConfig(method="spca").resolved_grid(s.shape[0])
+        got = elastic_net_loadings(s, grid)
+        for g, entry in zip(got, grid, strict=True):
+            try:
+                want = elastic_net_loadings_pointwise(s, entry)
+            except (NoConvergenceError, RankDeficientError) as exc:
+                assert type(g) is type(exc) and str(g) == str(exc)
+            else:
+                assert np.array_equal(g, want)
+        assert any(type(g) is NoConvergenceError for g in got)
 
 
 class TestVarianceBound:

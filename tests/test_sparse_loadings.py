@@ -312,31 +312,101 @@ class TestCovarianceRoute:
 
 class TestElasticNet:
     def test_zero_penalty_recovers_eigenvectors(self, exam_cov):
-        lm = elastic_net_loadings(exam_cov.values, [0.0])
+        lm, = elastic_net_loadings(exam_cov.values, [0.0])
         _, vecs = sym_eigen(exam_cov.values)
         assert np.allclose(np.abs(lm), np.abs(vecs), atol=1e-6)
 
     def test_penalty_produces_zeros(self, exam_cov):
-        lm = elastic_net_loadings(exam_cov.values, [5.0, 5.0, 5.0, 2.0, 2.0])
+        lm, = elastic_net_loadings(exam_cov.values, [(5.0, 5.0, 5.0, 2.0, 2.0)])
         assert np.sum(np.abs(lm) <= sl.ZERO_TOL) > 0
 
     def test_converged_iteration_takes_no_polar_factor(self, oecd_corr, monkeypatch):
         # With no penalty B converges in the first alternation, and the polar
         # factor of S B, which only a further alternation would read, is
-        # never taken.
+        # never taken: neither through the package's svd nor numpy's.
         calls = []
 
-        def counted(a):
-            calls.append(a)
-            return svd(a)
+        def counted(factor):
+            def wrapper(a, *args, **kwargs):
+                calls.append(a)
+                return factor(a, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(sl, "svd", counted)
-        elastic_net_loadings(oecd_corr.values, [0.0])
+        monkeypatch.setattr(sl, "svd", counted(svd))
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        elastic_net_loadings(oecd_corr.values, [0.0, 0.0])
         assert calls == []
 
     def test_orthonormal_result(self, exam_cov):
-        lm = orthogonalize(elastic_net_loadings(exam_cov.values, [5.0, 5.0, 5.0, 2.0, 2.0]))
+        lm, = elastic_net_loadings(exam_cov.values, [(5.0, 5.0, 5.0, 2.0, 2.0)])
+        lm = orthogonalize(lm)
         assert np.allclose(lm.T @ lm, np.eye(5), atol=1e-8)
+
+
+class TestElasticNetGrid:
+    """The whole grid in one call: one result per point, errors returned."""
+
+    def test_errors_are_returned_per_point(self, exam_cov):
+        # At 0.05 the alternation stalls on this covariance; at 5 it converges.
+        grid = [0.05, 5.0, (5.0, 5.0, 5.0, 2.0, 2.0)]
+        out = elastic_net_loadings(exam_cov.values, grid)
+        assert len(out) == 3
+        assert isinstance(out[0], sl.NoConvergenceError)
+        assert str(out[0]) == (
+            f"elastic-net loadings did not converge in {sl.EN_MAX_ITER} iterations"
+        )
+        for got, entry in zip(out[1:], grid[1:]):
+            assert np.array_equal(got, elastic_net_loadings(exam_cov.values, [entry])[0])
+
+    def test_zero_column_is_returned(self):
+        # A penalty above 2 max|S A_j| zeroes every column in the first sweep.
+        out = elastic_net_loadings(np.diag([2.0, 1.0]), [10.0, 0.0])
+        assert isinstance(out[0], sl.RankDeficientError)
+        assert str(out[0]) == "an elastic-net loading collapsed to zero"
+        assert np.array_equal(np.abs(out[1]), np.eye(2))
+
+    def test_empty_grid(self, exam_cov):
+        assert elastic_net_loadings(exam_cov.values, []) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1.0, 1.0), "2 l1 penalties for k=5 loadings"),
+            (-1.0, "penalties must be nonnegative"),
+            (np.inf, "penalties must be finite"),
+            (np.nan, "penalties must be finite"),
+        ],
+    )
+    def test_bad_entry_raises_before_any_iteration(
+        self, exam_cov, monkeypatch, bad, message
+    ):
+        steps = []
+        monkeypatch.setattr(sl, "soft_threshold", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            elastic_net_loadings(exam_cov.values, [5.0, bad])
+        assert steps == []
+
+    def test_refused_svd_ends_only_its_point(self, exam_cov, monkeypatch):
+        # LAPACK refusing one matrix fails a stacked SVD. Each matrix is then
+        # factored alone, and only the refused point ends with the error.
+        grid = [8.0, 20.0, 50.0]  # each converges after tens of SVDs
+        want = elastic_net_loadings(exam_cov.values, grid)
+        refused = []
+
+        def refusing(a):
+            if a.ndim == 3:
+                raise sl.NoConvergenceError("stack refused")
+            if not refused:
+                refused.append(a)
+                raise sl.NoConvergenceError("SVD did not converge")
+            return svd(a)
+
+        monkeypatch.setattr(sl, "svd", refusing)
+        got = elastic_net_loadings(exam_cov.values, grid)
+        assert isinstance(got[0], sl.NoConvergenceError)
+        assert str(got[0]) == "SVD did not converge"
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
 
 
 class TestOrthogonalize:

@@ -86,6 +86,13 @@ def _cli_cases() -> list[list[str]]:
     for order in ("vec;mec;alg,ana,sta", "sta,alg,ana;vec;mec"):
         out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
                     "--grid", "2,5/5/5/2/2", "--order", order, "--format", "json"])
+    # The elastic net's whole grid at once: two stalled points, a scalar and
+    # a per-loading point that detect blocks; then a bad per-loading entry,
+    # a usage error although the point before it is good.
+    out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
+                "--grid", "0.05,2,5/5/5/2/2,50", "--format", "json"])
+    out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
+                "--grid", "0.5,0.1/0.1"])
     out += [["reproduce", f] for f in ("oecd", "exam", "synthetic8", "synthetic10")]
     out += [
         ["simulate", "rate", "--reps", "6", "--rho", "0.3", "--n", "200"],
