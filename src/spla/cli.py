@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .data import DataError, load_csv, sample_cov
-from .evaluation import EcGate, evaluate_partition
+from .evaluation import DEFAULT_C_EC, EcGate, evaluate_partition
 from .matops import MatopsError
 from .pipeline import SplaConfig, SplaReport, run_spla
 from .blocks import Block, BlockPartition
@@ -103,9 +103,10 @@ def _parse_grid(spec: str) -> tuple:
 
 
 def _parse_order(spec: str, names: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """Parse ``--order``: semicolon-separated blocks of comma-separated names."""
+    """Parse ``--order``: semicolon-separated blocks of comma-separated names,
+    each named once."""
     index = {n: i for i, n in enumerate(names)}
-    blocks = []
+    blocks, seen = [], set()
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -115,6 +116,9 @@ def _parse_order(spec: str, names: tuple[str, ...]) -> tuple[tuple[int, ...], ..
             name = name.strip()
             if name not in index:
                 raise _UsageError(f"unknown variable {name!r} in --order")
+            if name in seen:
+                raise _UsageError(f"variable {name!r} appears twice in --order")
+            seen.add(name)
             vars_.append(index[name])
         blocks.append(tuple(vars_))
     if not blocks:
@@ -359,7 +363,7 @@ def _build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="analyze a CSV dataset")
     pa.add_argument("csv", help="path to a CSV file (header row of names)")
     pa.add_argument("--standardize", action="store_true")
-    pa.add_argument("--c-ec", type=float, default=0.6, dest="c_ec")
+    pa.add_argument("--c-ec", type=float, default=DEFAULT_C_EC, dest="c_ec")
     pa.add_argument("--method", choices=["pmd", "spca"], default="pmd")
     pa.add_argument(
         "--grid",
@@ -394,7 +398,7 @@ def _build_parser() -> _Parser:
     pe = experiments.add_parser("ec", parents=[shared, sampled])
     pe.add_argument("--blocks", default="2,4,6", help="1-based block indices to evaluate")
     pt = experiments.add_parser("rate", parents=[shared, sampled])
-    pt.add_argument("--c-ec", type=float, default=0.6, dest="c_ec")
+    pt.add_argument("--c-ec", type=float, default=DEFAULT_C_EC, dest="c_ec")
     experiments.add_parser("wishart", parents=[shared])
     return parser
 

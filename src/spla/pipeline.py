@@ -88,6 +88,10 @@ class SplaConfig:
     block_order: tuple[tuple[int, ...], ...] | None = None
     standardize: bool = False
 
+    def __post_init__(self):
+        if self.method not in ("pmd", "spca"):
+            raise ValueError(f"unknown method {self.method!r}")
+
     def resolved_grid(self, m: int) -> tuple[float | tuple[float, ...], ...]:
         if self.grid:
             return self.grid
@@ -220,26 +224,6 @@ def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
     return (ordered, cv, *_block_ecs(cv, ordered, cfg.gate))
 
 
-def _loadings(cov: CovMatrix, cfg: SplaConfig, grid):
-    """The loadings at each grid point, in grid order: an ``M x M`` array, or
-    the numerical error that ended the point. The elastic net solves the
-    whole grid at once; the penalized decomposition solves each point when
-    the scan reaches it."""
-    if cfg.method == "spca":
-        yield from elastic_net_loadings(cov.values, grid)
-        return
-    if cfg.method != "pmd":
-        raise ValueError(f"unknown method {cfg.method!r}")
-    for penalty in grid:
-        if not np.isscalar(penalty):
-            raise ValueError("per-loading penalty vectors require method 'spca'")
-        try:
-            loadings = sparse_loading_matrix(cov.values, penalty)
-        except MatopsError as exc:
-            loadings = exc
-        yield loadings
-
-
 #: An evaluated partition, as ``_evaluated`` returns it: the partition in
 #: evaluation order, its weight-basis variances, the EC entries, the minimum
 #: EC and the gate verdict.
@@ -255,12 +239,14 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     sample and the cost does not depend on the number of observations.
     """
     grid = cfg.resolved_grid(cov.n_vars)
-    # The elastic net produces exact zeros, so DETECT_TOL applies to the
-    # penalized decomposition only.
-    tol = DETECT_TOL if cfg.method == "pmd" else ZERO_TOL
+    # DETECT_TOL on the PMD route only: the elastic net produces exact zeros.
+    if cfg.method == "pmd":
+        results, tol = sparse_loading_matrix(cov.values, grid), DETECT_TOL
+    else:
+        results, tol = elastic_net_loadings(cov.values, grid), ZERO_TOL
     trace: list[GridPoint] = []
     best: _Found | None = None
-    for penalty, loadings in zip(grid, _loadings(cov, cfg, grid)):
+    for penalty, loadings in zip(grid, results):
         try:
             if isinstance(loadings, MatopsError):
                 raise loadings

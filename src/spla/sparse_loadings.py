@@ -3,11 +3,11 @@
 Two routes are provided: a penalized rank-one decomposition with an L1 bound
 on the loading side (default), and an elastic-net formulation that penalizes
 each loading individually. Both take the covariance (Gram) matrix ``S`` and
-return the raw loadings as a plain ``M x M`` array, whose zero pattern block
-detection reads; the analysis reads nothing else of them. The first solves
-one penalty per call, and each of its factors is :func:`penalized_rank_one`
-of the deflated covariance. The second solves a whole penalty grid per
-call, its points in lock step, and returns one result per point.
+a penalty grid, and return one result per grid point: the raw loadings as a
+plain ``M x M`` array, whose zero pattern block detection reads (the
+analysis reads nothing else of them), or the numerical error that ended the
+point. Each factor of the first is :func:`penalized_rank_one` of the
+deflated covariance; the second runs its points in lock step.
 :func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .matops import (
+    MatopsError,
     NoConvergenceError,
     RankDeficientError,
     _fix_signs,
@@ -130,8 +131,11 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     return loading
 
 
-def sparse_loading_matrix(s: np.ndarray, c: float) -> np.ndarray:
-    """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized.
+def sparse_loading_matrix(s: np.ndarray, grid) -> list:
+    """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized,
+    at each L1 budget of ``grid``: one result per budget, in grid order, the
+    ``M x M`` loadings or the :class:`MatopsError` that ended it (returned).
+    Every budget is checked first; the first bad one raises ``ValueError``.
 
     Columns are ordered by extraction (descending factor weight); the raw
     deflation output keeps the exact zero pattern for block detection. Each
@@ -143,19 +147,29 @@ def sparse_loading_matrix(s: np.ndarray, c: float) -> np.ndarray:
     """
     s = _square(s, "s")
     m = s.shape[0]
-    c = _l1_budget(c, m)
+    budgets = []
+    for c in grid:
+        if not np.isscalar(c):
+            raise ValueError("per-loading penalty vectors require method 'spca'")
+        budgets.append(_l1_budget(c, m))
     total = np.trace(s)
-    cols = []
-    while len(cols) < m and np.trace(s) > 1e-12 * total:
-        v = penalized_rank_one(s, c)
-        cols.append(v)
-        p = np.eye(m) - np.outer(v, v)
-        s = p @ s @ p
-        # Exactly symmetric: the symmetry check of sym_eigen is absolute.
-        s = (s + s.T) / 2.0
-    if len(cols) < m:
-        cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
-    return _fix_signs(np.column_stack(cols))
+    results: list = []
+    for c in budgets:
+        work, cols = s, []
+        try:
+            while len(cols) < m and np.trace(work) > 1e-12 * total:
+                v = penalized_rank_one(work, c)
+                cols.append(v)
+                p = np.eye(m) - np.outer(v, v)
+                work = p @ work @ p
+                # Exactly symmetric: the symmetry check of sym_eigen is absolute.
+                work = (work + work.T) / 2.0
+            if len(cols) < m:
+                cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
+            results.append(_fix_signs(np.column_stack(cols)))
+        except MatopsError as exc:
+            results.append(exc)
+    return results
 
 
 def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:

@@ -207,7 +207,7 @@ class TestAcceptance:
         for _ in range(5):
             m = int(rng.integers(3, 6))
             x = rng.normal(size=(40, m))
-            lm = orthogonalize(sparse_loading_matrix(x.T @ x, 1.5))
+            lm = orthogonalize(sparse_loading_matrix(x.T @ x, [1.5])[0])
             ok &= bool(np.max(np.abs(lm.T @ lm - np.eye(m))) < 1e-8)
         cells.append(("(a) U^T U = I within 1e-8", ok))
 

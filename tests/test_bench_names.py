@@ -50,10 +50,9 @@ def test_traced_name_is_an_exported_function(name):
     ],
 )
 def test_scan_calls_the_traced_routes(monkeypatch, exam_cov, method, grid, loadings):
-    # The penalized decomposition computes each grid point's loadings with
-    # one call, the elastic net the whole grid's with one call; every grid
-    # point then detects its blocks through the public function. So the
-    # metrics count both routes' work.
+    # Either route computes the whole grid's loadings with one call; every
+    # grid point then detects its blocks through the public function. So
+    # the metrics count both routes' work.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from spans import Tracer
 
@@ -68,7 +67,7 @@ def test_scan_calls_the_traced_routes(monkeypatch, exam_cov, method, grid, loadi
     finally:
         tracer.remove()
     calls = tracer.calls_in([0])
-    assert calls[loadings] == (len(grid) if method == "pmd" else 1)
+    assert calls[loadings] == 1
     assert calls["blocks.detect_blocks"] == len(grid)
     if method == "pmd":
         assert calls["sparse_loadings.penalized_rank_one"] >= 1

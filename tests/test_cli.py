@@ -386,6 +386,16 @@ def test_non_finite_cell_is_named(tmp_path, capsys, cell, where):
     assert captured.err == f"data error: {where}\n"
 
 
+@pytest.mark.parametrize("order", ["vec;vec", "vec,vec", "vec;mec,vec"])
+def test_variable_named_twice_in_order_is_usage_error(exam_csv, capsys, order):
+    # A repeated name can never match a partition; it is refused, not
+    # silently dropped for the default order.
+    assert main(["analyze", exam_csv, "--grid", "2", "--order", order]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: variable 'vec' appears twice in --order\n"
+
+
 def test_non_utf8_csv_is_data_error(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")

@@ -180,6 +180,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_spla(exam_data, SplaConfig(method="nmf", grid=(1.5,)))
 
+    def test_method_is_checked_by_the_config(self):
+        with pytest.raises(ValueError, match="^unknown method 'nmf'$"):
+            SplaConfig(method="nmf")
+
     def test_vector_penalty_rejected_for_pmd(self, exam_data):
         with pytest.raises(ValueError):
             run_spla(exam_data, SplaConfig(method="pmd", grid=((1.5, 1.5),)))
@@ -212,15 +216,15 @@ class TestCovarianceRoute:
             covs.append(sample_cov(d))
             return covs[-1]
 
-        def pmd_spy(s, c):
+        def pmd_spy(s, grid):
             received.append(s)
-            return pmd(s, c)
+            return pmd(s, grid)
 
         monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
         monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", pmd_spy)
         x = np.random.default_rng(5).normal(size=(500, 4))
         run_spla(DataMatrix(x, ("a", "b", "c", "d")), SplaConfig(grid=(1.5, 1.2)))
-        assert len(covs) == 1 and len(received) == 2
+        assert len(covs) == 1 and len(received) == 1
         assert all(s is covs[0].values for s in received)
 
     def test_scan_is_scale_free(self):

@@ -60,7 +60,7 @@ class TestOrthonormality:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(30, m))
         c = min(c, float(np.sqrt(m)))
-        lm = orthogonalize(sparse_loading_matrix(x.T @ x, c))
+        lm = orthogonalize(sparse_loading_matrix(x.T @ x, [c])[0])
         assert np.max(np.abs(lm.T @ lm - np.eye(m))) < 1e-8
 
     @settings(max_examples=10, deadline=None)

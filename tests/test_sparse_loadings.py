@@ -252,7 +252,7 @@ class TestSparseLoadingMatrix:
     def test_orthonormal_after_orthogonalize(self):
         rng = np.random.default_rng(24)
         x = rng.normal(size=(50, 5))
-        lm = orthogonalize(sparse_loading_matrix(x.T @ x, 1.6))
+        lm = orthogonalize(sparse_loading_matrix(x.T @ x, [1.6])[0])
         assert np.allclose(lm.T @ lm, np.eye(5), atol=1e-8)
 
     def test_sparsity_monotone_on_fixture(self, exam_data):
@@ -260,7 +260,7 @@ class TestSparseLoadingMatrix:
         x = exam_data.values - exam_data.values.mean(axis=0)
         counts = []
         for c in np.linspace(np.sqrt(5), 1.0, 6):
-            lm = sparse_loading_matrix(x.T @ x, float(c))
+            lm = sparse_loading_matrix(x.T @ x, [float(c)])[0]
             counts.append(int(np.sum(np.abs(lm) > sl.ZERO_TOL)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -269,7 +269,7 @@ class TestSparseLoadingMatrix:
         cov = np.zeros((4, 4))
         cov[:2, :2] = [[2.0, 0.9], [0.9, 2.0]]
         cov[2:, 2:] = [[1.0, 0.4], [0.4, 1.0]]
-        lm = sparse_loading_matrix(cov, 1.41)
+        lm = sparse_loading_matrix(cov, [1.41])[0]
         pat = np.abs(lm) > sl.ZERO_TOL
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
@@ -283,7 +283,7 @@ class TestCovarianceRoute:
         grid = [c for c in SplaConfig().resolved_grid(14) if c > 1.0]
         assert len(grid) == 14
         for c in grid:
-            got = sparse_loading_matrix(cov.values, c)
+            got = sparse_loading_matrix(cov.values, [c])[0]
             want = _sample_route(_pseudo_sample(cov.values), c)
             assert np.array_equal(np.abs(got) > 1e-2, np.abs(want) > 1e-2), c
             assert np.max(np.abs(got - want)) <= 1e-9, c
@@ -291,7 +291,7 @@ class TestCovarianceRoute:
     @pytest.mark.parametrize("c", [1.5, 2.0, np.sqrt(6.0)])
     def test_fewer_observations_than_variables(self, c):
         x = np.random.default_rng(52).normal(size=(3, 6))
-        raw = sparse_loading_matrix(x.T @ x, c)
+        raw = sparse_loading_matrix(x.T @ x, [c])[0]
         u = orthogonalize(raw)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
         assert np.max(np.abs(raw[:, :3] - _sample_route(x, c)[:, :3])) <= 1e-9
@@ -305,9 +305,68 @@ class TestCovarianceRoute:
         rng = np.random.default_rng(53)
         for _ in range(10):
             x = np.hstack([rng.normal(size=(3, 3)), np.zeros((3, 3))])
-            u = sparse_loading_matrix(x.T @ x, c)
+            u = sparse_loading_matrix(x.T @ x, [c])[0]
             assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
             assert not u[3:, :3].any()
+
+
+class TestLoadingGrid:
+    """The PMD route takes the whole grid in one call too: one result per
+    budget, each the budget solved alone, errors returned."""
+
+    @pytest.mark.parametrize("source", ["exam", "block"])
+    def test_every_point_is_its_budget_alone(self, exam_cov, source):
+        if source == "exam":
+            s = exam_cov.values
+        else:
+            s = sample_cov(gen_block_sample(BlockDesign(rho=0.3), 1000, 51)).values
+        grid = SplaConfig().resolved_grid(s.shape[0])
+        assert len(grid) == (15 if source == "block" else 6)
+        out = sparse_loading_matrix(s, grid)
+        assert len(out) == len(grid)
+        for got, c in zip(out, grid):
+            assert isinstance(got, np.ndarray), c
+            assert np.array_equal(got, sparse_loading_matrix(s, [c])[0]), c
+
+    def test_error_is_returned_for_its_point_only(self, exam_cov, monkeypatch):
+        grid = [2.0, 1.5, 1.2]
+        want = sparse_loading_matrix(exam_cov.values, grid)
+        real = sl.penalized_rank_one
+
+        def failing(s, c):
+            if c == 1.5:
+                raise sl.NoConvergenceError("factor did not converge")
+            return real(s, c)
+
+        monkeypatch.setattr(sl, "penalized_rank_one", failing)
+        got = sparse_loading_matrix(exam_cov.values, grid)
+        assert len(got) == 3
+        assert isinstance(got[1], sl.NoConvergenceError)
+        assert str(got[1]) == "factor did not converge"
+        for g, w in zip(got[::2], want[::2]):
+            assert np.array_equal(g, w)
+
+    def test_empty_grid(self, exam_cov):
+        assert sparse_loading_matrix(exam_cov.values, []) == []
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([2.0, 9.0], "l1 bound c=9.0 outside [1, sqrt(5)]"),
+            ([2.0, (1.5, 1.5)], "per-loading penalty vectors require method 'spca'"),
+            # The first bad entry's message wins.
+            ([9.0, (5.0, 5.0)], "l1 bound c=9.0 outside [1, sqrt(5)]"),
+            ([2.0, (5.0, 5.0), 9.0], "per-loading penalty vectors require method 'spca'"),
+        ],
+    )
+    def test_bad_entry_raises_before_any_point(
+        self, exam_cov, monkeypatch, grid, message
+    ):
+        calls = []
+        monkeypatch.setattr(sl, "penalized_rank_one", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sparse_loading_matrix(exam_cov.values, grid)
+        assert calls == []
 
 
 class TestElasticNet:
@@ -449,7 +508,7 @@ class TestShapes:
         "route, name, extra",
         [
             (penalized_rank_one, "s", (1.2,)),
-            (sparse_loading_matrix, "s", (1.2,)),
+            (sparse_loading_matrix, "s", ([1.2],)),
             (elastic_net_loadings, "s", ([1.0],)),
             (orthogonalize, "u", ()),
         ],

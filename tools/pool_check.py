@@ -93,6 +93,11 @@ def _cli_cases() -> list[list[str]]:
                 "--grid", "0.05,2,5/5/5/2/2,50", "--format", "json"])
     out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
                 "--grid", "0.5,0.1/0.1"])
+    # The penalized decomposition checks its whole grid before any point, and
+    # the first bad entry's message wins: a budget outside [1, sqrt(M)], then
+    # a per-loading vector.
+    out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
+            for grid in ("9,5/5", "2,5/5,9")]
     out += [["reproduce", f] for f in ("oecd", "exam", "synthetic8", "synthetic10")]
     out += [
         ["simulate", "rate", "--reps", "6", "--rho", "0.3", "--n", "200"],
