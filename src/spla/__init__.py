@@ -22,7 +22,6 @@ from .data import (
 )
 from .evaluation import (
     BlockEvaluation,
-    EcGate,
     block_ec,
     evaluate_partition,
     weight_basis,
@@ -57,7 +56,6 @@ from .sparse_loadings import (
 )
 from .variance import (
     CorrectedVariances,
-    PartialCov,
     VarianceShares,
     corrected_variances,
     partial_cov,

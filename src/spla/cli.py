@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .data import DataError, load_csv, sample_cov
-from .evaluation import DEFAULT_C_EC, EcGate, evaluate_partition
+from .evaluation import DEFAULT_C_EC, evaluate_partition
 from .matops import MatopsError
 from .pipeline import SplaConfig, SplaReport, run_spla
 from .blocks import Block, BlockPartition
@@ -87,6 +87,11 @@ def _parse_grid(spec: str) -> tuple:
         steps = _grid_number(parts[2], int)
         if not 1 <= steps <= MAX_GRID_STEPS:
             raise _UsageError(f"--grid steps {steps} outside 1..{MAX_GRID_STEPS}")
+        for item, end in zip(parts, (lo, hi)):
+            if not np.isfinite(end):
+                raise _UsageError(f"--grid end {item.strip()!r} is not finite")
+        if not np.isfinite(hi - lo):
+            raise _UsageError(f"--grid range {lo:g}:{hi:g} is wider than a float")
         return tuple(np.linspace(lo, hi, steps))
     out = []
     for item in spec.split(","):
@@ -182,7 +187,7 @@ def cmd_analyze(args) -> int:
     cfg = SplaConfig(
         method=args.method,
         grid=grid,
-        gate=EcGate(args.c_ec),
+        c_ec=args.c_ec,
         block_order=order,
         standardize=args.standardize,
     )
@@ -344,7 +349,7 @@ def cmd_simulate(args) -> int:
     elif args.experiment == "rate":
         design = BlockDesign()
         rows = identification_rate(
-            design, [args.n], [args.rho], args.reps, EcGate(args.c_ec), args.seed,
+            design, [args.n], [args.rho], args.reps, args.c_ec, args.seed,
         )
     else:  # wishart
         results = random_wishart_demo(args.reps, args.seed)

@@ -30,7 +30,6 @@ from .variance import CorrectedVariances, corrected_variances
 
 __all__ = [
     "BlockEvaluation",
-    "EcGate",
     "weight_basis",
     "block_ec",
     "evaluate_partition",
@@ -45,21 +44,6 @@ class BlockEvaluation:
     """EC entry for one block: a number in ``(0, 1]`` or the first-block marker."""
 
     ec: float | None  # None <=> first-block marker
-
-    @property
-    def is_first(self) -> bool:
-        return self.ec is None
-
-
-@dataclass(frozen=True)
-class EcGate:
-    """Accept/reject threshold for the minimum EC of a partition."""
-
-    c_ec: float = DEFAULT_C_EC
-
-    def __post_init__(self):
-        if not 0.0 < self.c_ec < 1.0:
-            raise ValueError(f"c_ec={self.c_ec} outside (0, 1)")
 
 
 def _helmert(m: int) -> np.ndarray:
@@ -102,17 +86,17 @@ def weight_basis(
     return u
 
 
-def _block_ecs(cv: CorrectedVariances, p: BlockPartition, gate: EcGate):
+def _block_ecs(cv: CorrectedVariances, p: BlockPartition, c_ec: float):
     """:func:`evaluate_partition` read off the variances ``cv`` of a
-    :func:`weight_basis` of ``p``, in any within-block order."""
+    :func:`weight_basis` of ``p`` in any within-block order, gated at ``c_ec``."""
     ends = np.cumsum([b.size for b in p.blocks[:-1]], dtype=int)
     ecs = np.minimum(cv.r_squared[ends] / cv.uncorrected[ends], 1.0).tolist()
     min_ec = min(ecs, default=1.0)
-    return [BlockEvaluation(e) for e in [None, *ecs]], min_ec, min_ec >= gate.c_ec
+    return [BlockEvaluation(e) for e in [None, *ecs]], min_ec, min_ec >= c_ec
 
 
 def evaluate_partition(
-    cov: CovMatrix, p: BlockPartition, gate: EcGate = EcGate()
+    cov: CovMatrix, p: BlockPartition
 ) -> tuple[list[BlockEvaluation], float, bool]:
     """EC of every block under the partition's ordering, from one factor.
 
@@ -123,14 +107,14 @@ def evaluate_partition(
     ``r_kk**2 = w^T (S[D,D] - S[D,P] S[P,P]^-1 S[P,D]) w``, and
     ``G_kk = w^T S[D,D] w``; a within-block order of ``W`` keeps that span.
 
-    Returns ``(entries, min_ec, passes)``. The first block contributes the
-    marker, not a number; a single-block partition passes vacuously with
+    Returns ``(entries, min_ec, min_ec >= DEFAULT_C_EC)``; the first entry is
+    the marker (``ec`` of ``None``). A single-block partition passes with
     ``min_ec = 1`` and nothing is factored. A pivot of ``G`` at or below the
     Cholesky floor raises :class:`~spla.matops.NotPositiveDefiniteError`.
     """
     if p.n_blocks == 1:
         return [BlockEvaluation(None)], 1.0, True
-    return _block_ecs(corrected_variances(cov, weight_basis(p)), p, gate)
+    return _block_ecs(corrected_variances(cov, weight_basis(p)), p, DEFAULT_C_EC)
 
 
 def block_ec(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:

@@ -13,7 +13,7 @@ not guaranteed monotone across grid points, so early stopping is avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .blocks import (
 )
 from .data import CovMatrix, DataMatrix, sample_cov, standardize
 from .evaluation import (
+    DEFAULT_C_EC,
     BlockEvaluation,
-    EcGate,
     _block_ecs,
     weight_basis,
 )
@@ -76,19 +76,22 @@ class SplaConfig:
     L1 penalties for the elastic net (``method='spca'``). An elastic-net
     grid entry may also be a tuple of per-loading penalties (one per
     loading). An empty grid means "derive a default from the data
-    dimension". ``block_order`` optionally pins the evaluation order as a
-    tuple of variable-index tuples. ``standardize`` is read by
-    :func:`run_spla` alone, which then analyzes the correlation matrix;
-    :func:`structure_scan` uses its covariance as given.
+    dimension". A detected structure passes the gate when its minimum EC is
+    at least ``c_ec``, in ``(0, 1)``. ``block_order`` optionally pins the
+    evaluation order as a tuple of variable-index tuples. ``standardize`` is
+    read by :func:`run_spla` alone, which then analyzes the correlation
+    matrix; :func:`structure_scan` uses its covariance as given.
     """
 
     method: str = "pmd"
     grid: tuple[float | tuple[float, ...], ...] = ()
-    gate: EcGate = field(default_factory=EcGate)
+    c_ec: float = DEFAULT_C_EC
     block_order: tuple[tuple[int, ...], ...] | None = None
     standardize: bool = False
 
     def __post_init__(self):
+        if not 0.0 < self.c_ec < 1.0:
+            raise ValueError(f"c_ec={self.c_ec} outside (0, 1)")
         if self.method not in ("pmd", "spca"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -221,7 +224,7 @@ def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
     the EC, the gate verdict and, if the partition is chosen, its shares."""
     ordered, within = _ordered(cov, detected, cfg.block_order)
     cv = corrected_variances(cov, weight_basis(ordered, within))
-    return (ordered, cv, *_block_ecs(cv, ordered, cfg.gate))
+    return (ordered, cv, *_block_ecs(cv, ordered, cfg.c_ec))
 
 
 #: An evaluated partition, as ``_evaluated`` returns it: the partition in

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import Block, BlockPartition
 from .data import CovMatrix, DataMatrix, sample_cov, standardize
-from .evaluation import EcGate, evaluate_partition
+from .evaluation import evaluate_partition
 from .pipeline import SplaConfig, structure_scan
 
 __all__ = [
@@ -64,21 +64,6 @@ class BlockDesign:
             idx = tuple(range(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE))
             blocks.append(Block(idx, idx))
         return BlockPartition(tuple(blocks))
-
-    def population_cov(self) -> np.ndarray:
-        """Closed-form covariance of ``X`` (before standardization)."""
-        m = self.n_vars
-        cov = np.full((m, m), self.rho * LATENT_VAR)
-        for i in range(self.n_blocks):
-            sl = slice(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE)
-            cov[sl, sl] = LATENT_VAR  # block factor plus shared spike
-        np.fill_diagonal(cov, LATENT_VAR + NOISE_VAR)
-        return cov
-
-    def population_correlation(self) -> np.ndarray:
-        cov = self.population_cov()
-        d = 1.0 / np.sqrt(np.diag(cov))
-        return d[:, None] * cov * d[None, :]
 
 
 def _rng(*key) -> np.random.Generator:
@@ -150,18 +135,18 @@ def identification_rate(
     n_list,
     rho_list,
     reps: int,
-    gate: EcGate,
+    c_ec: float,
     seed: int,
 ) -> list[dict]:
     """Fraction of samples whose detected partition equals the truth.
 
-    Every scan runs the default :class:`SplaConfig` with ``gate``.
+    Every scan runs the default :class:`SplaConfig` with gate ``c_ec``.
     Returns one row per ``(n, rho)`` cell:
     ``{detector, n, rho, c_ec, reps, rate}``.
     """
+    run_cfg = SplaConfig(c_ec=c_ec)
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
-    run_cfg = SplaConfig(gate=gate)
     rows = []
     for n in n_list:
         for rho in rho_list:
@@ -181,7 +166,7 @@ def identification_rate(
                 "detector": "spla",
                 "n": int(n),
                 "rho": float(rho),
-                "c_ec": gate.c_ec,
+                "c_ec": c_ec,
                 "reps": int(reps),
                 "rate": hits / reps,
             })

@@ -26,7 +26,6 @@ from .matops import cholesky_upper, solve_spd
 __all__ = [
     "CorrectedVariances",
     "VarianceShares",
-    "PartialCov",
     "corrected_variances",
     "variance_shares",
     "partial_cov",
@@ -55,16 +54,6 @@ class VarianceShares:
     per_loading_sv: np.ndarray
     block_sv: np.ndarray
     block_cv: np.ndarray
-
-
-@dataclass(frozen=True)
-class PartialCov:
-    """Covariance of a variable block conditioned on its complement."""
-
-    values: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.trace(self.values))
 
 
 def corrected_variances(cov: CovMatrix, u: np.ndarray) -> CorrectedVariances:
@@ -97,10 +86,11 @@ def variance_shares(
     return VarianceShares(per, block_sv, np.cumsum(block_sv))
 
 
-def partial_cov(cov: CovMatrix, d_set) -> PartialCov:
+def partial_cov(cov: CovMatrix, d_set) -> np.ndarray:
     """Partial covariance of the variables ``d_set`` given the complement.
 
-    ``S[D,D] - S[D,K] S[K,K]^-1 S[K,D]`` where ``K`` is every other variable.
+    The symmetric ``|D| x |D|`` array ``S[D,D] - S[D,K] S[K,K]^-1 S[K,D]``,
+    where ``K`` is every other variable and ``D`` is ascending.
     """
     m = cov.n_vars
     d = sorted(int(i) for i in d_set)
@@ -112,10 +102,9 @@ def partial_cov(cov: CovMatrix, d_set) -> PartialCov:
     sdk = s[np.ix_(d, k)]
     skk = s[np.ix_(k, k)]
     values = sdd - sdk @ solve_spd(skk, sdk.T)
-    values = (values + values.T) / 2.0
-    return PartialCov(values)
+    return (values + values.T) / 2.0
 
 
 def partial_trace_share(cov: CovMatrix, d_set) -> float:
     """Percent of total variance retained by ``d_set`` after conditioning."""
-    return 100.0 * partial_cov(cov, d_set).trace() / cov.trace()
+    return 100.0 * float(np.trace(partial_cov(cov, d_set))) / cov.trace()

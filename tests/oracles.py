@@ -20,6 +20,10 @@ lock step.
 
 :func:`load_csv_cell_by_cell` is the loader as it was before the body was
 parsed in one vectorised pass: one ``float()`` per cell.
+
+:func:`population_cov` and :func:`population_correlation` give a
+:class:`~spla.simulate.BlockDesign`'s covariance in closed form, a check on
+the generator's draws.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from spla.matops import (
     svd,
     sym_eigen,
 )
+from spla.simulate import BLOCK_SIZE, LATENT_VAR, NOISE_VAR, BlockDesign
 from spla.variance import CorrectedVariances
 
 
@@ -295,3 +300,20 @@ def load_csv_cell_by_cell(path) -> DataMatrix:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return DataMatrix(np.array(rows, dtype=float), tuple(names))
+
+
+def population_cov(design: BlockDesign) -> np.ndarray:
+    """Closed-form covariance of the design's ``X`` (before standardization)."""
+    m = design.n_vars
+    cov = np.full((m, m), design.rho * LATENT_VAR)
+    for i in range(design.n_blocks):
+        sl = slice(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE)
+        cov[sl, sl] = LATENT_VAR  # block factor plus shared spike
+    np.fill_diagonal(cov, LATENT_VAR + NOISE_VAR)
+    return cov
+
+
+def population_correlation(design: BlockDesign) -> np.ndarray:
+    cov = population_cov(design)
+    d = 1.0 / np.sqrt(np.diag(cov))
+    return d[:, None] * cov * d[None, :]

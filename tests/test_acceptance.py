@@ -13,7 +13,6 @@ from spla import (
     BlockPartition,
     CovMatrix,
     DataMatrix,
-    EcGate,
     SplaConfig,
     block_ec,
     corrected_variances,
@@ -30,6 +29,7 @@ from spla import (
     variance_shares,
     weight_basis,
 )
+from spla.evaluation import DEFAULT_C_EC
 from spla.matops import sym_eigen
 from spla.simulate import BlockDesign
 
@@ -87,7 +87,7 @@ class TestAcceptance:
             ),
         )
         shares = variance_shares(corrected_variances(oecd_corr, wb), oecd_corr, p)
-        cells = [("first block is the marker", entries[0].is_first)]
+        cells = [("first block is the marker", entries[0].ec is None)]
         for e, exp in zip(entries[1:], [0.96, 0.93, 0.84]):
             cells.append((f"EC {e.ec:.4f} vs {exp}", abs(e.ec - exp) <= 0.01))
         for got, exp in zip(shares.block_sv, [16.67, 16.04, 15.57, 40.26]):
@@ -183,7 +183,7 @@ class TestAcceptance:
         design = BlockDesign()
         rows = identification_rate(
             design, [1000], [0.0, 0.3, 0.6, 0.9], reps=12,
-            gate=EcGate(), seed=SEED,
+            c_ec=DEFAULT_C_EC, seed=SEED,
         )
         rates = [r["rate"] for r in rows]
         cells.append((f"N=1000 rho=0 rate {rates[0]:.2f} >= 0.95",
@@ -192,7 +192,7 @@ class TestAcceptance:
         cells.append((f"rates {rates} non-increasing in rho (<= 1 inversion)",
                       inversions <= 1))
         small = identification_rate(
-            design, [100], [0.9], reps=20, gate=EcGate(), seed=SEED,
+            design, [100], [0.9], reps=20, c_ec=DEFAULT_C_EC, seed=SEED,
         )
         cells.append((f"N=100 rho=0.9 rate {small[0]['rate']:.2f} < 0.1",
                       small[0]["rate"] < 0.1))
@@ -253,7 +253,7 @@ class TestAcceptance:
             ))
             for b in range(2):
                 c1, c2 = block_ec(cov, p, b), block_ec_literal(cov, p, b)
-                ok &= (c1.is_first and c2.is_first) or abs(c1.ec - c2.ec) < 1e-10
+                ok &= (c1.ec is None and c2.ec is None) or abs(c1.ec - c2.ec) < 1e-10
         cells.append(("(d) dual EC routes agree within 1e-10", ok))
 
         # (e) corrected-variance total bounded by the trace.
@@ -283,7 +283,7 @@ class TestAcceptance:
             k = [i for i in range(m) if i not in set(d)]
             beta = np.linalg.solve(a[np.ix_(k, k)], a[np.ix_(k, d)])
             oracle = a[np.ix_(d, d)] - a[np.ix_(d, k)] @ beta
-            ok &= bool(np.max(np.abs(partial_cov(cov, d).values - oracle)) < 1e-8)
+            ok &= bool(np.max(np.abs(partial_cov(cov, d) - oracle)) < 1e-8)
         cells.append(("(f) partial_cov = regression residual within 1e-8", ok))
 
         # (g) Cholesky-on-Gram and data-QR paths agree.

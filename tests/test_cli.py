@@ -22,6 +22,10 @@ from spla.cli import (
 
 OECD_CSV = str(Path(spla.__file__).parent / "fixtures" / "oecd.csv")
 
+# A warning would reach a user's stderr ahead of the one-line diagnostic, but
+# capsys does not see it; as an error it fails the test instead.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 @pytest.fixture()
 def exam_csv(exam_data, tmp_path):
@@ -158,6 +162,14 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
          "usage error: --grid item 'x' is not a whole number of steps"),
         (["analyze", OECD_CSV, "--grid", "1:2:1000000000000000"],
          "usage error: --grid steps 1000000000000000 outside 1..1000"),
+        (["analyze", OECD_CSV, "--grid=1:1e400:3"],
+         "usage error: --grid end '1e400' is not finite"),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid=0:1e400:2"],
+         "usage error: --grid end '1e400' is not finite"),
+        (["analyze", OECD_CSV, "--grid=-inf:2:3"],
+         "usage error: --grid end '-inf' is not finite"),
+        (["analyze", OECD_CSV, "--grid=-1e308:1e308:3"],
+         "usage error: --grid range -1e+308:1e+308 is wider than a float"),
         (["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"],
          "usage error: --n 99999999999999999999 must be at most 100000"),
         (["simulate", "rate", "--n", "100001", "--reps", "1"],
@@ -184,6 +196,8 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         "wishart-seed-negative", "rate-seed-negative", "ec-blocks-comma",
         "ec-blocks-not-a-number", "ec-n-2", "rate-n-3", "grid-item",
         "grid-vector-item", "grid-steps", "grid-steps-too-many",
+        "grid-end-1e400", "spca-grid-end-1e400", "grid-end-minus-inf",
+        "grid-range-overflows",
         "ec-n-too-large", "rate-n-over-max", "ec-reps-too-large",
         "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
         "wishart-takes-no-n", "ec-takes-no-c-ec", "rate-takes-no-blocks",

@@ -8,7 +8,6 @@ from spla import (
     Block,
     BlockPartition,
     CovMatrix,
-    EcGate,
     NotPositiveDefiniteError,
     block_ec,
     evaluate_partition,
@@ -50,7 +49,6 @@ class TestBlockEc:
     def test_first_block_is_marker(self):
         cov = CovMatrix(np.eye(4), tuple("abcd"))
         e = block_ec(cov, _seq_partition([2, 2]), 0)
-        assert e.is_first
         assert e.ec is None
 
     def test_exact_block_diagonal_gives_one(self):
@@ -94,8 +92,8 @@ class TestBlockEc:
             for b in range(p.n_blocks):
                 closed = block_ec(cov, p, b)
                 literal = block_ec_literal(cov, p, b)
-                if closed.is_first:
-                    assert literal.is_first
+                if closed.ec is None:
+                    assert literal.ec is None
                 else:
                     assert literal.ec == pytest.approx(closed.ec, abs=1e-10)
 
@@ -110,7 +108,7 @@ class TestBlockEc:
         )
         p = BlockPartition(blocks)
         entries, min_ec, passes = evaluate_partition(oecd_corr, p)
-        assert entries[0].is_first
+        assert entries[0].ec is None
         got = [e.ec for e in entries[1:]]
         assert np.allclose(got, [0.96, 0.93, 0.84], atol=0.005)
         assert passes
@@ -176,26 +174,25 @@ class TestEvaluatePartition:
     def test_single_block_passes_vacuously(self, oecd_corr):
         p = _seq_partition([6])
         entries, min_ec, passes = evaluate_partition(oecd_corr, p)
-        assert entries[0].is_first
+        assert entries[0].ec is None
         assert min_ec == 1.0
         assert passes
 
     def test_gate_threshold(self):
         # Two strongly correlated singletons: EC = 1 - 0.81 = 0.19 < 0.6.
         cov = CovMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]), ("a", "b"))
-        _, min_ec, passes = evaluate_partition(cov, _seq_partition([1, 1]))
+        p = _seq_partition([1, 1])
+        _, min_ec, passes = evaluate_partition(cov, p)
         assert min_ec == pytest.approx(0.19, abs=1e-12)
         assert not passes
-        _, _, loose = evaluate_partition(
-            cov, _seq_partition([1, 1]), EcGate(c_ec=0.1)
-        )
-        assert loose
+        cv = spla.variance.corrected_variances(cov, weight_basis(p))
+        assert spla.evaluation._block_ecs(cv, p, 0.1)[2]
 
     def test_gate_range_validated(self):
-        with pytest.raises(ValueError):
-            EcGate(c_ec=0.0)
-        with pytest.raises(ValueError):
-            EcGate(c_ec=1.0)
+        # The gate is a field of the configuration, checked when it is made.
+        for c_ec, shown in [(0.0, "0.0"), (1.0, "1.0"), (float("nan"), "nan")]:
+            with pytest.raises(ValueError, match=rf"^c_ec={shown} outside \(0, 1\)$"):
+                SplaConfig(c_ec=c_ec)
 
     def test_order_dependence(self, exam_cov):
         names = exam_cov.variable_names

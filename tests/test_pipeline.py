@@ -52,7 +52,7 @@ class TestRunSplaExam:
 
     def test_evaluation_order_pinned(self, report):
         assert report.block_names() == [("vec",), ("mec",), ("alg", "ana", "sta")]
-        assert report.evaluations[0].is_first
+        assert report.evaluations[0].ec is None
         assert report.min_ec > 0.6
 
     def test_vec_discarded(self, report):

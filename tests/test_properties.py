@@ -21,7 +21,7 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
-from spla.evaluation import EcGate, _block_ecs, weight_basis
+from spla.evaluation import DEFAULT_C_EC, _block_ecs, weight_basis
 from spla.pipeline import SplaConfig
 from spla.matops import NoConvergenceError, RankDeficientError, sym_eigen
 from spla.sparse_loadings import ZERO_TOL
@@ -135,8 +135,8 @@ class TestDualEcRoutes:
         for b in range(p.n_blocks):
             closed = block_ec(cov, p, b)
             literal = block_ec_literal(cov, p, b)
-            if closed.is_first:
-                assert literal.is_first
+            if closed.ec is None:
+                assert literal.ec is None
             else:
                 assert abs(closed.ec - literal.ec) < 1e-10
 
@@ -154,7 +154,7 @@ class TestEcFromOneFactor:
         p = _random_blocks(rng, m)
         p = p.reordered(rng.permutation(p.n_blocks))
         entries, _, _ = evaluate_partition(cov, p)
-        assert entries[0].is_first
+        assert entries[0].ec is None
         for b in range(1, p.n_blocks):
             for oracle in (block_ec_regression, block_ec_literal):
                 assert abs(entries[b].ec - oracle(cov, p, b).ec) < 1e-10
@@ -179,9 +179,9 @@ class TestEcInAnyWithinBlockOrder:
             for b in p.blocks
         )
         cv = corrected_variances(cov, weight_basis(p, within))
-        entries, min_ec, passes = _block_ecs(cv, p, EcGate())
+        entries, min_ec, passes = _block_ecs(cv, p, DEFAULT_C_EC)
         want, want_min, want_passes = evaluate_partition(cov, p)
-        assert entries[0].is_first and passes == want_passes
+        assert entries[0].ec is None and passes == want_passes
         assert min_ec == pytest.approx(want_min, rel=1e-12, abs=0)
         for got, ref in zip(entries[1:], want[1:], strict=True):
             assert got.ec == pytest.approx(ref.ec, rel=1e-12, abs=0)
@@ -302,7 +302,7 @@ class TestPartialCovOracle:
         pc = partial_cov(cov, d)
         beta = np.linalg.solve(a[np.ix_(k, k)], a[np.ix_(k, d)])
         oracle = a[np.ix_(d, d)] - a[np.ix_(d, k)] @ beta
-        assert np.max(np.abs(pc.values - oracle)) < 1e-8
+        assert np.max(np.abs(pc - oracle)) < 1e-8
 
 
 class TestVariancePaths:

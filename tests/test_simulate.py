@@ -3,7 +3,6 @@ import pytest
 
 from spla import (
     BlockDesign,
-    EcGate,
     SplaConfig,
     ec_distribution,
     gen_block_sample,
@@ -12,13 +11,16 @@ from spla import (
     random_wishart_demo,
     sample_cov,
 )
+from spla.evaluation import DEFAULT_C_EC
 from spla.simulate import LATENT_VAR, NOISE_VAR, gen_block_sample_keyed
+
+from oracles import population_correlation, population_cov
 
 
 class TestBlockDesign:
     def test_population_cov_closed_form(self):
         d = BlockDesign(n_blocks=2, rho=0.3)
-        cov = d.population_cov()
+        cov = population_cov(d)
         v, w = LATENT_VAR, NOISE_VAR
         assert cov[0, 0] == v + w
         assert cov[0, 1] == v  # same block
@@ -35,7 +37,7 @@ class TestBlockDesign:
             ]
         )
         emp = np.corrcoef(x, rowvar=False)
-        pop = d.population_correlation()
+        pop = population_correlation(d)
         assert np.max(np.abs(emp - pop)) < 0.05
 
     def test_validation(self):
@@ -112,7 +114,7 @@ class TestEcDistribution:
 class TestIdentificationRate:
     def test_independent_blocks_identified(self):
         rows = identification_rate(
-            BlockDesign(), [300], [0.0], reps=5, gate=EcGate(), seed=17
+            BlockDesign(), [300], [0.0], reps=5, c_ec=DEFAULT_C_EC, seed=17
         )
         assert len(rows) == 1
         row = rows[0]
@@ -121,7 +123,7 @@ class TestIdentificationRate:
 
     def test_heavy_correlation_never_identified(self):
         rows = identification_rate(
-            BlockDesign(), [100], [0.9], reps=5, gate=EcGate(), seed=17
+            BlockDesign(), [100], [0.9], reps=5, c_ec=DEFAULT_C_EC, seed=17
         )
         assert rows[0]["rate"] == 0.0
 
@@ -138,14 +140,14 @@ class TestIdentificationRate:
         monkeypatch.setattr(spla.simulate, "structure_scan", spy)
         identification_rate(
             BlockDesign(n_blocks=2), [50], [0.0], reps=2,
-            gate=EcGate(0.7), seed=17,
+            c_ec=0.7, seed=17,
         )
-        assert seen == [SplaConfig(gate=EcGate(0.7))] * 2
+        assert seen == [SplaConfig(c_ec=0.7)] * 2
 
     def test_grid_of_cells(self):
         rows = identification_rate(
             BlockDesign(n_blocks=2), [50, 100], [0.0, 0.5],
-            reps=2, gate=EcGate(), seed=17,
+            reps=2, c_ec=DEFAULT_C_EC, seed=17,
         )
         assert [(r["n"], r["rho"]) for r in rows] == [
             (50, 0.0), (50, 0.5), (100, 0.0), (100, 0.5),

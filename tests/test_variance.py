@@ -121,7 +121,7 @@ class TestPartialCov:
     def test_hand_2x2(self):
         cov = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), ("a", "b"))
         pc = partial_cov(cov, [1])
-        assert pc.values == pytest.approx(np.array([[0.75]]))
+        assert pc == pytest.approx(np.array([[0.75]]))
 
     def test_block_diagonal_is_exact(self):
         values = np.zeros((4, 4))
@@ -129,7 +129,7 @@ class TestPartialCov:
         values[2:, 2:] = [[3.0, 0.2], [0.2, 1.5]]
         cov = CovMatrix(values, tuple("abcd"))
         pc = partial_cov(cov, [2, 3])
-        assert np.allclose(pc.values, values[2:, 2:], atol=1e-12)
+        assert np.allclose(pc, values[2:, 2:], atol=1e-12)
 
     def test_regression_residual_oracle_random(self):
         rng = np.random.default_rng(45)
@@ -141,16 +141,23 @@ class TestPartialCov:
             pc = partial_cov(cov, d)
             beta = np.linalg.solve(a[np.ix_(k, k)], a[np.ix_(k, d)])
             oracle = a[np.ix_(d, d)] - a[np.ix_(d, k)] @ beta
-            assert np.allclose(pc.values, oracle, atol=1e-8)
+            assert np.allclose(pc, oracle, atol=1e-8)
 
     def test_psd_and_trace_bound(self):
         rng = np.random.default_rng(46)
         a = random_spd(rng, 5)
         cov = CovMatrix(a, tuple("abcde"))
         pc = partial_cov(cov, [0, 3])
-        eigvals = np.linalg.eigvalsh(pc.values)
+        eigvals = np.linalg.eigvalsh(pc)
         assert np.min(eigvals) > -1e-10
-        assert pc.trace() <= np.trace(a[np.ix_([0, 3], [0, 3])]) + 1e-10
+        assert np.trace(pc) <= np.trace(a[np.ix_([0, 3], [0, 3])]) + 1e-10
+
+    def test_returns_a_symmetric_array(self, exam_cov):
+        # A plain array in ascending variable order, symmetric bit for bit.
+        pc = partial_cov(exam_cov, [4, 0, 2])
+        assert type(pc) is np.ndarray
+        assert pc.shape == (3, 3)
+        assert np.array_equal(pc, pc.T)
 
     def test_rejects_improper_subset(self, oecd_corr):
         with pytest.raises(ValueError):

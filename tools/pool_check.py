@@ -114,6 +114,10 @@ def _cli_cases() -> list[list[str]]:
         ["simulate", "ec", "--blocks", ","],
         ["simulate", "ec", "--n", "2", "--reps", "1"],
         ["simulate", "rate", "--n", "3", "--reps", "1"],
+        # An out-of-range gate is a usage error; it wins over a bad replicate count.
+        ["simulate", "rate", "--reps", "0", "--c-ec", "2"],
+        ["simulate", "rate", "--reps", "1", "--n", "20", "--c-ec", "0"],
+        ["analyze", str(FIXTURES / "exam.csv"), "--c-ec", "1"],
     ]
     out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
             for grid in ("2,x", "5/x", "1:2:x", "1:2:1000000000000000")]
