@@ -182,8 +182,8 @@ def _report_table(report: SplaReport) -> str:
 
 def cmd_analyze(args) -> int:
     data = load_csv(args.csv)
-    grid = _parse_grid(args.grid) if args.grid else ()
-    order = _parse_order(args.order, data.variable_names) if args.order else None
+    grid = () if args.grid is None else _parse_grid(args.grid)
+    order = None if args.order is None else _parse_order(args.order, data.variable_names)
     cfg = SplaConfig(
         method=args.method,
         grid=grid,

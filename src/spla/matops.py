@@ -178,7 +178,7 @@ def soft_threshold(v, delta) -> np.ndarray:
     ``delta`` is a scalar or an array that broadcasts against ``v``, e.g.
     one threshold per column.
     """
-    # count_nonzero, not np.any: this runs once per coordinate step, and
+    # count_nonzero, not np.any: this runs once per PMD alternation, and
     # np.any's dispatch costs more than the test itself on small arrays.
     if np.count_nonzero(np.asarray(delta) < 0):
         raise ValueError("delta must be nonnegative")

@@ -247,9 +247,11 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
     gram = s + RIDGE * np.eye(m)
     # The points share ``gram``, so they run in lock step on G x M x M
     # stacks (Friedman, Hastie & Tibshirani 2010): coordinate i of every
-    # column of every running point is one array step. ``point`` maps a
-    # stack index to its grid index; a point leaves the stacks when its
-    # alternation converges or fails.
+    # column of every running point is one array step, on views of row i
+    # valid until ``b`` is rebound. It is soft_threshold's arithmetic without
+    # the check (every penalty is checked above); a sweep's column movement is
+    # np.linalg.norm's own sum. ``point`` maps a stack index to its grid
+    # index; a point leaves the stacks when its alternation converges or fails.
     point = np.arange(len(half))
     a = np.repeat(a0[None], len(half), axis=0)
     b = a.copy()
@@ -261,12 +263,15 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
         # A column leaves ``active`` after the sweep that moves it by less
         # than EN_CONV_TOL, and stays at that iterate; at most 50 sweeps.
         active = np.ones((point.size, m), dtype=bool)
+        rows = [(target[:, i], gram[i], gram[i, i], b[:, i]) for i in range(m)]
         for _ in range(50):
             b_prev = b.copy()
-            for i in range(m):
-                rho = target[:, i] - gram[i] @ b + gram[i, i] * b[:, i]
-                np.copyto(b[:, i], soft_threshold(rho, half) / gram[i, i], where=active)
-            active &= np.linalg.norm(b - b_prev, axis=1) >= EN_CONV_TOL
+            for t_i, g_i, d_i, b_i in rows:
+                rho = t_i - g_i @ b + d_i * b_i
+                step = np.sign(rho) * np.maximum(np.abs(rho) - half, 0.0) / d_i
+                np.copyto(b_i, step, where=active)
+            d = b - b_prev
+            active &= np.sqrt(np.add.reduce(d * d, axis=1)) >= EN_CONV_TOL
             if not active.any():
                 break
         done = np.array([np.linalg.norm(d) < EN_CONV_TOL for d in b - b_old])

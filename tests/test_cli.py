@@ -181,6 +181,11 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         (["simulate", "wishart", "--reps", "99999999999999999999"],
          "usage error: --reps 99999999999999999999 must be at most 100000"),
         (["analyze", OECD_CSV, "--order", ";"], "usage error: --order is empty"),
+        # An empty value is refused like a blank one, not read as "not given".
+        (["analyze", OECD_CSV, "--order", ""], "usage error: --order is empty"),
+        (["analyze", OECD_CSV, "--grid", ""], "usage error: grid '' is empty"),
+        (["analyze", OECD_CSV, "--method", "spca", "--grid="],
+         "usage error: grid '' is empty"),
         (["simulate", "wishart", "--reps", "1", "--n", "20"],
          "usage error: unrecognized arguments: --n 20"),
         (["simulate", "ec", "--reps", "1", "--n", "20", "--c-ec", "0.7"],
@@ -200,6 +205,7 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         "grid-range-overflows",
         "ec-n-too-large", "rate-n-over-max", "ec-reps-too-large",
         "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
+        "order-empty-string", "grid-empty-string", "spca-grid-empty-string",
         "wishart-takes-no-n", "ec-takes-no-c-ec", "rate-takes-no-blocks",
         "flag-before-experiment",
     ],

@@ -14,6 +14,7 @@ from spla import (
     penalized_rank_one,
     sample_cov,
     sparse_loading_matrix,
+    standardize,
     structure_scan,
 )
 from spla.matops import _fix_signs, soft_threshold, svd, sym_eigen
@@ -21,6 +22,7 @@ from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
 
 from conftest import random_spd
+from oracles import elastic_net_loadings_pointwise
 
 
 def _pseudo_sample(cov_values: np.ndarray) -> np.ndarray:
@@ -439,11 +441,33 @@ class TestElasticNetGrid:
     def test_bad_entry_raises_before_any_iteration(
         self, exam_cov, monkeypatch, bad, message
     ):
-        steps = []
-        monkeypatch.setattr(sl, "soft_threshold", lambda *a: steps.append(a))
+        # The start's eigendecomposition comes after the checks and before
+        # the first sweep.
+        starts = []
+        monkeypatch.setattr(sl, "sym_eigen", lambda a: starts.append(a) or sym_eigen(a))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             elastic_net_loadings(exam_cov.values, [5.0, bad])
-        assert steps == []
+        assert starts == []
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_bootstrap_resamples_match_the_pointwise_oracle(self, oecd_data, seed):
+        # Inputs drawn as the spca-oecd benchmark draws them. Each of these
+        # grids has stalled, converged and collapsed points, and every point
+        # is bit for bit the point solved alone.
+        rows = np.random.default_rng(seed).integers(0, oecd_data.n_obs, oecd_data.n_obs)
+        d = DataMatrix(oecd_data.values[rows], oecd_data.variable_names)
+        s = sample_cov(standardize(d)).values
+        grid = SplaConfig(method="spca").resolved_grid(s.shape[0])
+        got = elastic_net_loadings(s, grid)
+        for g, entry in zip(got, grid, strict=True):
+            try:
+                want = elastic_net_loadings_pointwise(s, entry)
+            except sl.MatopsError as exc:
+                assert type(g) is type(exc) and str(g) == str(exc)
+            else:
+                assert isinstance(g, np.ndarray) and np.array_equal(g, want)
+        kinds = {type(g) for g in got}
+        assert kinds == {sl.NoConvergenceError, np.ndarray, sl.RankDeficientError}
 
     def test_refused_svd_ends_only_its_point(self, exam_cov, monkeypatch):
         # LAPACK refusing one matrix fails a stacked SVD. Each matrix is then

@@ -93,6 +93,10 @@ def _cli_cases() -> list[list[str]]:
                 "--grid", "0.05,2,5/5/5/2/2,50", "--format", "json"])
     out.append(["analyze", str(FIXTURES / "exam.csv"), "--method", "spca",
                 "--grid", "0.5,0.1/0.1"])
+    # The unstandardized OECD covariance: every point of the default grid
+    # converges with a variable that no loading reaches, so none detects blocks.
+    out.append(["analyze", str(FIXTURES / "oecd.csv"), "--method", "spca",
+                "--format", "json"])
     # The penalized decomposition checks its whole grid before any point, and
     # the first bad entry's message wins: a budget outside [1, sqrt(M)], then
     # a per-loading vector.
