@@ -2,10 +2,11 @@
 
 A loading matrix is a square ``M x M`` array, variables in rows and loadings
 in columns. Two variables are adjacent when some loading is nonzero on
-both; connected components of that variable graph are the blocks, and a
-block's loadings are the columns its variables touch. A valid partition pairs
-each variable group with an equally sized loading group, so a row/column
-permutation brings the loading matrix to block-diagonal form.
+both; connected components of that variable graph are the blocks. The
+pattern is valid when each component touches as many loadings as it has
+variables, so a row/column permutation brings the loading matrix to
+block-diagonal form. Detection checks that square rule once; a block is
+then its variables alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class BlockError(Exception):
 
 
 class NonSquareBlockError(BlockError):
-    """A connected component pairs unequal numbers of variables and loadings."""
+    """A component touches more or fewer loadings than it has variables."""
 
 
 class IsolatedVariableError(BlockError):
@@ -48,21 +49,13 @@ class InconsistentPartitionError(BlockError):
 
 @dataclass(frozen=True)
 class Block:
-    """One block: a variable-index set paired with a loading-index set."""
+    """One block: its variable indices, kept in ascending order."""
 
     variable_indices: tuple[int, ...]
-    loading_indices: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "variable_indices",
                            tuple(sorted(int(i) for i in self.variable_indices)))
-        object.__setattr__(self, "loading_indices",
-                           tuple(sorted(int(i) for i in self.loading_indices)))
-        if len(self.variable_indices) != len(self.loading_indices):
-            raise NonSquareBlockError(
-                f"{len(self.variable_indices)} variables vs "
-                f"{len(self.loading_indices)} loadings"
-            )
 
     @property
     def size(self) -> int:
@@ -71,18 +64,16 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """An ordered list of disjoint blocks covering all variables and loadings."""
+    """An ordered list of disjoint blocks covering all variables."""
 
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         var_all = [i for b in self.blocks for i in b.variable_indices]
-        load_all = [i for b in self.blocks for i in b.loading_indices]
-        m = len(var_all)
-        if sorted(var_all) != list(range(m)) or sorted(load_all) != list(range(m)):
+        if sorted(var_all) != list(range(len(var_all))):
             raise InconsistentPartitionError(
-                "blocks must disjointly cover all variable and loading indices"
+                "blocks must disjointly cover all variable indices"
             )
 
     @property
@@ -102,14 +93,15 @@ class BlockPartition:
 
 
 def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
-    """Partition variables and loadings by the support pattern of the square
-    loading matrix ``u`` (variables are rows, loadings columns).
+    """Partition the variables by the support pattern of the square loading
+    matrix ``u`` (variables are rows, loadings columns).
 
     Entries with magnitude at or below ``tol`` are structural zeros. Blocks
     are the components of the variable graph (variables sharing a nonzero
-    loading are adjacent), each paired with the loadings its variables
-    touch, in ascending order of their smallest variable index; the order is
-    data, not a commitment — evaluation routines take it as explicit input.
+    loading are adjacent), in ascending order of their smallest variable
+    index; the order is data, not a commitment — evaluation routines take it
+    as explicit input. Each component must touch as many loadings as it has
+    variables (the square rule); the loadings are checked here and not kept.
     When several components are invalid, the one with the smallest variable
     reports; a loading without support leaves some component short.
     """
@@ -126,12 +118,12 @@ def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
         )
     blocks = []
     for comp in _components(pattern.astype(float) @ pattern.T > 0):
-        rows, cols = comp.tolist(), np.flatnonzero(pattern[comp].any(axis=0)).tolist()
-        if len(rows) != len(cols):
+        rows, n_cols = comp.tolist(), int(pattern[comp].any(axis=0).sum())
+        if len(rows) != n_cols:
             raise NonSquareBlockError(
-                f"component with variables {rows} pairs {len(cols)} loadings"
+                f"component with variables {rows} pairs {n_cols} loadings"
             )
-        blocks.append(Block(tuple(rows), tuple(cols)))
+        blocks.append(Block(tuple(rows)))
     return BlockPartition(tuple(blocks))
 
 

@@ -285,10 +285,8 @@ def _reproduce_synthetic(name: str, lines, failed) -> None:
     cov = sample_cov(gen_spiked_sample(m == 10, 5000, _SYNTH_SEED))
     lines.append(f"Synthetic {m}-variable fixture:")
     for sizes, label, bound, shown in checks:
-        ranges = [tuple(range(e - s, e)) for s, e in zip(sizes, np.cumsum(sizes))]
-        entries, _, _ = evaluate_partition(
-            cov, BlockPartition(tuple(Block(r, r) for r in ranges))
-        )
+        blocks = [Block(range(e - s, e)) for s, e in zip(sizes, np.cumsum(sizes))]
+        entries, _, _ = evaluate_partition(cov, BlockPartition(tuple(blocks)))
         ec = entries[-1].ec
         _check_flag(lines, failed, label, bound(ec))
         lines.append(f"    ({shown} = {ec:.6f})")

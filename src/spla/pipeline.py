@@ -76,7 +76,12 @@ class SplaConfig:
     L1 penalties for the elastic net (``method='spca'``). An elastic-net
     grid entry may also be a tuple of per-loading penalties (one per
     loading). An empty grid means "derive a default from the data
-    dimension". A detected structure passes the gate when its minimum EC is
+    dimension". The default elastic-net grid, 12 points from ``1e-3`` to
+    ``10``, is in the covariance's own units: when variances lie many orders
+    apart (the unstandardized OECD data, where ``Y85`` has a variance of
+    about 2.5e7), every point can leave some variable with no incident
+    loading, and the report falls back to one block; standardize, or give
+    the grid. A detected structure passes the gate when its minimum EC is
     at least ``c_ec``, in ``(0, 1)``. ``block_order`` optionally pins the
     evaluation order as a tuple of variable-index tuples. ``standardize`` is
     read by :func:`run_spla` alone, which then analyzes the correlation
@@ -125,17 +130,14 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class DiscardRecommendation:
-    """Step-3 flag plus step-4 verification for one block."""
+    """One block that step 3 flagged (its SV share is below the bound) and
+    step 4's verdict on it: ``discard`` when its partial share is below the
+    bound too. Only flagged blocks get a recommendation."""
 
     variables: tuple[str, ...]
     block_sv: float
-    sv_flagged: bool
     partial_share: float
-    verified: bool
-
-    @property
-    def discard(self) -> bool:
-        return self.sv_flagged and self.verified
+    discard: bool
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,9 @@ class SplaReport:
                 {
                     "block": list(r.variables),
                     "block_sv": r.block_sv,
-                    "sv_flagged": r.sv_flagged,
+                    "sv_flagged": True,
                     "partial_share": r.partial_share,
-                    "verified": r.verified,
+                    "verified": r.discard,
                     "discard": r.discard,
                 }
                 for r in self.recommendations
@@ -272,7 +274,7 @@ def _choose(cov: CovMatrix, cfg: SplaConfig, best: _Found | None) -> _Found:
     if best is not None:
         return best
     m = cov.n_vars
-    single = BlockPartition((Block(tuple(range(m)), tuple(range(m))),))
+    single = BlockPartition((Block(range(m)),))
     return _evaluated(cov, cfg, single)
 
 
@@ -295,7 +297,7 @@ def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
     bound = DISCARD_MARGIN * (100.0 / m)
     recs = [
         DiscardRecommendation(
-            tuple(names[j] for j in b.variable_indices), sv, True, share,
+            tuple(names[j] for j in b.variable_indices), sv, share,
             share < bound,
         )
         for b, sv, share in zip(chosen.blocks, shares.block_sv.tolist(), partial)

@@ -59,11 +59,10 @@ class BlockDesign:
         return self.n_blocks * BLOCK_SIZE
 
     def true_partition(self) -> BlockPartition:
-        blocks = []
-        for i in range(self.n_blocks):
-            idx = tuple(range(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE))
-            blocks.append(Block(idx, idx))
-        return BlockPartition(tuple(blocks))
+        return BlockPartition(tuple(
+            Block(range(i * BLOCK_SIZE, (i + 1) * BLOCK_SIZE))
+            for i in range(self.n_blocks)
+        ))
 
 
 def _rng(*key) -> np.random.Generator:

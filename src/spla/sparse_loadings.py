@@ -45,9 +45,10 @@ ZERO_TOL = 1e-9
 PMD_MAX_ITER = 200
 PMD_CONV_TOL = 1e-7
 
-#: Elastic-net route: outer alternations, the convergence step of both the
-#: alternation and the coordinate sweeps, and the ridge weight.
+#: Elastic-net route: outer alternations, coordinate sweeps per alternation,
+#: the convergence step of both, and the ridge weight.
 EN_MAX_ITER = 300
+EN_MAX_SWEEPS = 50
 EN_CONV_TOL = 1e-4
 RIDGE = 1e-6
 
@@ -261,10 +262,10 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
         b_old = b.copy()
         target = s @ a  # columns: S A_j
         # A column leaves ``active`` after the sweep that moves it by less
-        # than EN_CONV_TOL, and stays at that iterate; at most 50 sweeps.
+        # than EN_CONV_TOL, and stays at that iterate; at most EN_MAX_SWEEPS.
         active = np.ones((point.size, m), dtype=bool)
         rows = [(target[:, i], gram[i], gram[i, i], b[:, i]) for i in range(m)]
-        for _ in range(50):
+        for _ in range(EN_MAX_SWEEPS):
             b_prev = b.copy()
             for t_i, g_i, d_i, b_i in rows:
                 rho = t_i - g_i @ b + d_i * b_i

@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 import spla.sparse_loadings as sl
-from spla import Block, BlockEvaluation, BlockPartition
+from spla import BlockEvaluation, BlockPartition
 from spla.blocks import InconsistentPartitionError
 from spla.data import CovMatrix, DataError, DataMatrix
 from spla.matops import (
@@ -80,19 +80,22 @@ def replace_with_weight(
 ) -> np.ndarray:
     """Replace block ``b``'s leading loading by the equal-weight vector.
 
-    The block's other loadings are re-orthogonalized against the new leading
-    loading inside the block subspace (projection onto its orthogonal
-    complement, then Gram-Schmidt), so the full matrix stays orthonormal.
-    Loadings of every other block are untouched.
+    The block's loadings are the columns of ``u`` with support on its rows,
+    as many as it has variables. Its other loadings are re-orthogonalized
+    against the new leading loading inside the block subspace (projection
+    onto its orthogonal complement, then Gram-Schmidt), so the full matrix
+    stays orthonormal. Loadings of every other block are untouched.
     """
     if not 0 <= b < p.n_blocks:
         raise InconsistentPartitionError(f"no block {b} in partition")
     blk = p.blocks[b]
     rows = np.asarray(blk.variable_indices)
-    cols = np.asarray(blk.loading_indices)
+    cols = np.flatnonzero(np.any(u[rows] != 0, axis=0))
+    if cols.size != blk.size:
+        raise InconsistentPartitionError(
+            f"block {b} touches {cols.size} loadings, not {blk.size}"
+        )
     sub = u[np.ix_(rows, cols)]
-    if np.max(np.abs(sub)) == 0 and blk.size > 0:
-        raise InconsistentPartitionError("block has an all-zero loading sub-matrix")
     d = blk.size
     # Gram-Schmidt against w over the old columns, then the standard basis
     # in case the old columns were degenerate.
@@ -108,15 +111,6 @@ def replace_with_weight(
     out = u.copy()
     out[np.ix_(rows, cols)] = np.column_stack(basis)
     return out
-
-
-def _sequential_partition(p: BlockPartition) -> BlockPartition:
-    """The same variable blocks with loadings renumbered in block order."""
-    out, pos = [], 0
-    for blk in p.blocks:
-        out.append(Block(blk.variable_indices, tuple(range(pos, pos + blk.size))))
-        pos += blk.size
-    return BlockPartition(tuple(out))
 
 
 def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluation:
@@ -140,7 +134,7 @@ def block_ec_literal(cov: CovMatrix, p: BlockPartition, b: int) -> BlockEvaluati
         _, vecs = sym_eigen((sub + sub.T) / 2.0)
         u[np.ix_(rows, range(q, q + bb.size))] = vecs
         q += bb.size
-    replaced = replace_with_weight(u, _sequential_partition(p), b)
+    replaced = replace_with_weight(u, p, b)
     gram = replaced.T @ cov.values @ replaced
     gram = (gram + gram.T) / 2.0
     r = cholesky_upper(gram)
@@ -169,10 +163,10 @@ def elastic_net_loadings_percolumn(s, per_loading_l1) -> np.ndarray:
     """:func:`spla.elastic_net_loadings` by scalar coordinate descent.
 
     Each column ``B_j`` runs its own sweeps, one coordinate at a time, until
-    a sweep moves it by less than ``EN_CONV_TOL`` (at most 50 sweeps). The
-    outer alternation and the iteration policy are the library's. Arguments
-    are taken as valid: ``per_loading_l1`` holds one or ``M`` nonnegative
-    penalties.
+    a sweep moves it by less than ``EN_CONV_TOL``, at most ``EN_MAX_SWEEPS``
+    times. The outer alternation and the iteration policy are the library's.
+    Arguments are taken as valid: ``per_loading_l1`` holds one or ``M``
+    nonnegative penalties.
     """
     s = np.asarray(s, dtype=float)
     m = s.shape[0]
@@ -185,7 +179,7 @@ def elastic_net_loadings_percolumn(s, per_loading_l1) -> np.ndarray:
         target = s @ a
         for j in range(m):
             beta = b[:, j].copy()
-            for _ in range(50):
+            for _ in range(sl.EN_MAX_SWEEPS):
                 beta_prev = beta.copy()
                 for i in range(m):
                     rho = target[i, j] - gram[i] @ beta + gram[i, i] * beta[i]
@@ -239,9 +233,9 @@ def elastic_net_loadings_pointwise(s: np.ndarray, per_loading_l1) -> np.ndarray:
         # The M lasso problems share ``gram``, so coordinate i of every
         # column is one vector step (Friedman, Hastie & Tibshirani 2010).
         # A column leaves ``active`` after the sweep that moves it by less
-        # than EN_CONV_TOL, and stays at that iterate; at most 50 sweeps.
+        # than EN_CONV_TOL, and stays at that iterate; at most EN_MAX_SWEEPS.
         active = np.ones(m, dtype=bool)
-        for _ in range(50):
+        for _ in range(sl.EN_MAX_SWEEPS):
             b_prev = b.copy()
             for i in range(m):
                 rho = target[i] - gram[i] @ b + gram[i, i] * b[i]

@@ -53,8 +53,13 @@ class TestAnalyze:
         }
         assert d["partition"] == [["vec"], ["mec"], ["alg", "ana", "sta"]]
         assert d["ec"][0] is None
-        assert d["recommendations"][0]["block"] == ["vec"]
-        assert d["recommendations"][0]["discard"] is True
+        [rec] = d["recommendations"]
+        assert list(rec) == [
+            "block", "block_sv", "sv_flagged", "partial_share", "verified", "discard",
+        ]
+        assert rec["block"] == ["vec"]
+        assert rec["sv_flagged"] is True
+        assert rec["verified"] is rec["discard"] is True
 
     def test_table_output(self, exam_csv, capsys):
         rc = main([

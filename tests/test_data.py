@@ -44,6 +44,15 @@ class TestDataMatrix:
         with pytest.raises(DataError, match="^variable names must not be empty$"):
             DataMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]), names)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [(np.ones(3), r"expected 2-d data, got shape \(3,\)"),
+         (np.ones((3, 2)), "1 names for 2 columns")],
+    )
+    def test_rejects_shape(self, values, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            DataMatrix(values, ("a",))
+
 
 class TestCovMatrix:
     def test_rejects_asymmetric(self):
@@ -53,6 +62,15 @@ class TestCovMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(DataError):
             CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "values, names, message",
+        [(np.ones((2, 3)), ("a", "b"), r"covariance must be square, got \(2, 3\)"),
+         (np.eye(2), ("a",), "1 names for 2 variables")],
+    )
+    def test_rejects_shape(self, values, names, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CovMatrix(values, names)
 
     def test_trace(self):
         c = CovMatrix(np.diag([2.0, 3.0]), ("a", "b"))
@@ -81,6 +99,13 @@ class TestLoadCsv:
         d = load_csv(p)
         assert d.variable_names == ("a", "b")
         assert np.array_equal(d.values, [[1.0, 2.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("content", [b"", "\ufeff".encode("utf-8")])
+    def test_empty_file(self, tmp_path, content):
+        p = tmp_path / "empty.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}: empty file')}$"):
+            load_csv(p)
 
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -25,8 +25,7 @@ from oracles import block_ec_literal, replace_with_weight
 def _seq_partition(sizes) -> BlockPartition:
     blocks, pos = [], 0
     for s in sizes:
-        idx = tuple(range(pos, pos + s))
-        blocks.append(Block(idx, idx))
+        blocks.append(Block(range(pos, pos + s)))
         pos += s
     return BlockPartition(tuple(blocks))
 
@@ -37,12 +36,7 @@ def _random_partition(rng, m):
     cut1 = int(rng.integers(1, m - 1))
     cut2 = int(rng.integers(cut1 + 1, m))
     groups = [perm[:cut1], perm[cut1:cut2], perm[cut2:]]
-    groups = [g for g in groups if g.size]
-    blocks, pos = [], 0
-    for g in groups:
-        blocks.append(Block(tuple(int(i) for i in g), tuple(range(pos, pos + g.size))))
-        pos += g.size
-    return BlockPartition(tuple(blocks))
+    return BlockPartition(tuple(Block(g) for g in groups if g.size))
 
 
 class TestBlockEc:
@@ -101,10 +95,10 @@ class TestBlockEc:
         names = oecd_corr.variable_names
         idx = {n: i for i, n in enumerate(names)}
         blocks = (
-            Block((idx["I/Y"],), (0,)),
-            Block((idx["SCH"],), (1,)),
-            Block((idx["POP"],), (2,)),
-            Block(tuple(sorted((idx["RD"], idx["Y85"], idx["Y60"]))), (3, 4, 5)),
+            Block((idx["I/Y"],)),
+            Block((idx["SCH"],)),
+            Block((idx["POP"],)),
+            Block(tuple(sorted((idx["RD"], idx["Y85"], idx["Y60"])))),
         )
         p = BlockPartition(blocks)
         entries, min_ec, passes = evaluate_partition(oecd_corr, p)
@@ -129,7 +123,7 @@ class TestWeightBasis:
         assert np.allclose(u[3:, 3], 1 / np.sqrt(3))
 
     def test_block_diagonal_support(self):
-        p = BlockPartition((Block((0, 2), (0, 1)), Block((1, 3), (2, 3))))
+        p = BlockPartition((Block((0, 2)), Block((1, 3))))
         wb = weight_basis(p)
         pat = np.abs(wb) > ZERO_TOL
         assert not pat[1, 0] and not pat[3, 1] and not pat[0, 2] and not pat[2, 3]
@@ -199,18 +193,14 @@ class TestEvaluatePartition:
         idx = {n: i for i, n in enumerate(names)}
         tri = tuple(sorted((idx["alg"], idx["ana"], idx["sta"])))
         blocks = {
-            "vec": Block((idx["vec"],), (0,)),
-            "mec": Block((idx["mec"],), (1,)),
-            "tri": Block(tri, (2, 3, 4)),
+            "vec": Block((idx["vec"],)),
+            "mec": Block((idx["mec"],)),
+            "tri": Block(tri),
         }
 
         def run(order):
             p = BlockPartition(tuple(blocks[k] for k in order))
-            seq, pos = [], 0
-            for b in p.blocks:
-                seq.append(Block(b.variable_indices, tuple(range(pos, pos + b.size))))
-                pos += b.size
-            _, min_ec, passes = evaluate_partition(exam_cov, BlockPartition(tuple(seq)))
+            _, min_ec, passes = evaluate_partition(exam_cov, p)
             return min_ec, passes
 
         pinned, ok_pinned = run(("vec", "mec", "tri"))
@@ -259,7 +249,7 @@ class TestNearSingularPair:
         # The pair's completing weight column has variance 5e-13, under the
         # relative Cholesky floor, although the pair's own EC is well defined.
         p = BlockPartition(
-            (Block((0, 1), (0, 1)), Block((2,), (2,)), Block((3,), (3,)))
+            (Block((0, 1)), Block((2,)), Block((3,)))
         )
         for q in (p, p.reordered([1, 0, 2])):
             with pytest.raises(NotPositiveDefiniteError):

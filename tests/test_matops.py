@@ -73,6 +73,15 @@ class TestSymEigen:
         with pytest.raises(NonSymmetricError):
             sym_eigen(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [([[np.nan]], "matrix entries must be finite"),
+         (np.ones(3), r"expected a 2-d matrix, got shape \(3,\)")],
+    )
+    def test_rejects_invalid_entries_and_shape(self, a, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sym_eigen(a)
+
 
 class TestCholesky:
     def test_hand_2x2(self):
@@ -92,6 +101,10 @@ class TestCholesky:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(NonSymmetricError, match="^matrix is not square$"):
+            cholesky_upper(np.ones((2, 3)))
 
     def test_rejects_pivot_below_relative_floor(self):
         # Positive definite in exact arithmetic, but the second pivot (1e-13)

@@ -184,6 +184,8 @@ def test_cli_csv_cases_read_their_files_by_relative_name(monkeypatch):
         ("bad-cell.csv", "row 5, column 'b': non-numeric value 'oops'"),
         ("ragged.csv", "row 8 has 2 fields, expected 3"),
         ("header-only.csv", "no data rows"),
+        ("empty.csv", "empty file"),
+        ("bom.csv", "empty file"),
     ):
         assert runs[name] == f"--- stderr\ndata error: {name}: {error}\n--- exit 2\n"
 

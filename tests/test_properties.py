@@ -44,11 +44,7 @@ def _random_blocks(rng, m):
     n_cuts = int(rng.integers(1, m - 1)) if m > 2 else 1
     cuts = sorted(rng.choice(np.arange(1, m), size=n_cuts, replace=False))
     groups = np.split(perm, cuts)
-    blocks, pos = [], 0
-    for g in groups:
-        blocks.append(Block(tuple(int(i) for i in g), tuple(range(pos, pos + g.size))))
-        pos += g.size
-    return BlockPartition(tuple(blocks))
+    return BlockPartition(tuple(Block(g) for g in groups))
 
 
 class TestOrthonormality:
@@ -105,8 +101,7 @@ class TestExactBlockDiagonal:
         blocks, pos = [], 0
         for s in sizes:
             values[pos:pos + s, pos:pos + s] = random_spd(rng, s)
-            idx = tuple(range(pos, pos + s))
-            blocks.append(Block(idx, idx))
+            blocks.append(Block(range(pos, pos + s)))
             pos += s
         cov = CovMatrix(values, tuple(f"v{i}" for i in range(m)))
         entries, min_ec, passes = evaluate_partition(

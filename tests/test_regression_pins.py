@@ -18,7 +18,7 @@ def test_criterion_1_two_block_a_min_ec(oecd_corr):
     idx = {n: i for i, n in enumerate(oecd_corr.variable_names)}
     first = tuple(sorted(idx[n] for n in ("I/Y", "POP")))
     rest = tuple(sorted(idx[n] for n in ("SCH", "RD", "Y85", "Y60")))
-    p = BlockPartition((Block(first, (0, 1)), Block(rest, (2, 3, 4, 5))))
+    p = BlockPartition((Block(first), Block(rest)))
     _, min_ec, _ = evaluate_partition(oecd_corr, p)
     assert min_ec == pytest.approx(0.9850907671053861, rel=REL)
 

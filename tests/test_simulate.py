@@ -97,6 +97,12 @@ class TestEcDistribution:
         assert np.all(out[:, 0] == 1.0)  # block 0 has nothing before it
         assert np.all((out > 0.0) & (out <= 1.0))
 
+    def test_block_index_validated(self):
+        with pytest.raises(
+            ValueError, match=r"^block index 7 outside \[0, 7\) \(0-based\)$"
+        ):
+            ec_distribution(BlockDesign(), 50, 1, [7], 0)
+
     def test_ec_decreases_with_rho(self):
         meds = []
         for rho in (0.1, 0.6):

@@ -214,6 +214,10 @@ class TestPenalizedRankOne:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="^s must be nonzero$"):
             penalized_rank_one(np.zeros((3, 3)), 1.5)
+        # The loading matrix extracts no factor from it and returns the
+        # basis of the complement, here the whole space.
+        got = sparse_loading_matrix(np.zeros((3, 3)), [1.5])
+        assert len(got) == 1 and np.array_equal(got[0], np.eye(3))
 
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
@@ -506,6 +510,10 @@ class TestOrthogonalize:
     def test_already_orthonormal_unchanged(self):
         lm = orthogonalize(np.eye(4))
         assert np.allclose(lm, np.eye(4), atol=1e-12)
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(sl.RankDeficientError):
+            orthogonalize([[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestLoadingMatrix:

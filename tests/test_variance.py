@@ -22,8 +22,7 @@ from oracles import corrected_variances_from_data
 def _seq_partition(sizes) -> BlockPartition:
     blocks, pos = [], 0
     for s in sizes:
-        idx = tuple(range(pos, pos + s))
-        blocks.append(Block(idx, idx))
+        blocks.append(Block(range(pos, pos + s)))
         pos += s
     return BlockPartition(tuple(blocks))
 
@@ -94,10 +93,10 @@ class TestVarianceShares:
         names = oecd_corr.variable_names
         idx = {n: i for i, n in enumerate(names)}
         blocks = (
-            Block((idx["I/Y"],), (0,)),
-            Block((idx["SCH"],), (1,)),
-            Block((idx["POP"],), (2,)),
-            Block(tuple(sorted((idx["RD"], idx["Y85"], idx["Y60"]))), (3, 4, 5)),
+            Block((idx["I/Y"],)),
+            Block((idx["SCH"],)),
+            Block((idx["POP"],)),
+            Block(tuple(sorted((idx["RD"], idx["Y85"], idx["Y60"])))),
         )
         p = BlockPartition(blocks)
         wb = weight_basis(

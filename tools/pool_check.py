@@ -61,7 +61,8 @@ _SAMPLE = (
 #: diagnostic reads the same on both checkouts. The first three load the
 #: same values: ``plain.csv`` in one vectorised pass, the next two cell by
 #: cell (``np.loadtxt`` refuses a quoted cell and a whitespace-only line).
-#: The other three exit 2 with a row, column or file diagnostic.
+#: The other five exit 2 with a row, column or file diagnostic; the last two
+#: are a 0-byte file and one that holds only a UTF-8 byte-order mark.
 CLI_CSV = {
     "plain.csv": _SAMPLE,
     "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
@@ -69,6 +70,8 @@ CLI_CSV = {
     "bad-cell.csv": _SAMPLE.replace("1.20", "oops"),
     "ragged.csv": _SAMPLE.replace(",-0.71", ""),
     "header-only.csv": "a,b,c\n",
+    "empty.csv": "",
+    "bom.csv": "\ufeff",
 }
 
 
