@@ -11,6 +11,7 @@ then its variables alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,23 @@ class InconsistentPartitionError(BlockError):
 
 @dataclass(frozen=True)
 class Block:
-    """One block: its variable indices, kept in ascending order."""
+    """One block: its variable indices, at least one, kept in ascending
+    order. An index must be an integer (``operator.index``: numpy integers
+    pass, floats do not); anything else raises :class:`BlockError`."""
 
     variable_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "variable_indices",
-                           tuple(sorted(int(i) for i in self.variable_indices)))
+        indices = []
+        for i in self.variable_indices:
+            try:
+                indices.append(operator.index(i))
+            except TypeError:
+                msg = f"block variable index {i} is not an integer"
+                raise BlockError(msg) from None
+        if not indices:
+            raise BlockError("a block needs at least one variable")
+        object.__setattr__(self, "variable_indices", tuple(sorted(indices)))
 
     @property
     def size(self) -> int:

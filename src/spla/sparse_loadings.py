@@ -7,13 +7,16 @@ a penalty grid, and return one result per grid point: the raw loadings as a
 plain ``M x M`` array, whose zero pattern block detection reads (the
 analysis reads nothing else of them), or the numerical error that ended the
 point. Each factor of the first is :func:`penalized_rank_one` of the
-deflated covariance; the second runs its points in lock step.
+deflated covariance, whose every alternation finds its exact L1 threshold by
+a scan over the sorted ``|z|`` in scalar arithmetic that stops at the first
+value breaking the budget; the second runs its points in lock step.
 :func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
 matrix. Each route has one iteration policy, the module constants below.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,7 +26,6 @@ from .matops import (
     NoConvergenceError,
     RankDeficientError,
     _fix_signs,
-    soft_threshold,
     svd,
     sym_eigen,
 )
@@ -73,41 +75,67 @@ def _l1_budget(c, m: int) -> float:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a 1-d float
     return v / n if n > 0 else v
 
 
-def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
-    """``unit(soft_threshold(z, delta))`` for the smallest ``delta >= 0`` with
-    ``||unit(soft_threshold(z, delta))||_1 <= c``; the zero vector if none.
+def _threshold(az: np.ndarray, c: float) -> float:
+    """The smallest ``delta >= 0`` with ``||unit(soft_threshold(z, delta))||_1
+    <= c``, from ``az = |z|``; one that leaves only zeros if none does.
 
     Between sorted ``|z|`` values (knots) the same ``k`` coordinates survive,
     and the L1/L2 ratio, which falls as ``delta`` grows, meets ``c`` at a root
     of a quadratic. ``delta`` is that root on the first piece whose lower knot
-    breaks the budget (Duchi et al., ICML 2008). At ``c = 1`` it is the second
-    largest ``|z|``: ``+-e_i`` for a strict maximum, zero for a tie.
+    breaks the budget (Duchi et al., ICML 2008); the scan stops there. At
+    ``c = 1`` it is the second largest ``|z|``.
+
+    The scan runs in Python floats: on an M-vector this costs less than
+    numpy's per-call dispatch. Every operation is the one the vectorized
+    scan (kept in ``tests/oracles.py``) does, in its order, so the result
+    is the same to the bit.
     """
-    a = -np.sort(-np.abs(z))
-    norm = np.linalg.norm(z)
-    if norm > 0 and np.sum(np.abs(z)) / norm <= c:
-        delta = 0.0
-    elif c == 1.0:  # the root is a[1]; taken as is, the answer is one-sparse
-        delta = a[1]
-    else:
-        g = a[0] - a  # shifted by the maximum, near ties do not cancel
-        knot = np.append(g[1:], a[0])  # each piece's lower knot, shifted
-        k = np.arange(1, a.size + 1)
-        g1, g2 = np.cumsum(g), np.cumsum(g * g)
-        # ||w||_1 > c ||w||_2 at the lower knot; at the last one, r(0) > c
-        above = k * knot - g1 > c * np.sqrt(k * knot * knot - 2 * knot * g1 + g2)
-        j = int(np.argmax(np.append(above[:-1], True)))
-        kj = j + 1
-        delta = a[kj] if kj < a.size else 0.0
-        if kj > c * c:  # otherwise only by rounding: the root is the lower knot
-            mean, var = g1[j] / kj, max(g2[j] - g1[j] ** 2 / kj, 0.0)
-            root = a[0] - mean - c * np.sqrt(var / (kj * (kj - c * c)))
-            delta = min(max(root, delta), a[j])
-    return _unit(soft_threshold(z, delta))
+    # ||z||_2 to the bit (a square drops the sign), and numpy's pairwise
+    # sum for ||z||_1, whose rounding a Python sum would not keep.
+    norm = math.sqrt(az.dot(az))
+    if norm > 0 and az.sum() / norm <= c:
+        return 0.0
+    a = sorted(az.tolist(), reverse=True)
+    if c == 1.0:  # the root is a[1]; taken as is, the answer is one-sparse
+        return a[1]
+    top, n = a[0], len(a)
+    # Shifted by the maximum, near ties do not cancel. After k terms, g1 and
+    # g2 are the prefix sums of top - a and of its square.
+    g1 = g2 = 0.0
+    for k, x in enumerate(a, 1):
+        g = top - x
+        g1 += g
+        g2 += g * g
+        if k == n:  # at the last piece r(0) > c
+            break
+        knot = top - a[k]  # this piece's lower knot, shifted
+        # ||w||_1 > c ||w||_2 at the lower knot; not where rounding makes the
+        # radicand negative (numpy's nan compares false)
+        r = k * knot * knot - 2 * knot * g1 + g2
+        if r >= 0 and k * knot - g1 > c * math.sqrt(r):
+            break
+    delta = a[k] if k < n else 0.0
+    if k > c * c:  # otherwise only by rounding: the root is the lower knot
+        # np.float64's power, not g1 * g1: the two differ in the last bit.
+        mean, var = g1 / k, max(g2 - np.float64(g1) ** 2 / k, 0.0)
+        root = top - mean - c * math.sqrt(var / (k * (k - c * c)))
+        delta = min(max(root, delta), a[k - 1])
+    return delta
+
+
+def _unit_within_budget(z: np.ndarray, c: float) -> np.ndarray:
+    """``unit(soft_threshold(z, delta))`` for the smallest ``delta >= 0``
+    with ``||unit(soft_threshold(z, delta))||_1 <= c`` (:func:`_threshold`);
+    the zero vector if none. At ``c = 1`` the answer is ``+-e_i`` for a
+    strict maximum of ``|z|`` and zero for a tie.
+    """
+    az = np.abs(z)
+    # soft_threshold's arithmetic without its check: delta is never negative
+    return _unit(np.sign(z) * np.maximum(az - _threshold(az, c), 0.0))
 
 
 def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
@@ -126,7 +154,8 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     loading = sym_eigen(s)[1][:, 0]
     for _ in range(PMD_MAX_ITER):
         new = _unit_within_budget(s @ loading, c)
-        if np.linalg.norm(new - loading) < PMD_CONV_TOL:
+        step = new - loading
+        if math.sqrt(step.dot(step)) < PMD_CONV_TOL:
             return new
         loading = new
     return loading

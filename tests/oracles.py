@@ -18,6 +18,11 @@ scalar coordinate descent on one column at a time.
 point at a time, as the library ran it before it solved the whole grid in
 lock step.
 
+:func:`unit_within_budget_vectorized` is the PMD route's threshold search
+with the knot scan done in whole-array steps; the library scans the knots
+one at a time in Python floats and stops at the first that breaks the
+budget.
+
 :func:`load_csv_cell_by_cell` is the loader as it was before the body was
 parsed in one vectorised pass: one ``float()`` per cell.
 
@@ -256,6 +261,39 @@ def elastic_net_loadings_pointwise(s: np.ndarray, per_loading_l1) -> np.ndarray:
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
     return _fix_signs(b / norms)
+
+
+def unit_within_budget_vectorized(z: np.ndarray, c: float) -> np.ndarray:
+    """``sparse_loadings._unit_within_budget`` with the knot scan as whole
+    array steps: every knot's budget test is computed, then the first piece
+    that breaks it is taken.
+
+    ``unit(soft_threshold(z, delta))`` for the smallest ``delta >= 0`` with
+    ``||unit(soft_threshold(z, delta))||_1 <= c``; the zero vector if none.
+    """
+    a = -np.sort(-np.abs(z))
+    norm = np.linalg.norm(z)
+    if norm > 0 and np.sum(np.abs(z)) / norm <= c:
+        delta = 0.0
+    elif c == 1.0:  # the root is a[1]; taken as is, the answer is one-sparse
+        delta = a[1]
+    else:
+        g = a[0] - a  # shifted by the maximum, near ties do not cancel
+        knot = np.append(g[1:], a[0])  # each piece's lower knot, shifted
+        k = np.arange(1, a.size + 1)
+        g1, g2 = np.cumsum(g), np.cumsum(g * g)
+        # ||w||_1 > c ||w||_2 at the lower knot; at the last one, r(0) > c
+        above = k * knot - g1 > c * np.sqrt(k * knot * knot - 2 * knot * g1 + g2)
+        j = int(np.argmax(np.append(above[:-1], True)))
+        kj = j + 1
+        delta = a[kj] if kj < a.size else 0.0
+        if kj > c * c:  # otherwise only by rounding: the root is the lower knot
+            mean, var = g1[j] / kj, max(g2[j] - g1[j] ** 2 / kj, 0.0)
+            root = a[0] - mean - c * np.sqrt(var / (kj * (kj - c * c)))
+            delta = min(max(root, delta), a[j])
+    w = soft_threshold(z, delta)
+    n = np.linalg.norm(w)
+    return w / n if n > 0 else w
 
 
 def load_csv_cell_by_cell(path) -> DataMatrix:

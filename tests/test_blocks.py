@@ -299,6 +299,25 @@ class TestPartitionTypes:
         with pytest.raises(InconsistentPartitionError):
             BlockPartition((Block((0, 1)), Block((1, 2))))
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(BlockError, match=r"^a block needs at least one variable$"):
+            BlockPartition((Block(()), Block((0, 1))))
+
+    @pytest.mark.parametrize(
+        ("indices", "bad"),
+        [((1.7, 0.2), "1.7"), ((0, 1.0), "1.0"), (("0",), "0")],
+        ids=["fractions", "integral-float", "string"],
+    )
+    def test_non_integral_index_rejected(self, indices, bad):
+        msg = rf"^block variable index {bad} is not an integer$"
+        with pytest.raises(BlockError, match=msg):
+            Block(indices)
+
+    def test_numpy_integers_are_indices(self):
+        b = Block((np.int64(2), np.intp(0)))
+        assert b.variable_indices == (0, 2)
+        assert all(type(i) is int for i in b.variable_indices)
+
     def test_reordered(self):
         p = BlockPartition((Block((0,)), Block((1, 2))))
         q = p.reordered([1, 0])

@@ -22,7 +22,7 @@ from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
 
 from conftest import random_spd
-from oracles import elastic_net_loadings_pointwise
+from oracles import elastic_net_loadings_pointwise, unit_within_budget_vectorized
 
 
 def _pseudo_sample(cov_values: np.ndarray) -> np.ndarray:
@@ -85,14 +85,15 @@ def _sample_route(x: np.ndarray, c: float) -> np.ndarray:
 
 @pytest.fixture()
 def thresholds(monkeypatch):
-    """The ``delta`` of every ``soft_threshold`` call in ``sparse_loadings``."""
+    """The ``delta`` of every threshold search in ``sparse_loadings``."""
     deltas = []
+    search = sl._threshold
 
-    def recording(v, delta):
-        deltas.append(delta)
-        return soft_threshold(v, delta)
+    def recording(az, c):
+        deltas.append(search(az, c))
+        return deltas[-1]
 
-    monkeypatch.setattr(sl, "soft_threshold", recording)
+    monkeypatch.setattr(sl, "_threshold", recording)
     return deltas
 
 
@@ -115,6 +116,63 @@ def _budget_cases(draw):
     knots = [_l1_of_unit(z, a) for a in np.append(np.abs(z), 0.0)]
     assume(all(abs(r - c) > 1e-8 * c for r in knots if np.isfinite(r)))
     return z, c
+
+
+@st.composite
+def _kernel_cases(draw):
+    """``(z, c)`` over M from 1 to 60 and ``c`` at 1, at ``sqrt(M)`` or
+    between. ``z`` lives on an integer grid of ``levels`` steps times a scale
+    from 1e-3 to 1e3: ``levels = 0`` is the zero vector, 1 and 3 draw exact
+    ties. At M = 1 the zero vector has no second ``|z|`` for ``c = 1``; no
+    alternation meets it (a nonzero 1 x 1 ``s`` maps a unit vector to a
+    nonzero one), so it is left out."""
+    m = draw(st.integers(1, 60))
+    levels = draw(st.sampled_from([0, 1, 3, 1000, 10**6]))
+    ints = draw(st.lists(st.integers(-levels, levels), min_size=m, max_size=m))
+    scale = draw(st.floats(1e-3, 1e3))
+    z = np.array(ints, dtype=float) * (scale / max(levels, 1))
+    root_m = float(np.sqrt(m))
+    c = draw(st.one_of(st.just(1.0), st.just(root_m), st.floats(1.0, root_m)))
+    assume(m > 1 or z.any())
+    return z, c
+
+
+class TestScalarKnotScan:
+    """The knot scan in Python floats against the vectorized one of
+    ``tests/oracles.py``: the same answer to the bit, signed zeros included."""
+
+    @staticmethod
+    def _assert_same_bits(z, c):
+        got = sl._unit_within_budget(z, c)
+        with np.errstate(invalid="ignore"):  # the oracle's sqrt of a rounded < 0
+            want = unit_within_budget_vectorized(z, c)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_vectorized_oracle(self, case):
+        self._assert_same_bits(*case)
+
+    @pytest.mark.parametrize(
+        ("z", "c"),
+        [
+            # g1 * g1 and np.float64(g1) ** 2 differ in the last bit here, and
+            # so does the answer.
+            ([-1.11, 0.52, -0.42, -0.07, 0.71, -0.58, -0.57], 2.0),
+            # c is ||z||_1 / ||z||_2 with a sequential sum. numpy's pairwise
+            # sum rounds one ulp higher, so the budget binds (threshold
+            # 1.1e-16) where a sequential sum would give 0.
+            (
+                [-0.5, 0, 0, -0.4, 0.3, 0, -0.8, 0, 0, 0, -1.1, 0, 1.5, 0, -0.1,
+                 0.5, 0, 0],
+                2.3587679004578748,
+            ),
+        ],
+        ids=["root-square", "pairwise-l1"],
+    )
+    def test_last_bit_cases(self, z, c):
+        self._assert_same_bits(np.array(z, dtype=float), c)
 
 
 class TestBudgetThreshold:
