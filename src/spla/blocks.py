@@ -95,13 +95,6 @@ class BlockPartition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def reordered(self, order) -> "BlockPartition":
-        """The same blocks in a new evaluation order."""
-        order = list(order)
-        if sorted(order) != list(range(self.n_blocks)):
-            raise InconsistentPartitionError(f"invalid block order {order}")
-        return BlockPartition(tuple(self.blocks[i] for i in order))
-
 
 def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
     """Partition the variables by the support pattern of the square loading

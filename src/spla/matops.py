@@ -157,19 +157,17 @@ def cholesky_upper(a) -> np.ndarray:
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``a = U diag(s) V^T``.
 
-    Returns ``(U, s, V)`` (note: ``V``, not ``V^T``) with singular values in
-    descending order. ``a`` may be a stack of matrices (``G x M x N``); each
-    is factored alone, by the same LAPACK call as a single matrix, and the
-    factors are stacked alike. Delegates to LAPACK; a LAPACK convergence
-    failure, of any matrix of a stack, is reported as
-    :class:`NoConvergenceError`.
+    Returns numpy's ``(U, s, V^T)``, singular values in descending order.
+    ``a`` may be a stack of matrices (``G x M x N``); each is factored
+    alone, by the same LAPACK call as a single matrix, and the factors are
+    stacked alike. Delegates to LAPACK; a LAPACK convergence failure, of
+    any matrix of a stack, is reported as :class:`NoConvergenceError`.
     """
     a = _as_matrix(a, stacked=True)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergenceError(str(exc)) from exc
-    return u, s, np.swapaxes(vt, -1, -2)
 
 
 def soft_threshold(v, delta) -> np.ndarray:
@@ -178,9 +176,7 @@ def soft_threshold(v, delta) -> np.ndarray:
     ``delta`` is a scalar or an array that broadcasts against ``v``, e.g.
     one threshold per column.
     """
-    # count_nonzero, not np.any: np.any's dispatch costs more than the test
-    # itself on small arrays.
-    if np.count_nonzero(np.asarray(delta) < 0):
+    if np.any(np.asarray(delta) < 0):
         raise ValueError("delta must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - delta, 0.0)

@@ -37,7 +37,6 @@ from .sparse_loadings import (
     sparse_loading_matrix,
 )
 from .variance import (
-    CorrectedVariances,
     VarianceShares,
     corrected_variances,
     partial_trace_share,
@@ -209,35 +208,30 @@ def _ordered(cov: CovMatrix, detected: BlockPartition, order: tuple | None):
     ascending first variable), variables ascending within (``None``)."""
     if order is not None:
         want = [tuple(sorted(b)) for b in order]
-        have = {b.variable_indices: i for i, b in enumerate(detected.blocks)}
-        if sorted(want) == sorted(have):
-            return detected.reordered([have[w] for w in want]), order
-    keys = []
-    for i, b in enumerate(detected.blocks):
-        rows = np.asarray(b.variable_indices)
-        sub = cov.values[np.ix_(rows, rows)]
-        lam = sym_eigen(sub)[0][0]
-        keys.append((-lam, b.variable_indices[0], i))
-    return detected.reordered([i for *_, i in sorted(keys)]), None
+        if sorted(want) == sorted(b.variable_indices for b in detected.blocks):
+            return BlockPartition(tuple(Block(w) for w in want)), order
+
+    def key(b: Block):
+        rows = np.ix_(b.variable_indices, b.variable_indices)
+        return -sym_eigen(cov.values[rows])[0][0], b.variable_indices[0]
+
+    return BlockPartition(tuple(sorted(detected.blocks, key=key))), None
 
 
 def _evaluated(cov: CovMatrix, cfg: SplaConfig, detected: BlockPartition):
-    """Order ``detected`` and factor its weight basis once: that factor gives
-    the EC, the gate verdict and, if the partition is chosen, its shares."""
+    """``detected`` in evaluation order, the variances of its weight basis,
+    the EC entries, the minimum EC and the gate verdict. The basis is
+    factored once: that factor gives the EC, the gate verdict and, if the
+    partition is chosen, its shares."""
     ordered, within = _ordered(cov, detected, cfg.block_order)
     cv = corrected_variances(cov, weight_basis(ordered, within))
     return (ordered, cv, *_block_ecs(cv, ordered, cfg.c_ec))
 
 
-#: An evaluated partition, as ``_evaluated`` returns it: the partition in
-#: evaluation order, its weight-basis variances, the EC entries, the minimum
-#: EC and the gate verdict.
-_Found = tuple[BlockPartition, CorrectedVariances, list[BlockEvaluation],
-               float, bool]
-
-
-def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | None]:
+def _scan(cov: CovMatrix, cfg: SplaConfig):
     """Stages 1-2 over the whole grid: loadings, detection and the EC gate.
+    Returns the penalty trace and the best passing partition as
+    :func:`_evaluated` gives it, or ``None`` when nothing passed.
 
     Both routes read only the covariance ``S``: the penalized decomposition
     and its deflation run on ``S`` itself, so the loadings are those of the
@@ -250,7 +244,7 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     else:
         results, tol = elastic_net_loadings(cov.values, grid), ZERO_TOL
     trace: list[GridPoint] = []
-    best: _Found | None = None
+    best = None
     for penalty, loadings in zip(grid, results):
         try:
             if isinstance(loadings, MatopsError):
@@ -268,41 +262,27 @@ def _scan(cov: CovMatrix, cfg: SplaConfig) -> tuple[list[GridPoint], _Found | No
     return trace, best
 
 
-def _choose(cov: CovMatrix, cfg: SplaConfig, best: _Found | None) -> _Found:
-    """The scan's best or, when nothing passed the gate, the trivial single
-    block, evaluated like any other partition."""
-    if best is not None:
-        return best
-    m = cov.n_vars
-    single = BlockPartition((Block(range(m)),))
-    return _evaluated(cov, cfg, single)
-
-
-def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
+def _report(cov: CovMatrix, choice, trace) -> SplaReport:
     chosen, cv, entries, min_ec, _ = choice
     names = cov.variable_names
-    m = cov.n_vars
     # Share accounting in the evaluation (weight) basis the scan factored.
     shares = variance_shares(cv, cov, chosen)
-
+    partial, recs = (100.0,), ()
     if chosen.n_blocks > 1:
         partial = tuple(
             partial_trace_share(cov, b.variable_indices) for b in chosen.blocks
         )
-    else:
-        partial = (100.0,)
-
-    # Step 3 flags a block whose SV share is below the bound; step 4
-    # verifies the flag against its partial share.
-    bound = DISCARD_MARGIN * (100.0 / m)
-    recs = [
-        DiscardRecommendation(
-            tuple(names[j] for j in b.variable_indices), sv, share,
-            share < bound,
+        # Step 3 flags a block whose SV share is below the bound; step 4
+        # verifies the flag against its partial share.
+        bound = DISCARD_MARGIN * (100.0 / cov.n_vars)
+        recs = tuple(
+            DiscardRecommendation(
+                tuple(names[j] for j in b.variable_indices), sv, share,
+                share < bound,
+            )
+            for b, sv, share in zip(chosen.blocks, shares.block_sv.tolist(), partial)
+            if sv < bound
         )
-        for b, sv, share in zip(chosen.blocks, shares.block_sv.tolist(), partial)
-        if chosen.n_blocks > 1 and sv < bound
-    ]
 
     return SplaReport(
         tuple(names),
@@ -311,7 +291,7 @@ def _report(cov: CovMatrix, choice: _Found, trace) -> SplaReport:
         min_ec,
         shares,
         partial,
-        tuple(recs),
+        recs,
         tuple(trace),
     )
 
@@ -328,4 +308,6 @@ def structure_scan(cov: CovMatrix, cfg: SplaConfig = SplaConfig()) -> SplaReport
     correlation matrix to analyze standardized variables.
     """
     trace, best = _scan(cov, cfg)
-    return _report(cov, _choose(cov, cfg, best), trace)
+    if best is None:  # nothing passed the gate: the trivial single block
+        best = _evaluated(cov, cfg, BlockPartition((Block(range(cov.n_vars)),)))
+    return _report(cov, best, trace)

@@ -208,7 +208,6 @@ def random_wishart_demo(reps: int, seed: int) -> list[tuple[int, float]]:
                 g.min_ec
                 for g in report.penalty_trace
                 if g.partition is not None and g.partition.n_blocks > 1
-                and g.min_ec is not None
             ]
             ec = max(candidates) if candidates else 0.0
         out.append((k, float(ec)))

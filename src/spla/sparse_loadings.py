@@ -146,10 +146,18 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     of ``x`` (Witten, Tibshirani & Hastie 2009): its left factor
     ``unit(x @ loading)`` only rescales ``s @ loading``. After
     ``PMD_MAX_ITER`` alternations the last iterate is returned.
+
+    The loading does not depend on the scale of ``s``. An ``s`` whose
+    largest entry lies outside ``[2**-400, 2**400]`` is first scaled by a
+    power of two, exactly, into ``[0.5, 1)``, so that no square in the
+    alternation underflows or overflows.
     """
     s = _square(s, "s")
-    if not np.any(s):
+    peak = np.max(np.abs(s), initial=0.0)
+    if peak == 0:
         raise ValueError("s must be nonzero")
+    if not 2.0**-400 <= peak <= 2.0**400:
+        s = np.ldexp(s, -np.frexp(peak)[1])
     c = _l1_budget(c, s.shape[0])
     loading = sym_eigen(s)[1][:, 0]
     for _ in range(PMD_MAX_ITER):
@@ -230,8 +238,8 @@ def _polar_factors(sb: np.ndarray) -> tuple[np.ndarray, dict]:
     """Polar factor ``U V^T`` of each matrix of the stack ``sb``, and the
     error of each matrix whose SVD LAPACK refused, by stack index."""
     try:
-        uu, _, vv = svd(sb)
-        return uu @ np.swapaxes(vv, 1, 2), {}
+        uu, _, vt = svd(sb)
+        return uu @ vt, {}
     except NoConvergenceError:
         pass
     # One refusal fails the whole stack: factor each matrix alone, so that
@@ -239,11 +247,11 @@ def _polar_factors(sb: np.ndarray) -> tuple[np.ndarray, dict]:
     out, failed = np.zeros_like(sb), {}
     for k, one in enumerate(sb):
         try:
-            uu, _, vv = svd(one)
+            uu, _, vt = svd(one)
         except NoConvergenceError as exc:
             failed[k] = exc
         else:
-            out[k] = uu @ vv.T
+            out[k] = uu @ vt
     return out, failed
 
 
@@ -327,9 +335,9 @@ def orthogonalize(u: np.ndarray) -> np.ndarray:
     """Nearest orthonormal matrix to the whole of ``u`` via Procrustes (SVD
     with unit singular values)."""
     u = _square(u, "u")
-    uu, ss, vv = svd(u)
+    uu, ss, vt = svd(u)
     if np.min(ss) < 1e-10:
         raise RankDeficientError(
             f"singular value {np.min(ss):g} below 1e-10 during orthogonalization"
         )
-    return _fix_signs(uu @ vv.T)
+    return _fix_signs(uu @ vt)

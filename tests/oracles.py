@@ -192,8 +192,8 @@ def elastic_net_loadings_percolumn(s, per_loading_l1) -> np.ndarray:
                 if np.linalg.norm(beta - beta_prev) < sl.EN_CONV_TOL:
                     break
             b[:, j] = beta
-        uu, _, vv = svd(s @ b)
-        a = uu @ vv.T
+        uu, _, vt = svd(s @ b)
+        a = uu @ vt
         if np.linalg.norm(b - b_old) < sl.EN_CONV_TOL:
             break
     else:
@@ -250,8 +250,8 @@ def elastic_net_loadings_pointwise(s: np.ndarray, per_loading_l1) -> np.ndarray:
                 break
         if np.linalg.norm(b - b_old) < sl.EN_CONV_TOL:
             break
-        uu, _, vv = svd(s @ b)
-        a = uu @ vv.T
+        uu, _, vt = svd(s @ b)
+        a = uu @ vt
     else:
         raise NoConvergenceError(
             f"elastic-net loadings did not converge in {sl.EN_MAX_ITER} iterations"

@@ -317,8 +317,3 @@ class TestPartitionTypes:
         b = Block((np.int64(2), np.intp(0)))
         assert b.variable_indices == (0, 2)
         assert all(type(i) is int for i in b.variable_indices)
-
-    def test_reordered(self):
-        p = BlockPartition((Block((0,)), Block((1, 2))))
-        q = p.reordered([1, 0])
-        assert q.blocks[0].variable_indices == (1, 2)

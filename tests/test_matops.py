@@ -128,8 +128,8 @@ class TestSvd:
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(6, 4))
-        u, s, v = svd(a)
-        assert np.allclose(u[:, : len(s)] * s @ v.T[: len(s)], a, atol=1e-10)
+        u, s, vt = svd(a)
+        assert np.allclose(u[:, : len(s)] * s @ vt[: len(s)], a, atol=1e-10)
         assert np.all(np.diff(s) <= 0)
 
 

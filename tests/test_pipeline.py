@@ -139,12 +139,21 @@ class TestSelectionAndFallback:
             2.0, (5.0, 5.0, 5.0, 2.0, 2.0)
         ]
 
-    @pytest.mark.parametrize("cfg", [SplaConfig(), EXAM_CFG], ids=["pmd", "order"])
+    @pytest.mark.parametrize(
+        ("cfg", "after"),
+        [
+            (SplaConfig(), 0),
+            (EXAM_CFG, 0),
+            (SplaConfig(grid=(1.0,), c_ec=0.99), 1),  # nothing passes
+        ],
+        ids=["pmd", "order", "fallback"],
+    )
     def test_one_gram_factor_per_partitioned_grid_point(
-        self, exam_cov, monkeypatch, cfg
+        self, exam_cov, monkeypatch, cfg, after
     ):
         # Each candidate's factor gives its EC and gate, and the chosen one's
-        # also gives the report's shares: nothing is factored after the scan.
+        # also gives the report's shares: nothing is factored after the scan
+        # but the single block that stands in when no candidate passes.
         calls, scanning = [], [True]
 
         def factor(a):
@@ -162,7 +171,19 @@ class TestSelectionAndFallback:
         monkeypatch.setattr(spla.pipeline, "_scan", scan)
         report = structure_scan(exam_cov, cfg)
         partitioned = [g for g in report.penalty_trace if g.partition is not None]
-        assert calls == [True] * len(partitioned)
+        assert partitioned and any(g.passed for g in partitioned) == (not after)
+        assert calls == [True] * len(partitioned) + [False] * after
+
+    def test_default_order_is_descending_largest_eigenvalue(self):
+        # Three exact pairs at r = 0.9, the middle one at twice the scale:
+        # largest eigenvalues 1.9, 3.8 and 1.9. The tie goes to the pair
+        # with the smaller first variable.
+        pair = np.array([[1.0, 0.9], [0.9, 1.0]])
+        s = np.kron(np.diag([1.0, 2.0, 1.0]), pair)
+        report = structure_scan(CovMatrix(s, tuple("abcdef")), SplaConfig(grid=(2.0,)))
+        assert [b.variable_indices for b in report.partition.blocks] == [
+            (2, 3), (0, 1), (4, 5)
+        ]
 
     def test_block_order_mismatch_falls_back(self, exam_data):
         cfg = SplaConfig(
@@ -227,10 +248,13 @@ class TestCovarianceRoute:
         assert len(covs) == 1 and len(received) == 1
         assert all(s is covs[0].values for s in received)
 
+    @pytest.mark.filterwarnings("error")
     def test_scan_is_scale_free(self):
         # In tiny units the deflation must not stop early and report M
         # singletons; in huge units a deflated S that is not exactly
-        # symmetric fails the absolute symmetry check of sym_eigen.
+        # symmetric fails the absolute symmetry check of sym_eigen. Near
+        # the ends of the float range the PMD alternation's squares would
+        # underflow or overflow.
         from spla import BlockDesign, gen_block_sample, sample_cov
 
         s = sample_cov(gen_block_sample(BlockDesign(n_blocks=3, rho=0.3), 500, 7))
@@ -243,7 +267,7 @@ class TestCovarianceRoute:
             ]
 
         a = structure_scan(s, cfg)
-        for scale in (1e-26, 1e26):
+        for scale in (1e-26, 1e26, 1e-160, 1e160):
             b = structure_scan(CovMatrix(s.values * scale, s.variable_names), cfg)
             assert _names(a) == _names(b), scale
             assert trace(a) == trace(b), scale

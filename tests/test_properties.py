@@ -147,7 +147,7 @@ class TestEcFromOneFactor:
         cov = CovMatrix(scale @ random_spd(rng, m) @ scale,
                         tuple(f"v{i}" for i in range(m)))
         p = _random_blocks(rng, m)
-        p = p.reordered(rng.permutation(p.n_blocks))
+        p = BlockPartition(tuple(p.blocks[i] for i in rng.permutation(p.n_blocks)))
         entries, _, _ = evaluate_partition(cov, p)
         assert entries[0].ec is None
         for b in range(1, p.n_blocks):
@@ -168,7 +168,7 @@ class TestEcInAnyWithinBlockOrder:
         cov = CovMatrix(scale @ random_spd(rng, m) @ scale,
                         tuple(f"v{i}" for i in range(m)))
         p = _random_blocks(rng, m)
-        p = p.reordered(rng.permutation(p.n_blocks))
+        p = BlockPartition(tuple(p.blocks[i] for i in rng.permutation(p.n_blocks)))
         within = tuple(
             tuple(int(i) for i in rng.permutation(b.variable_indices))
             for b in p.blocks

@@ -277,6 +277,18 @@ class TestPenalizedRankOne:
         got = sparse_loading_matrix(np.zeros((3, 3)), [1.5])
         assert len(got) == 1 and np.array_equal(got[0], np.eye(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e300])
+    def test_loading_is_scale_free(self, scale):
+        # Unscaled, z = s v and its squares would fall into subnormals (a
+        # loading off unit norm, or zero) or overflow.
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(20, 5))
+        s = x.T @ x
+        loading = penalized_rank_one(s * scale, 1.5)
+        assert np.allclose(loading, penalized_rank_one(s, 1.5), rtol=0, atol=1e-12)
+        assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-12)
+
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))
         for c in (1.0, 1.409, 2.0, 3.0):

@@ -128,6 +128,9 @@ def _cli_cases() -> list[list[str]]:
     ]
     out += [["analyze", str(FIXTURES / "exam.csv"), "--grid", grid]
             for grid in ("2,x", "5/x", "1:2:x", "1:2:1000000000000000")]
+    # A lo:hi:steps grid that parses.
+    out.append(["analyze", str(FIXTURES / "exam.csv"), "--grid", "1.2:2.2:3",
+                "--format", "json"])
     out.append(["simulate", "ec", "--n", "99999999999999999999", "--reps", "1"])
     out.append(["simulate", "ec", "--reps", "1000000000000", "--n", "50"])
     # The single-block fallback: no grid point passes the gate.
