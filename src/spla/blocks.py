@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import CovMatrix
 from .sparse_loadings import ZERO_TOL
-from .matops import _components, sym_eigen
+from .matops import _components, _square, sym_eigen
 
 __all__ = [
     "BlockError",
@@ -107,11 +107,10 @@ def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
     as explicit input. Each component must touch as many loadings as it has
     variables (the square rule); the loadings are checked here and not kept.
     When several components are invalid, the one with the smallest variable
-    reports; a loading without support leaves some component short.
+    reports; a loading without support leaves some component short. A
+    non-finite entry is a ``ValueError``, not a structural zero.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"loading matrix must be square, got {u.shape}")
+    u = _square(u, "u")
     pattern = np.abs(u) > tol
     # Diagnose isolated variables up front: the more specific error should
     # win over a non-square component elsewhere in the pattern.

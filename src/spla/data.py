@@ -111,7 +111,8 @@ def load_csv(path) -> DataMatrix:
     surrounding whitespace is stripped, quoted or not. A plain numeric body
     is parsed in one vectorised pass; any other body is read cell by cell,
     where wrong-arity rows and non-numeric cells abort with a row/column
-    diagnostic.
+    diagnostic. Text the ``csv`` module refuses, such as a field longer than
+    :func:`csv.field_size_limit`, aborts with a line diagnostic.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -126,6 +127,8 @@ def load_csv(path) -> DataMatrix:
                 values = _body_by_cell(reader, names, path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return DataMatrix(values, tuple(names))
 
 

@@ -65,6 +65,15 @@ def _as_matrix(a, stacked: bool = False) -> np.ndarray:
     return a
 
 
+def _square(a, name: str = "a") -> np.ndarray:
+    """``a`` as a finite, non-empty, square float matrix (:func:`_as_matrix`);
+    the shape error names the argument ``name`` and the shape it has."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    return _as_matrix(a)
+
+
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     """Copy of ``u`` with each column's largest-magnitude component nonnegative."""
     u = np.array(u, dtype=float)
@@ -105,10 +114,8 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     the decomposition is deterministic. A LAPACK convergence failure is
     reported as :class:`NoConvergenceError`.
     """
-    a = _as_matrix(a)
+    a = _square(a)
     m = a.shape[0]
-    if a.shape[1] != m:
-        raise NonSymmetricError("matrix is not square")
     asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
     if asym > SYM_TOL:
         raise NonSymmetricError(
@@ -137,10 +144,7 @@ def cholesky_upper(a) -> np.ndarray:
     pivot ``r_ii**2`` falls at or below
     ``CHOLESKY_PIVOT_RTOL * max(diag(a))``.
     """
-    a = _as_matrix(a)
-    m = a.shape[0]
-    if a.shape[1] != m:
-        raise NonSymmetricError("matrix is not square")
+    a = _square(a)
     try:
         r = np.linalg.cholesky(a).T
     except np.linalg.LinAlgError as exc:

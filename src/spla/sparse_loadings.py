@@ -17,7 +17,6 @@ matrix. Each route has one iteration policy, the module constants below.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .matops import (
     NoConvergenceError,
     RankDeficientError,
     _fix_signs,
+    _square,
     svd,
     sym_eigen,
 )
@@ -53,15 +53,6 @@ EN_MAX_ITER = 300
 EN_MAX_SWEEPS = 50
 EN_CONV_TOL = 1e-4
 RIDGE = 1e-6
-
-
-def _square(a, name: str) -> np.ndarray:
-    """``a`` as a float array, checked to be a square matrix; the error
-    names the argument ``name`` and the shape it has."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
 
 
 def _l1_budget(c, m: int) -> float:
@@ -203,20 +194,14 @@ def sparse_loading_matrix(s: np.ndarray, grid) -> list:
                 # Exactly symmetric: the symmetry check of sym_eigen is absolute.
                 work = (work + work.T) / 2.0
             if len(cols) < m:
-                cols.extend(_complement_basis(np.column_stack(cols) if cols else None, m).T)
+                # Of the full SVD's left singular vectors, those past the k
+                # columns span the complement (all of them, the identity, at k = 0).
+                done = np.column_stack(cols) if cols else np.empty((m, 0))
+                cols.extend(np.linalg.svd(done)[0][:, len(cols):].T)
             results.append(_fix_signs(np.column_stack(cols)))
         except MatopsError as exc:
             results.append(exc)
     return results
-
-
-def _complement_basis(u: Optional[np.ndarray], m: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``span(u)``."""
-    if u is None:
-        return np.eye(m)
-    # Of the full SVD's left singular vectors, those past u's k columns
-    # span the complement.
-    return np.linalg.svd(u)[0][:, u.shape[1]:]
 
 
 def _penalties(entry, m: int) -> np.ndarray:

@@ -15,6 +15,7 @@ the share a block retains once every other block is accounted for.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +91,26 @@ def partial_cov(cov: CovMatrix, d_set) -> np.ndarray:
     """Partial covariance of the variables ``d_set`` given the complement.
 
     The symmetric ``|D| x |D|`` array ``S[D,D] - S[D,K] S[K,K]^-1 S[K,D]``,
-    where ``K`` is every other variable and ``D`` is ascending.
+    where ``K`` is every other variable and ``D`` is ascending. Each index
+    must be an integer (``operator.index``) in ``[0, M)`` and appear once;
+    the first that is not raises ``ValueError``.
     """
     m = cov.n_vars
-    d = sorted(int(i) for i in d_set)
+    d: list[int] = []
+    for i in d_set:
+        try:
+            j = operator.index(i)
+        except TypeError:
+            raise ValueError(f"variable index {i!r} is not an integer") from None
+        if not 0 <= j < m:
+            raise ValueError(f"variable index {j} outside [0, {m})")
+        if j in d:
+            raise ValueError(f"variable index {j} repeats")
+        d.append(j)
     if not d or len(d) >= m:
         raise ValueError("d_set must be a proper nonempty subset of the variables")
-    k = [i for i in range(m) if i not in set(d)]
+    d.sort()
+    k = [i for i in range(m) if i not in d]
     s = cov.values
     sdd = s[np.ix_(d, d)]
     sdk = s[np.ix_(d, k)]

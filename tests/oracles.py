@@ -46,6 +46,7 @@ from spla.matops import (
     NoConvergenceError,
     RankDeficientError,
     _fix_signs,
+    _square,
     cholesky_upper,
     soft_threshold,
     solve_spd,
@@ -216,7 +217,7 @@ def elastic_net_loadings_pointwise(s: np.ndarray, per_loading_l1) -> np.ndarray:
     (coordinate descent); then ``A`` is set to the polar factor of ``S B``.
     ``per_loading_l1`` holds one penalty for every loading or ``M`` of them.
     """
-    s = sl._square(s, "s")
+    s = _square(s, "s")
     m = s.shape[0]
     l1 = np.asarray(per_loading_l1, dtype=float)
     if l1.size == 1:
@@ -329,6 +330,8 @@ def load_csv_cell_by_cell(path) -> DataMatrix:
                 rows.append(parsed)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return DataMatrix(np.array(rows, dtype=float), tuple(names))

@@ -232,6 +232,21 @@ def test_numerical_error_exits_3(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_near_collinear_sample_exits_3(tmp_path, capsys):
+    # Column b is a plus 1.6e-6 of a draw: the covariance passes the
+    # relative Cholesky floor, but the single-block fallback's U^T S U,
+    # whose corrected variances are its pivots, does not.
+    x = np.random.default_rng(0).normal(size=(50, 4))
+    x[:, 1] = x[:, 0] + 1.6e-6 * x[:, 1]
+    path = tmp_path / "collinear.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n"
+                                          for row in x))
+    assert main(["analyze", str(path)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: pivot 9.18046e-13 at index 1\n"
+    assert captured.out == ""
+
+
 def test_grid_step_count_is_bounded():
     from spla.cli import MAX_GRID_STEPS, _parse_grid
 

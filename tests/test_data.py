@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import tempfile
@@ -111,6 +112,20 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n3\n")
         with pytest.raises(DataError):
+            load_csv(p)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a" * (csv.field_size_limit() + 1) + ",b\n1,2\n3,4\n", 1),
+         ('a,b\n1,2\n"3' + "0" * csv.field_size_limit() + '",4\n', 3)],
+        ids=["header", "quoted-cell"],
+    )
+    def test_field_over_csv_limit_is_a_data_error(self, tmp_path, text, line):
+        p = tmp_path / "wide.csv"
+        p.write_text(text)
+        message = (f"{p}: line {line}: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(p)
 
     def test_quoted_cells_load(self, tmp_path):

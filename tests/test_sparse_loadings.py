@@ -79,7 +79,8 @@ def _sample_route(x: np.ndarray, c: float) -> np.ndarray:
         work = work - (left @ work @ loading) * np.outer(left, loading)
         cols.append(loading)
     if len(cols) < m:
-        cols.extend(sl._complement_basis(np.column_stack(cols) if cols else None, m).T)
+        done = np.column_stack(cols) if cols else np.empty((m, 0))
+        cols.extend(np.linalg.svd(done)[0][:, len(cols):].T)
     return _fix_signs(np.column_stack(cols))
 
 
@@ -597,9 +598,17 @@ class TestLoadingMatrix:
 
     def test_rejects_nonsquare(self):
         with pytest.raises(
-            ValueError, match=r"^loading matrix must be square, got \(2, 3\)$"
+            ValueError, match=r"^u must be a square matrix, got shape \(2, 3\)$"
         ):
             detect_blocks(np.ones((2, 3)))
+
+    def test_rejects_nan(self):
+        # A nan entry is no structural zero: |nan| > tol is false, which
+        # would read it as one.
+        u = np.eye(3)
+        u[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            detect_blocks(u)
 
 
 class TestShapes:

@@ -164,6 +164,26 @@ class TestPartialCov:
         with pytest.raises(ValueError):
             partial_cov(oecd_corr, list(range(6)))
 
+    @pytest.mark.parametrize(
+        "d_set, message",
+        [([0, 0], "variable index 0 repeats"),
+         ([2, 1, 2], "variable index 2 repeats"),
+         ([-1], r"variable index -1 outside \[0, 6\)"),
+         ([7], r"variable index 7 outside \[0, 6\)"),
+         ([1.5], "variable index 1.5 is not an integer"),
+         (["1"], "variable index '1' is not an integer")],
+        ids=["repeat", "repeat-unsorted", "negative", "past-end", "float", "text"],
+    )
+    def test_rejects_bad_index(self, oecd_corr, d_set, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partial_cov(oecd_corr, d_set)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partial_trace_share(oecd_corr, d_set)
+
+    def test_takes_numpy_integers(self, oecd_corr):
+        assert np.array_equal(partial_cov(oecd_corr, np.array([3, 1])),
+                              partial_cov(oecd_corr, [1, 3]))
+
 
 class TestPartialTraceShare:
     def test_identity_covariance(self):

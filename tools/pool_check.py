@@ -29,6 +29,7 @@ without ``--against`` or for an ``OTHER_CHECKOUT`` without ``src/spla``.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import os
@@ -37,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -56,13 +59,29 @@ _SAMPLE = (
     "0.41,0.91,-1.64\n-0.26,-0.94,-0.17\n"
 )
 
+#: One more character than the ``csv`` module reads in one field.
+_WIDE = csv.field_size_limit() + 1
+
+
+def _collinear() -> str:
+    """A sample (M = 4, N = 50) whose column ``b`` is ``a`` plus 1.6e-6 of
+    a normal draw, as CSV text with round-trip floats. Its covariance passes
+    the Cholesky pivot floor, but a later factor does not: exit 3."""
+    x = np.random.default_rng(0).normal(size=(50, 4))
+    x[:, 1] = x[:, 0] + 1.6e-6 * x[:, 1]
+    return "a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+
+
 #: CSV files of the ``cli`` pool by name. Each is written into the run's
 #: working directory and passed by that relative name, so the file name in a
 #: diagnostic reads the same on both checkouts. The first three load the
 #: same values: ``plain.csv`` in one vectorised pass, the next two cell by
 #: cell (``np.loadtxt`` refuses a quoted cell and a whitespace-only line).
-#: The other five exit 2 with a row, column or file diagnostic; the last two
-#: are a 0-byte file and one that holds only a UTF-8 byte-order mark.
+#: The next five exit 2 with a row, column or file diagnostic; the last two
+#: of them are a 0-byte file and one that holds only a UTF-8 byte-order mark.
+#: Then a header field and a quoted cell (a valid number) longer than the
+#: ``csv`` module reads, each a data error, and a near-collinear sample, a
+#: numerical error.
 CLI_CSV = {
     "plain.csv": _SAMPLE,
     "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
@@ -72,6 +91,9 @@ CLI_CSV = {
     "header-only.csv": "a,b,c\n",
     "empty.csv": "",
     "bom.csv": "\ufeff",
+    "wide-header.csv": "a" * _WIDE + _SAMPLE[1:],
+    "wide-cell.csv": _SAMPLE.replace("0.42", '"0.42' + "0" * _WIDE + '"'),
+    "collinear.csv": _collinear(),
 }
 
 
