@@ -416,6 +416,12 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(f"{flag} comes before the experiment name; flags "
                               "follow it, e.g. spla simulate ec --reps 2")
         args = parser.parse_args(argv)
+        # Python 3.11's argparse drops the value of "--flag=--" and stores an
+        # empty list; refuse it as argparse refuses "--flag --".
+        for name, value in vars(args).items():
+            if value == []:
+                raise _UsageError(f"argument --{name.replace('_', '-')}: "
+                                  "expected one argument")
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "reproduce":

@@ -239,8 +239,9 @@ def _scan(cov: CovMatrix, cfg: SplaConfig):
     """
     grid = cfg.resolved_grid(cov.n_vars)
     # DETECT_TOL on the PMD route only: the elastic net produces exact zeros.
+    # A PMD budget stops once its supports at DETECT_TOL connect every variable.
     if cfg.method == "pmd":
-        results, tol = sparse_loading_matrix(cov.values, grid), DETECT_TOL
+        results, tol = sparse_loading_matrix(cov.values, grid, DETECT_TOL), DETECT_TOL
     else:
         results, tol = elastic_net_loadings(cov.values, grid), ZERO_TOL
     trace: list[GridPoint] = []

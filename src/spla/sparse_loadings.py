@@ -10,8 +10,15 @@ point. Each factor of the first is :func:`penalized_rank_one` of the
 deflated covariance, whose every alternation finds its exact L1 threshold by
 a scan over the sorted ``|z|`` in scalar arithmetic that stops at the first
 value breaking the budget; the second runs its points in lock step.
-:func:`orthogonalize` gives the nearest orthonormal matrix to a whole loading
-matrix. Each route has one iteration policy, the module constants below.
+Given a support tolerance below ``1/sqrt(M)``, a budget of the first route
+stops once its factors' supports connect every variable: the partition is
+then the single block whatever the later factors are, and the complement
+basis that completes the matrix has an entry above the tolerance in every
+column, so detection still reads the single block. Each budget writes one
+DEBUG record to the ``"spla"`` logger: the factors run and the factor after
+which the supports connected. :func:`orthogonalize` gives the nearest
+orthonormal matrix to a whole loading matrix. Each route has one iteration
+policy, the module constants below.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .matops import (
     MatopsError,
     NoConvergenceError,
     RankDeficientError,
+    _components,
     _fix_signs,
     _square,
     svd,
@@ -160,7 +168,7 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     return loading
 
 
-def sparse_loading_matrix(s: np.ndarray, grid) -> list:
+def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list:
     """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized,
     at each L1 budget of ``grid``: one result per budget, in grid order, the
     ``M x M`` loadings or the :class:`MatopsError` that ended it (returned).
@@ -173,7 +181,20 @@ def sparse_loading_matrix(s: np.ndarray, grid) -> list:
     ``x (I - v v^T)`` (projection deflation, Mackey, NIPS 2008). Once its
     trace is at most ``1e-12`` of the original, the rest is an orthonormal
     basis of the complement.
+
+    With a support tolerance ``tol`` below ``1/sqrt(M)``, a budget also stops
+    once the supports ``|v| > tol`` of its factors connect every variable,
+    and the complement completes it. Each completing column is a unit
+    vector, so it has an entry of at least ``1/sqrt(M)``, above ``tol``: at
+    ``tol`` the matrix then detects as the single block, as the full
+    deflation does unless a later factor would end in an error or have no
+    entry above ``tol``. The guard is ``tol * tol * M < 1 - 1e-9``: a ``tol``
+    within rounding of ``1/sqrt(M)`` never stops. Without ``tol`` every
+    factor runs.
     """
+    # Imported here, not at the top: it would add about 5 ms to ``import spla``.
+    import logging
+
     s = _square(s, "s")
     m = s.shape[0]
     budgets = []
@@ -182,25 +203,40 @@ def sparse_loading_matrix(s: np.ndarray, grid) -> list:
             raise ValueError("per-loading penalty vectors require method 'spca'")
         budgets.append(_l1_budget(c, m))
     total = np.trace(s)
+    stop = tol is not None and tol * tol * m < 1 - 1e-9
     results: list = []
     for c in budgets:
-        work, cols = s, []
+        work, cols, joined = s, [], 0
+        linked = np.eye(m, dtype=bool)  # variables that share a support
         try:
             while len(cols) < m and np.trace(work) > 1e-12 * total:
                 v = penalized_rank_one(work, c)
                 cols.append(v)
+                if tol is not None and not joined:
+                    on = np.abs(v) > tol
+                    linked |= np.outer(on, on)
+                    if len(_components(linked)) == 1:
+                        joined = len(cols)
+                        if stop:
+                            break
                 p = np.eye(m) - np.outer(v, v)
                 work = p @ work @ p
                 # Exactly symmetric: the symmetry check of sym_eigen is absolute.
                 work = (work + work.T) / 2.0
-            if len(cols) < m:
-                # Of the full SVD's left singular vectors, those past the k
-                # columns span the complement (all of them, the identity, at k = 0).
-                done = np.column_stack(cols) if cols else np.empty((m, 0))
-                cols.extend(np.linalg.svd(done)[0][:, len(cols):].T)
-            results.append(_fix_signs(np.column_stack(cols)))
         except MatopsError as exc:
             results.append(exc)
+        else:
+            # Of the full SVD's left singular vectors, those past the k
+            # columns span the complement (all of them, the identity, at k = 0).
+            done = np.column_stack(cols) if cols else np.empty((m, 0))
+            rest = np.linalg.svd(done)[0][:, len(cols):].T if len(cols) < m else []
+            results.append(_fix_signs(np.column_stack([*cols, *rest])))
+        logging.getLogger("spla").debug(
+            "pmd budget %r: %d of %d factors run; supports %s", c, len(cols), m,
+            "not checked" if tol is None
+            else f"connected after factor {joined}" if joined
+            else f"never connected at tol {tol!r}",
+        )
     return results
 
 

@@ -200,6 +200,13 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         (["simulate", "--reps", "2", "ec"],
          "usage error: --reps comes before the experiment name; flags follow "
          "it, e.g. spla simulate ec --reps 2"),
+        # "--flag=--" is refused as "--flag --" is, whatever the flag's type.
+        (["simulate", "ec", "--blocks=--"],
+         "usage error: argument --blocks: expected one argument"),
+        (["simulate", "rate", "--c-ec=--"],
+         "usage error: argument --c-ec: expected one argument"),
+        (["analyze", OECD_CSV, "--grid=--"],
+         "usage error: argument --grid: expected one argument"),
     ],
     ids=[
         "ec-reps-negative", "spca-grid-nan", "spca-vector-with-inf",
@@ -212,7 +219,8 @@ def test_errors_end_in_exit_code_and_one_line(argv, code, capsys):
         "rate-reps-over-max", "wishart-reps-too-large", "order-empty",
         "order-empty-string", "grid-empty-string", "spca-grid-empty-string",
         "wishart-takes-no-n", "ec-takes-no-c-ec", "rate-takes-no-blocks",
-        "flag-before-experiment",
+        "flag-before-experiment", "ec-blocks-double-dash",
+        "rate-c-ec-double-dash", "grid-double-dash",
     ],
 )
 def test_invalid_values_are_named(argv, message, capsys):

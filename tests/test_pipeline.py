@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -237,9 +239,9 @@ class TestCovarianceRoute:
             covs.append(sample_cov(d))
             return covs[-1]
 
-        def pmd_spy(s, grid):
+        def pmd_spy(s, grid, tol):
             received.append(s)
-            return pmd(s, grid)
+            return pmd(s, grid, tol)
 
         monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
         monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", pmd_spy)
@@ -297,3 +299,22 @@ class TestSupportTolerance:
         monkeypatch.setattr(spla.pipeline, "DETECT_TOL", pmd_tol)
         structure_scan(oecd_corr, SplaConfig(method=method, grid=grid))
         assert tols == [want]
+
+
+class TestBudgetLog:
+    def test_one_debug_record_per_pmd_budget(self, caplog, exam_cov):
+        # Nothing is installed on the "spla" logger: the records reach only
+        # a handler the caller adds, here pytest's.
+        assert not logging.getLogger("spla").handlers
+        caplog.set_level(logging.DEBUG, logger="spla")
+        structure_scan(exam_cov, SplaConfig(grid=(2.0, 1.0)))
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("spla", logging.DEBUG)
+        ] * 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "pmd budget 2.0: 1 of 5 factors run; supports connected after factor 1",
+            "pmd budget 1.0: 5 of 5 factors run; supports never connected at tol 0.01",
+        ]
+        caplog.clear()
+        structure_scan(exam_cov, SplaConfig(method="spca", grid=(0.5,)))
+        assert not caplog.records

@@ -188,6 +188,10 @@ def test_cli_csv_cases_read_their_files_by_relative_name(monkeypatch):
         ("bom.csv", "empty file"),
     ):
         assert runs[name] == f"--- stderr\ndata error: {name}: {error}\n--- exit 2\n"
+    # The block design's PMD budgets: all but the two sparsest detect the
+    # single block, so their factors stop once the supports connect.
+    report = json.loads(runs["blocks30.csv"].split("--- stderr\n")[0])
+    assert [g["n_blocks"] for g in report["penalty_trace"]] == [1] * 29 + [15, 30]
 
 
 def test_other_outputs_runs_the_other_package(tmp_path, monkeypatch):

@@ -4,26 +4,37 @@ Random instances are derived from hypothesis-drawn seeds and sizes, so every
 failure shrinks to a small reproducible seed.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spla import (
     Block,
+    BlockDesign,
     BlockPartition,
     CovMatrix,
     DataMatrix,
     block_ec,
     corrected_variances,
+    detect_blocks,
     elastic_net_loadings,
     evaluate_partition,
+    gen_block_sample,
     orthogonalize,
     sample_cov,
     sparse_loading_matrix,
 )
+from spla.blocks import BlockError, NonSquareBlockError
 from spla.evaluation import DEFAULT_C_EC, _block_ecs, weight_basis
-from spla.pipeline import SplaConfig
-from spla.matops import NoConvergenceError, RankDeficientError, sym_eigen
+from spla.pipeline import DETECT_TOL, SplaConfig
+from spla.matops import (
+    MatopsError,
+    NoConvergenceError,
+    RankDeficientError,
+    sym_eigen,
+)
 from spla.sparse_loadings import ZERO_TOL
 
 from conftest import random_spd
@@ -73,6 +84,105 @@ class TestOrthonormality:
             raise raw
         lm = orthogonalize(raw)
         assert np.max(np.abs(lm.T @ lm - np.eye(m))) < 1e-8
+
+
+def _detected(result):
+    """What detection reads of one budget's result at DETECT_TOL: the
+    partition, or the class and message of the error that ends the point."""
+    try:
+        if isinstance(result, Exception):
+            raise result
+        return detect_blocks(result, DETECT_TOL)
+    except (BlockError, MatopsError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConnectedSupportsStop:
+    """A PMD budget that stops once its supports at DETECT_TOL connect every
+    variable detects what the full deflation (``tol=None``) detects: the
+    same partition, or the same error class and message.
+
+    One difference is known. Exact ties, as in a rank-deficient integer Gram
+    matrix or in integer equicorrelated groups, can make a later factor of
+    the full deflation the zero vector (no budget below ``sqrt(k)`` holds
+    ``k`` tied largest ``|z|``), and then every factor after it, since
+    deflating by zero changes nothing. Those columns leave the connected
+    variables short of loadings, a non-square component; the stopped budget
+    never runs them and detects the single block.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        m=st.integers(2, 15),
+        kind=st.sampled_from(["wishart", "design", "integer"]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    )
+    def test_matches_the_full_deflation(self, seed, m, kind, fractions):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2 * m + 1))  # fewer rows than variables too
+        if kind == "wishart":
+            x = rng.normal(size=(n, m))
+            s = x.T @ x
+        elif kind == "design":
+            design = BlockDesign(max(m // 2, 1), float(rng.uniform(0.0, 0.9)))
+            s = sample_cov(gen_block_sample(design, 10 * n + 10, seed)).values
+        else:  # exact ties and zero variances
+            a = rng.integers(-2, 3, size=(n, m)).astype(float)
+            s = a.T @ a
+        m = s.shape[0]
+        grid = [1.0 + f * (np.sqrt(m) - 1.0) for f in fractions]
+        stopped = sparse_loading_matrix(s, grid, DETECT_TOL)
+        full = sparse_loading_matrix(s, grid)
+        for got, want in zip(stopped, full, strict=True):
+            if _detected(got) != _detected(want):  # the known difference
+                assert _detected(got) == BlockPartition((Block(range(m)),))
+                assert isinstance(want, np.ndarray) and not want[:, -1].any()
+
+    def test_a_zero_factor_after_the_supports_connect(self):
+        # One observation of six integer variables: a rank-one Gram matrix.
+        # The first factor at c = sqrt(3) - 0.005 links all six. Its
+        # deflated remainder has four tied largest |z|, more than c * c, so
+        # the full deflation's five later factors are zero vectors.
+        a = np.array([[2.0, -1.0, 1.0, -1.0, 2.0, 1.0]])
+        c = float(np.sqrt(3)) - 0.005
+        stopped, = sparse_loading_matrix(a.T @ a, [c], DETECT_TOL)
+        full, = sparse_loading_matrix(a.T @ a, [c])
+        assert detect_blocks(stopped, DETECT_TOL) == BlockPartition((Block(range(6)),))
+        assert _detected(full) == (
+            NonSquareBlockError,
+            "component with variables [0, 1, 2, 3, 4, 5] pairs 1 loadings",
+        )
+        assert not full[:, 1:].any()
+
+    def test_real_blocks_never_stop(self, caplog):
+        # Seven independent pairs at the pair budget: no support crosses a
+        # pair, so every factor runs and the matrix is the full deflation's.
+        s = sample_cov(gen_block_sample(BlockDesign(rho=0.0), 1000, 1)).values
+        c = float(np.sqrt(2)) - 0.005
+        caplog.set_level(logging.DEBUG, logger="spla")
+        stopped, = sparse_loading_matrix(s, [c], DETECT_TOL)
+        assert caplog.records[0].getMessage().endswith(
+            "14 of 14 factors run; supports never connected at tol 0.01"
+        )
+        assert np.array_equal(stopped, sparse_loading_matrix(s, [c])[0])
+        assert detect_blocks(stopped, DETECT_TOL).n_blocks == 7
+
+    @pytest.mark.parametrize("tol", [1 / np.sqrt(5), 0.47])
+    def test_tol_at_or_above_one_over_root_m_never_stops(self, tol, caplog):
+        # The supports connect after the fourth factor, but a unit column
+        # need not have an entry above such a tol, so all five factors run.
+        # 1/sqrt(5) squared times 5 rounds to below 1; the guard's band
+        # keeps it from stopping.
+        a = np.array([[0, -1, -1, -2, -2], [-2, -2, 2, 1, 2], [0, 1, 2, 1, 1],
+                      [0, 0, 2, -1, 2], [1, -2, -1, 2, 0], [-2, 1, 1, 2, -2]])
+        s = (a.T @ a).astype(float)
+        caplog.set_level(logging.DEBUG, logger="spla")
+        stopped, = sparse_loading_matrix(s, [2.0], tol)
+        assert caplog.records[0].getMessage() == (
+            "pmd budget 2.0: 5 of 5 factors run; supports connected after factor 4"
+        )
+        assert np.array_equal(stopped, sparse_loading_matrix(s, [2.0])[0])
 
 
 class TestEcRange:

@@ -310,9 +310,11 @@ class TestPenalizedRankOne:
         assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(loading - settled) > 1e-3
 
-    def test_scan_runs_one_factor_per_loading(self, monkeypatch, exam_cov):
-        # The scan's PMD factors go through the public function, so a wrapper
-        # of it sees each one: one per loading of the 5 variables.
+    def test_factors_run_until_the_supports_connect(self, monkeypatch, exam_cov):
+        # The PMD factors go through the public function, so a wrapper of it
+        # sees each one. Without a tolerance, one runs per loading of the 5
+        # variables; the scan stops at DETECT_TOL, where the first factor's
+        # support already connects them.
         calls = []
         real = sl.penalized_rank_one
 
@@ -321,8 +323,11 @@ class TestPenalizedRankOne:
             return real(s, c)
 
         monkeypatch.setattr(sl, "penalized_rank_one", counted)
-        structure_scan(exam_cov, SplaConfig(grid=(2.0,)))
+        sparse_loading_matrix(exam_cov.values, [2.0])
         assert calls == [2.0] * 5
+        calls.clear()
+        structure_scan(exam_cov, SplaConfig(grid=(2.0,)))
+        assert calls == [2.0]
 
 
 class TestSparseLoadingMatrix:

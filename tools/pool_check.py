@@ -12,7 +12,7 @@ checks every input of the named workloads (all of them by default) against
 
 runs every input of the named pools (all workloads and ``cli`` by default)
 on both checkouts and checks only that the outputs are byte-identical. The
-``cli`` pool is ``CLI_CASES``, ``spla.cli`` runs whose output is stdout,
+``cli`` pool is ``CLI_CASES``, 59 ``spla.cli`` runs whose output is stdout,
 stderr and exit code; they run in a directory that holds the ``CLI_CSV``
 files. It prints ``name: k of n identical to OTHER_CHECKOUT`` per pool,
 then, for each input that differs, its first differing JSON path or line
@@ -72,6 +72,22 @@ def _collinear() -> str:
     return "a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
 
 
+def _blocks30() -> str:
+    """A ``BlockDesign(n_blocks=15, rho=0.3)`` sample (M = 30, N = 1000, not
+    standardized) as CSV text with round-trip floats: fifteen pairs, each
+    with its own latent factor of variance 10, a shared factor of weight
+    ``sqrt(rho)`` and unit noise. On the default grid 29 of 31 budgets
+    detect the single block, and their factors stop once the supports
+    connect every variable."""
+    rng, rho = np.random.default_rng(0), 0.3
+    z = rng.normal(0.0, np.sqrt(10.0), size=(1000, 15))
+    y = rng.normal(0.0, np.sqrt(10.0), size=(1000, 1))
+    x = (np.sqrt(1.0 - rho) * np.repeat(z, 2, axis=1) + np.sqrt(rho) * y
+         + rng.normal(size=(1000, 30)))
+    header = ",".join(f"X{j}" for j in range(1, 31))
+    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+
+
 #: CSV files of the ``cli`` pool by name. Each is written into the run's
 #: working directory and passed by that relative name, so the file name in a
 #: diagnostic reads the same on both checkouts. The first three load the
@@ -80,8 +96,8 @@ def _collinear() -> str:
 #: The next five exit 2 with a row, column or file diagnostic; the last two
 #: of them are a 0-byte file and one that holds only a UTF-8 byte-order mark.
 #: Then a header field and a quoted cell (a valid number) longer than the
-#: ``csv`` module reads, each a data error, and a near-collinear sample, a
-#: numerical error.
+#: ``csv`` module reads, each a data error, a near-collinear sample, a
+#: numerical error, and a 30-variable block design.
 CLI_CSV = {
     "plain.csv": _SAMPLE,
     "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
@@ -94,6 +110,7 @@ CLI_CSV = {
     "wide-header.csv": "a" * _WIDE + _SAMPLE[1:],
     "wide-cell.csv": _SAMPLE.replace("0.42", '"0.42' + "0" * _WIDE + '"'),
     "collinear.csv": _collinear(),
+    "blocks30.csv": _blocks30(),
 }
 
 
