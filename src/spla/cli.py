@@ -180,6 +180,23 @@ def _report_table(report: SplaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _run_verbose(data, cfg: SplaConfig) -> SplaReport:
+    """``run_spla`` with the ``"spla"`` logger's DEBUG records, one line per
+    grid point, on stderr; the handler and level are undone afterwards, so
+    repeated calls in one process print each line once."""
+    import logging
+
+    log = logging.getLogger("spla")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        return run_spla(data, cfg)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def cmd_analyze(args) -> int:
     data = load_csv(args.csv)
     grid = () if args.grid is None else _parse_grid(args.grid)
@@ -191,7 +208,7 @@ def cmd_analyze(args) -> int:
         block_order=order,
         standardize=args.standardize,
     )
-    report = run_spla(data, cfg)
+    report = (_run_verbose if args.verbose else run_spla)(data, cfg)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -380,6 +397,8 @@ def _build_parser() -> _Parser:
     )
     pa.add_argument("--format", choices=["table", "json"], default="table")
     pa.add_argument("--out")
+    pa.add_argument("--verbose", action="store_true",
+                    help="print one diagnostic line per grid point to stderr")
 
     pr = sub.add_parser("reproduce", help="check a fixture against expected values")
     pr.add_argument("fixture", choices=[*_TABLES, *_SYNTHETIC])

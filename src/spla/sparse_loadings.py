@@ -16,7 +16,9 @@ then the single block whatever the later factors are, and the complement
 basis that completes the matrix has an entry above the tolerance in every
 column, so detection still reads the single block. Each budget writes one
 DEBUG record to the ``"spla"`` logger: the factors run and the factor after
-which the supports connected. :func:`orthogonalize` gives the nearest
+which the supports connected; each elastic-net point writes one too: its
+outer iterations, the stacked sweeps it took part in and how it ended.
+:func:`orthogonalize` gives the nearest
 orthonormal matrix to a whole loading matrix. Each route has one iteration
 policy, the module constants below.
 """
@@ -295,8 +297,13 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
     ``M`` of them. Returns one result per grid point, in grid order: the
     ``M x M`` loadings, or the :class:`NoConvergenceError` or
     :class:`RankDeficientError` that ended the point, returned, not raised.
-    A bad penalty raises ``ValueError`` before any point is iterated.
+    A bad penalty raises ``ValueError`` before any point is iterated. Each
+    point's result is, byte for byte, the one it gets alone, and each point
+    writes one DEBUG record to the ``"spla"`` logger.
     """
+    # Imported here, not at the top: it would add about 5 ms to ``import spla``.
+    import logging
+
     s = _square(s, "s")
     m = s.shape[0]
     half = np.array([_penalties(entry, m) for entry in grid]).reshape(-1, m) / 2.0
@@ -304,50 +311,70 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
 
     a0 = sym_eigen(s)[1]
     gram = s + RIDGE * np.eye(m)
+    diag = gram.diagonal().tolist()
     # The points share ``gram``, so they run in lock step on G x M x M
     # stacks (Friedman, Hastie & Tibshirani 2010): coordinate i of every
     # column of every running point is one array step, on views of row i
     # valid until ``b`` is rebound. It is soft_threshold's arithmetic without
-    # the check (every penalty is checked above); a sweep's column movement is
-    # np.linalg.norm's own sum. ``point`` maps a stack index to its grid
-    # index; a point leaves the stacks when its alternation converges or fails.
+    # the check (every penalty is checked above); a sweep's column movement
+    # and an alternation's step are np.linalg.norm's own sums. Each step
+    # costs numpy's per-call dispatch more than its arithmetic, so its
+    # operands are Python floats, a preallocated zero and contiguous rows.
+    # ``point`` maps a stack index to its grid index; a point leaves the
+    # stacks when its alternation converges or fails.
     point = np.arange(len(half))
     a = np.repeat(a0[None], len(half), axis=0)
     b = a.copy()
-    for _ in range(EN_MAX_ITER):
+    ran = [EN_MAX_ITER] * len(half)  # outer iterations of each point
+    swept = [0]  # stacked sweeps run by the end of each outer iteration
+    for it in range(1, EN_MAX_ITER + 1):
         if not point.size:  # an empty grid, or every point failed its SVD
             break
         b_old = b.copy()
-        target = s @ a  # columns: S A_j
+        # target[i, k]: row i of S A for point k, contiguous
+        target = np.ascontiguousarray((s @ a).transpose(1, 0, 2))
+        zero = np.zeros_like(half)
         # A column leaves ``active`` after the sweep that moves it by less
         # than EN_CONV_TOL, and stays at that iterate; at most EN_MAX_SWEEPS.
         active = np.ones((point.size, m), dtype=bool)
-        rows = [(target[:, i], gram[i], gram[i, i], b[:, i]) for i in range(m)]
-        for _ in range(EN_MAX_SWEEPS):
+        rows = [(target[i], gram[i], diag[i], b[:, i]) for i in range(m)]
+        for sweeps in range(1, EN_MAX_SWEEPS + 1):
             b_prev = b.copy()
             for t_i, g_i, d_i, b_i in rows:
                 rho = t_i - g_i @ b + d_i * b_i
-                step = np.sign(rho) * np.maximum(np.abs(rho) - half, 0.0) / d_i
+                step = np.sign(rho) * np.maximum(np.abs(rho) - half, zero) / d_i
                 np.copyto(b_i, step, where=active)
             d = b - b_prev
             active &= np.sqrt(np.add.reduce(d * d, axis=1)) >= EN_CONV_TOL
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
-        done = np.array([np.linalg.norm(d) < EN_CONV_TOL for d in b - b_old])
-        for k in np.flatnonzero(done):
-            results[point[k]] = _unit_columns(b[k])
-        point, b, half = point[~done], b[~done], half[~done]
-        if not point.size:
-            break
+        swept.append(swept[-1] + sweeps)
+        f = (b - b_old).reshape(point.size, -1)
+        done = np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1) < EN_CONV_TOL
+        if np.count_nonzero(done):
+            for k in np.flatnonzero(done):
+                results[point[k]] = _unit_columns(b[k])
+                ran[point[k]] = it
+            point, b, half = point[~done], b[~done], half[~done]
+            if not point.size:
+                break
         a, failed = _polar_factors(s @ b)
         if failed:
             for k, exc in failed.items():
                 results[point[k]] = exc
+                ran[point[k]] = it
             keep = np.isin(np.arange(point.size), list(failed), invert=True)
             point, a, b, half = point[keep], a[keep], b[keep], half[keep]
     for k in point:
         results[k] = NoConvergenceError(
             f"elastic-net loadings did not converge in {EN_MAX_ITER} iterations"
+        )
+    log = logging.getLogger("spla")
+    for k, (res, n) in enumerate(zip(results, ran)):
+        log.debug(
+            "spca point %d of %d: %d outer iterations, %d sweeps; %s", k + 1,
+            len(results), n, swept[n],
+            "converged" if isinstance(res, np.ndarray) else f"{type(res).__name__}: {res}",
         )
     return results
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spla
-from spla import DataError, NoConvergenceError, load_csv
+from spla import DataError, NoConvergenceError, SplaConfig, load_csv
 from spla.cli import (
     EXIT_DATA,
     EXIT_GOLDEN,
@@ -90,6 +91,24 @@ class TestAnalyze:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("method, first", [
+        ("pmd", "pmd budget 2.23606797749979: "), ("spca", "spca point 1 of 12: "),
+    ])
+    def test_verbose_prints_one_line_per_grid_point(self, exam_csv, capsys, method, first):
+        args = ["analyze", exam_csv, "--method", method, "--format", "json"]
+        assert main(args) == EXIT_OK
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        points = len(SplaConfig(method=method).resolved_grid(5))
+        for _ in range(2):  # the handler leaves with the call: no line twice
+            assert main([*args, "--verbose"]) == EXIT_OK
+            verbose = capsys.readouterr()
+            assert verbose.out == plain.out
+            lines = verbose.err.splitlines()
+            assert len(lines) == points and lines[0].startswith(first)
+        log = logging.getLogger("spla")
+        assert not log.handlers and log.level == logging.NOTSET
 
     def test_missing_file_is_data_error(self, capsys):
         rc = main(["analyze", "/no/such/file.csv"])

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spla import (
     CovMatrix,
     DataMatrix,
     SplaConfig,
+    elastic_net_loadings,
     run_spla,
     structure_scan,
 )
@@ -317,4 +319,27 @@ class TestBudgetLog:
         ]
         caplog.clear()
         structure_scan(exam_cov, SplaConfig(method="spca", grid=(0.5,)))
-        assert not caplog.records
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [(
+            "spla", logging.DEBUG,
+            "spca point 1 of 1: 300 outer iterations, 1810 sweeps; NoConvergenceError: "
+            "elastic-net loadings did not converge in 300 iterations",
+        )]
+
+    def test_one_debug_record_per_spca_point(self, caplog, oecd_corr):
+        # The default grid stalls at its four smallest penalties.
+        caplog.set_level(logging.DEBUG, logger="spla")
+        grid = SplaConfig(method="spca").resolved_grid(oecd_corr.n_vars)
+        results = elastic_net_loadings(oecd_corr.values, grid)
+        found = [re.fullmatch(r"spca point (\d+) of 12: (\d+) outer iterations, "
+                              r"(\d+) sweeps; (.*)", r.getMessage()).groups()
+                 for r in caplog.records]
+        assert [int(k) for k, *_ in found] == list(range(1, 13))
+        assert [int(n) for _, n, _, _ in found].count(300) == 4
+        assert [end for *_, end in found] == [
+            "converged" if isinstance(r, np.ndarray) else f"{type(r).__name__}: {r}"
+            for r in results
+        ]
+        # A point takes part in every stacked sweep until it ends.
+        ran = {int(n): int(swept) for _, n, swept, _ in found}
+        assert sorted(ran.values()) == [ran[n] for n in sorted(ran)]
+        assert all(n <= swept <= 50 * n for n, swept in ran.items())

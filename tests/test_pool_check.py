@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -227,3 +229,45 @@ def test_other_outputs_runs_the_other_package(tmp_path, monkeypatch):
     assert tool.outputs(tmp_path / "src", "cli") == [
         "7 1 ['x', 'y']\n--- stderr\nbad\n--- exit 1\n",
     ]
+
+
+def test_kernels_pool_needs_against(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    monkeypatch.setattr(tool, "outputs", _no_runs)
+    assert tool.main(["kernels"]) == 2
+    assert capsys.readouterr().err == (
+        "pool 'kernels' has no references; compare it with --against\n"
+    )
+
+
+def test_kernel_texts_hash_each_grid_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    from spla import data, pipeline, sparse_loadings
+
+    tool = _tool()
+    # One input of each benchmark pool, then the four fixture covariances.
+    small = {name: SimpleNamespace(pool=1, build=workloads.WORKLOADS[name].build)
+             for name in ("spca-oecd", "pmd-scan")}
+    runs = list(tool.kernel_runs(small))
+    assert [label for label, _ in runs] == [
+        "spca-oecd pool id 0", "oecd", "oecd --standardize", "exam",
+        "exam --standardize", "pmd-scan pool id 0",
+    ]
+    texts = tool.kernel_texts(small)
+    lines = [text.splitlines() for text in texts]
+    assert [len(x) for x in lines] == [12] * 5 + [15]
+    assert all(re.fullmatch(r"[0-9a-f]{64}|error: \w+Error: .+", x)
+               for text in lines for x in text)
+    # The standardized OECD fixture: the four smallest penalties stall.
+    oecd = data.sample_cov(data.standardize(data.load_csv(tool.FIXTURES / "oecd.csv")))
+    grid = pipeline.SplaConfig(method="spca").resolved_grid(6)
+    want = [
+        f"error: {type(r).__name__}: {r}" if isinstance(r, Exception)
+        else hashlib.sha256(r.tobytes()).hexdigest()
+        for r in sparse_loadings.elastic_net_loadings(oecd.values, grid)
+    ]
+    assert lines[2] == want
+    assert want[:4] == ["error: NoConvergenceError: elastic-net loadings did not "
+                        "converge in 300 iterations"] * 4

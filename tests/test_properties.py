@@ -354,7 +354,7 @@ class TestElasticNetLockStep:
             except (NoConvergenceError, RankDeficientError) as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
             else:
-                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fixture", ["exam_cov", "oecd_corr"])
     def test_default_grid_on_the_fixtures(self, request, fixture):
@@ -369,7 +369,7 @@ class TestElasticNetLockStep:
             except (NoConvergenceError, RankDeficientError) as exc:
                 assert type(g) is type(exc) and str(g) == str(exc)
             else:
-                assert np.array_equal(g, want)
+                assert g.tobytes() == want.tobytes()
         assert any(type(g) is NoConvergenceError for g in got)
 
 

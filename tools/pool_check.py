@@ -10,26 +10,31 @@ checks every input of the named workloads (all of them by default) against
 
     python3 tools/pool_check.py --against OTHER_CHECKOUT [pool ...]
 
-runs every input of the named pools (all workloads and ``cli`` by default)
-on both checkouts and checks only that the outputs are byte-identical. The
-``cli`` pool is ``CLI_CASES``, 59 ``spla.cli`` runs whose output is stdout,
-stderr and exit code; they run in a directory that holds the ``CLI_CSV``
-files. It prints ``name: k of n identical to OTHER_CHECKOUT`` per pool,
-then, for each input that differs, its first differing JSON path or line
-(other -> this) and the largest relative difference between the numbers
-there.
+runs every input of the named pools (all workloads, ``cli`` and ``kernels``
+by default) on both checkouts and checks only that the outputs are
+byte-identical. The ``cli`` pool is ``CLI_CASES``, 60 ``spla.cli`` runs
+whose output is stdout, stderr and exit code; they run in a directory that
+holds the ``CLI_CSV`` files. The ``kernels`` pool is the loading kernels
+alone (:func:`kernel_runs`): its output is one line per grid point, the
+sha256 of the loadings' bytes or the error that ended the point, so a
+bit-for-bit claim about a kernel needs this one command. It prints ``name:
+k of n identical to OTHER_CHECKOUT`` per pool, then, for each input that
+differs, its first differing JSON path or line (other -> this) and the
+largest relative difference between the numbers there.
 
 Every run is a subprocess with one BLAS thread and only the checkout's
 ``src/`` on ``PYTHONPATH``; both use this checkout's ``perfbench/`` and
 fixtures, and nothing under ``perfbench/`` is written. The exit status is 0
 when every input matches, 1 otherwise and 2 for an unknown pool, for ``cli``
-without ``--against`` or for an ``OTHER_CHECKOUT`` without ``src/spla``.
+or ``kernels`` without ``--against`` or for an ``OTHER_CHECKOUT`` without
+``src/spla``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -51,6 +56,9 @@ ERROR = "error: "
 
 #: The pool of CLI invocations; it has no references.
 CLI = "cli"
+
+#: The pool of loading-kernel runs; it has no references either.
+KERNELS = "kernels"
 
 #: A small sample (M = 3, N = 10) as CSV text.
 _SAMPLE = (
@@ -182,6 +190,9 @@ def _cli_cases() -> list[list[str]]:
     # A flag before the experiment name is a usage error that says where it goes.
     out.append(["simulate", "--reps", "2", "ec"])
     out += [["analyze", name, "--format", "json"] for name in CLI_CSV]
+    # One DEBUG line per grid point on stderr, stdout as without the flag.
+    out.append(["analyze", str(FIXTURES / "oecd.csv"), "--method", "spca",
+                "--standardize", "--verbose"])
     return out
 
 
@@ -203,6 +214,50 @@ def analyses(w) -> list[str]:
     return texts
 
 
+def kernel_runs(workloads):
+    """``(label, run)`` of each ``kernels`` input, in order; ``run()`` gives
+    the loading kernel's results on the default grid. The inputs are each
+    ``spca-oecd`` pool covariance and the OECD and exam fixtures, raw and
+    standardized, for ``elastic_net_loadings``; then each ``pmd-scan``
+    covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``, as the
+    scan calls them."""
+    from spla import data, pipeline, sparse_loadings
+
+    def spca(cov):
+        grid = pipeline.SplaConfig(method="spca").resolved_grid(cov.n_vars)
+        return sparse_loadings.elastic_net_loadings(cov.values, grid)
+
+    def pmd(cov):
+        grid = pipeline.SplaConfig().resolved_grid(cov.n_vars)
+        return sparse_loadings.sparse_loading_matrix(cov.values, grid,
+                                                     pipeline.DETECT_TOL)
+
+    w = workloads["spca-oecd"]
+    for i in range(w.pool):
+        yield (f"spca-oecd pool id {i}",
+               lambda i=i: spca(data.sample_cov(data.standardize(w.build(i, None)))))
+    for name in ("oecd", "exam"):
+        d = data.load_csv(FIXTURES / f"{name}.csv")
+        yield name, lambda d=d: spca(data.sample_cov(d))
+        yield f"{name} --standardize", lambda d=d: spca(data.sample_cov(data.standardize(d)))
+    w = workloads["pmd-scan"]
+    for i in range(w.pool):
+        yield f"pmd-scan pool id {i}", lambda i=i: pmd(w.build(i, None))
+
+
+def _digest(result) -> str:
+    if isinstance(result, Exception):
+        return f"{ERROR}{type(result).__name__}: {result}"
+    return hashlib.sha256(result.tobytes()).hexdigest()
+
+
+def kernel_texts(workloads) -> list[str]:
+    """The output text of each ``kernels`` input: per grid point, one line,
+    the sha256 of the loadings' ``tobytes()`` or ``error: <class>:
+    <message>``."""
+    return ["".join(_digest(r) + "\n" for r in run()) for _, run in kernel_runs(workloads)]
+
+
 def _python(src: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
     """``python3 args`` in ``cwd`` with only ``src`` on ``PYTHONPATH`` and
     one BLAS thread (summation order can move last bits)."""
@@ -214,8 +269,8 @@ def _python(src: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess
 
 def outputs(src: Path, name: str) -> list[str]:
     """The output text of each input of pool ``name`` with the package under
-    ``src``: :func:`analyses` of a workload, or one CLI run per case as its
-    stdout, stderr and exit code."""
+    ``src``: :func:`analyses` of a workload, :func:`kernel_texts`, or one
+    CLI run per case as its stdout, stderr and exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         if name == CLI:
             for csv_name, text in CLI_CSV.items():
@@ -227,7 +282,9 @@ def outputs(src: Path, name: str) -> list[str]:
             "import json, sys\n"
             f"sys.path[:0] = {[str(PERFBENCH), str(ROOT / 'tools')]!r}\n"
             "import pool_check, workloads\n"
-            f"print(json.dumps(pool_check.analyses(workloads.WORKLOADS[{name!r}])))\n"
+            + ("print(json.dumps(pool_check.kernel_texts(workloads.WORKLOADS)))\n"
+               if name == KERNELS else
+               f"print(json.dumps(pool_check.analyses(workloads.WORKLOADS[{name!r}])))\n")
         )
         run = _python(src, ["-c", code], tmp)
     if run.returncode:
@@ -290,7 +347,9 @@ def describe(old: str, new: str) -> str | None:
     return f"{path}: {a!r} -> {b!r}; max rel diff {rel:.3g}"
 
 
-def _label(name: str, i: int) -> str:
+def _label(name: str, i: int, workloads) -> str:
+    if name == KERNELS:
+        return next(itertools.islice(kernel_runs(workloads), i, None))[0]
     if name != CLI:
         return f"pool id {i}"
     return " ".join(Path(a).name if a.endswith(".csv") else a for a in CLI_CASES[i])
@@ -307,15 +366,16 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
     from workloads import WORKLOADS, mismatch
 
-    pools = [*WORKLOADS, CLI]
+    pools = [*WORKLOADS, CLI, KERNELS]
     names = args.pools or (pools if args.against else list(WORKLOADS))
     unknown = [n for n in names if n not in pools]
     if unknown:
         print(f"unknown pool {unknown[0]!r}; choose from {', '.join(pools)}",
               file=sys.stderr)
         return 2
-    if CLI in names and not args.against:
-        print(f"pool {CLI!r} has no references; compare it with --against",
+    unchecked = [n for n in names if n in (CLI, KERNELS)]
+    if unchecked and not args.against:
+        print(f"pool {unchecked[0]!r} has no references; compare it with --against",
               file=sys.stderr)
         return 2
     ok = True
@@ -323,7 +383,7 @@ def main(argv: list[str]) -> int:
         texts = outputs(ROOT / "src", name)
         if args.against:
             theirs = outputs(Path(args.against).resolve() / "src", name)
-            diffs = [f"{_label(name, i)}: {d}"
+            diffs = [f"{_label(name, i, WORKLOADS)}: {d}"
                      for i, d in enumerate(map(describe, theirs, texts)) if d]
             verdict = f"identical to {args.against}"
         else:
