@@ -112,7 +112,12 @@ def load_csv(path) -> DataMatrix:
     is parsed in one vectorised pass; any other body is read cell by cell,
     where wrong-arity rows and non-numeric cells abort with a row/column
     diagnostic. Text the ``csv`` module refuses, such as a field longer than
-    :func:`csv.field_size_limit`, aborts with a line diagnostic.
+    :func:`csv.field_size_limit`, aborts with a line diagnostic. That limit
+    holds only for text the ``csv`` reader reads: the header, and a body
+    read cell by cell, such as one with a quoted cell or one from a pipe. A
+    plain body read in the vectorised pass has no field limit, so the same
+    oversized unquoted cell loads from a plain file; checking for it there
+    would cost a second scan of the whole body.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -17,7 +17,10 @@ basis that completes the matrix has an entry above the tolerance in every
 column, so detection still reads the single block. Each budget writes one
 DEBUG record to the ``"spla"`` logger: the factors run and the factor after
 which the supports connected; each elastic-net point writes one too: its
-outer iterations, the stacked sweeps it took part in and how it ended.
+outer iterations, the stacked sweeps it took part in and how it ended. The
+elastic net's coordinate step soft-thresholds with ``copysign`` in place of
+``sign`` times the magnitude, on a target with no -0.0, the one input where
+the two differ, and takes its diagonal operands as 0-d arrays.
 :func:`orthogonalize` gives the nearest
 orthonormal matrix to a whole loading matrix. Each route has one iteration
 policy, the module constants below.
@@ -311,15 +314,20 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
 
     a0 = sym_eigen(s)[1]
     gram = s + RIDGE * np.eye(m)
-    diag = gram.diagonal().tolist()
+    diag = gram.diagonal()
     # The points share ``gram``, so they run in lock step on G x M x M
     # stacks (Friedman, Hastie & Tibshirani 2010): coordinate i of every
     # column of every running point is one array step, on views of row i
-    # valid until ``b`` is rebound. It is soft_threshold's arithmetic without
-    # the check (every penalty is checked above); a sweep's column movement
-    # and an alternation's step are np.linalg.norm's own sums. Each step
-    # costs numpy's per-call dispatch more than its arithmetic, so its
-    # operands are Python floats, a preallocated zero and contiguous rows.
+    # made again only when the stacks shrink and ``b`` is rebound. The step
+    # is soft_threshold's ``sign(rho) * max(|rho| - half, 0)`` without the
+    # check (every penalty is checked above), as ``copysign(max(...), rho)``,
+    # one ufunc fewer. The two differ only at ``rho = -0.0``, which sign
+    # maps to +0.0; ``rho = (t - g @ b) + d * b_i`` is -0.0 only if ``t``
+    # is, and the target gets + 0.0 so that it never is. A sweep's column
+    # movement and an alternation's step are np.linalg.norm's own sums. Each
+    # step costs numpy's per-call dispatch more than its arithmetic, so its
+    # operands are contiguous rows, a preallocated zero and 0-d arrays for
+    # the diagonal, which numpy dispatches faster than Python floats.
     # ``point`` maps a stack index to its grid index; a point leaves the
     # stacks when its alternation converges or fails.
     point = np.arange(len(half))
@@ -327,22 +335,27 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
     b = a.copy()
     ran = [EN_MAX_ITER] * len(half)  # outer iterations of each point
     swept = [0]  # stacked sweeps run by the end of each outer iteration
+    size = 0  # the stack size the buffers below were made for
     for it in range(1, EN_MAX_ITER + 1):
         if not point.size:  # an empty grid, or every point failed its SVD
             break
+        if point.size != size:  # the first iteration, or the stacks shrank
+            size = point.size
+            target = np.empty((m, size, m))
+            zero = np.zeros_like(half)
+            active = np.empty((size, m), dtype=bool)
+            rows = [(target[i], gram[i], diag[i, ...], b[:, i]) for i in range(m)]
         b_old = b.copy()
-        # target[i, k]: row i of S A for point k, contiguous
-        target = np.ascontiguousarray((s @ a).transpose(1, 0, 2))
-        zero = np.zeros_like(half)
+        # target[i, k]: row i of S A for point k; + 0.0 turns -0.0 into +0.0
+        np.add((s @ a).transpose(1, 0, 2), 0.0, out=target)
         # A column leaves ``active`` after the sweep that moves it by less
         # than EN_CONV_TOL, and stays at that iterate; at most EN_MAX_SWEEPS.
-        active = np.ones((point.size, m), dtype=bool)
-        rows = [(target[i], gram[i], diag[i], b[:, i]) for i in range(m)]
+        active.fill(True)
         for sweeps in range(1, EN_MAX_SWEEPS + 1):
             b_prev = b.copy()
             for t_i, g_i, d_i, b_i in rows:
                 rho = t_i - g_i @ b + d_i * b_i
-                step = np.sign(rho) * np.maximum(np.abs(rho) - half, zero) / d_i
+                step = np.copysign(np.maximum(np.abs(rho) - half, zero), rho) / d_i
                 np.copyto(b_i, step, where=active)
             d = b - b_prev
             active &= np.sqrt(np.add.reduce(d * d, axis=1)) >= EN_CONV_TOL

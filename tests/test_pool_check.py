@@ -8,6 +8,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -247,17 +250,20 @@ def test_kernel_texts_hash_each_grid_point(monkeypatch):
     from spla import data, pipeline, sparse_loadings
 
     tool = _tool()
-    # One input of each benchmark pool, then the four fixture covariances.
+    # One input of each benchmark pool, the four fixture covariances and
+    # the six block-diagonal ones.
     small = {name: SimpleNamespace(pool=1, build=workloads.WORKLOADS[name].build)
              for name in ("spca-oecd", "pmd-scan")}
     runs = list(tool.kernel_runs(small))
     assert [label for label, _ in runs] == [
         "spca-oecd pool id 0", "oecd", "oecd --standardize", "exam",
-        "exam --standardize", "pmd-scan pool id 0",
+        "exam --standardize", "block-diagonal 3+3", "block-diagonal 2+4",
+        "block-diagonal 1+5", "block-diagonal 1+2+3", "block-diagonal 2+2+2",
+        "block-diagonal 1+1+4", "pmd-scan pool id 0",
     ]
     texts = tool.kernel_texts(small)
     lines = [text.splitlines() for text in texts]
-    assert [len(x) for x in lines] == [12] * 5 + [15]
+    assert [len(x) for x in lines] == [12] * 11 + [15]
     assert all(re.fullmatch(r"[0-9a-f]{64}|error: \w+Error: .+", x)
                for text in lines for x in text)
     # The standardized OECD fixture: the four smallest penalties stall.
@@ -271,3 +277,19 @@ def test_kernel_texts_hash_each_grid_point(monkeypatch):
     assert lines[2] == want
     assert want[:4] == ["error: NoConvergenceError: elastic-net loadings did not "
                         "converge in 300 iterations"] * 4
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (1, 2, 3), (1, 1, 4)])
+def test_block_diagonal_inputs_have_exact_zeros_between_blocks(sizes):
+    s = _tool().block_diagonal(sizes, 0)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    between = label[:, None] != label
+    assert s.shape == (6, 6) and np.array_equal(s, s.T)
+    assert np.all(s[between] == 0.0) and not np.any(np.signbit(s[between]))
+    assert np.all(s[~between] != 0.0)
+    assert np.linalg.eigvalsh(s).min() > 0
+    # Exact zeros reach the loadings.
+    from spla import SplaConfig, elastic_net_loadings
+
+    got = elastic_net_loadings(s, SplaConfig(method="spca").resolved_grid(6))
+    assert any(isinstance(r, np.ndarray) and np.count_nonzero(r) < r.size for r in got)

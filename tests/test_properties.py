@@ -330,17 +330,23 @@ class TestElasticNetLockStep:
 
     Penalties reach ``max diag(S)``, so zero columns, the knife-edge of a
     column that a penalty just zeroes, and stalled alternations all occur.
+    On an exactly block-diagonal ``S``, exact zeros, signed ones included,
+    reach ``S A`` and ``B``.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=seeds,
         m=st.integers(2, 8),
+        block_diagonal=st.booleans(),
         kinds=st.lists(st.booleans(), min_size=1, max_size=6),
     )
-    def test_matches_pointwise_oracle(self, seed, m, kinds):
+    def test_matches_pointwise_oracle(self, seed, m, block_diagonal, kinds):
         rng = np.random.default_rng(seed)
         s = random_spd(rng, m)
+        if block_diagonal:  # up to three blocks of consecutive variables
+            label = np.sort(rng.integers(0, 3, size=m))
+            s[label[:, None] != label] = 0.0
         top = float(np.max(np.diag(s)))
         # A scalar entry, or one penalty per loading; some at exactly 0.
         grid = [
@@ -371,6 +377,22 @@ class TestElasticNetLockStep:
             else:
                 assert g.tobytes() == want.tobytes()
         assert any(type(g) is NoConvergenceError for g in got)
+
+    @pytest.mark.parametrize("half", [0.0, 0.5])
+    def test_copysign_step_equals_sign_times_max(self, half):
+        # The coordinate step's two forms, on every kind of ``rho`` the lock
+        # step can meet: -0.0 is the one where they differ, and the step
+        # never sees it, since ``S A`` gets + 0.0 first.
+        edge = [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]
+        rho = np.array([0.0, *edge, *np.negative(edge), 1e-300, -1e-300, 1e300, -1e300])
+        halves, zero = np.full_like(rho, half), np.zeros_like(rho)
+        for d in (1.0 + 1e-6, 3.0):
+            want = np.sign(rho) * np.maximum(np.abs(rho) - halves, 0.0) / d
+            got = np.copysign(np.maximum(np.abs(rho) - halves, zero), rho) / np.array(d)
+            assert got.tobytes() == want.tobytes()
+        minus = np.array([-0.0])
+        assert np.copysign(0.0, minus).tobytes() != (np.sign(minus) * 0.0).tobytes()
+        assert (minus + 0.0).tobytes() == np.array([0.0]).tobytes()
 
 
 class TestVarianceBound:

@@ -214,18 +214,36 @@ def analyses(w) -> list[str]:
     return texts
 
 
+#: Block sizes of the exactly block-diagonal ``kernels`` inputs (M = 6).
+BLOCK_SIZES = ((3, 3), (2, 4), (1, 5), (1, 2, 3), (2, 2, 2), (1, 1, 4))
+
+
+def block_diagonal(sizes, seed: int) -> np.ndarray:
+    """An exactly block-diagonal covariance with blocks of consecutive
+    variables of the given sizes: a random positive definite ``x x^T + M I``
+    whose entries between blocks are set to 0.0."""
+    m = sum(sizes)
+    x = np.random.default_rng(seed).normal(size=(m, m))
+    s = x @ x.T + m * np.eye(m)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    s[label[:, None] != label] = 0.0
+    return s
+
+
 def kernel_runs(workloads):
     """``(label, run)`` of each ``kernels`` input, in order; ``run()`` gives
     the loading kernel's results on the default grid. The inputs are each
-    ``spca-oecd`` pool covariance and the OECD and exam fixtures, raw and
-    standardized, for ``elastic_net_loadings``; then each ``pmd-scan``
-    covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``, as the
-    scan calls them."""
+    ``spca-oecd`` pool covariance, the OECD and exam fixtures, raw and
+    standardized, and the :data:`BLOCK_SIZES` block-diagonal covariances
+    (:func:`block_diagonal`, whose exact zeros reach ``S A`` and the
+    loadings) for ``elastic_net_loadings``; then each ``pmd-scan``
+    covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``, as the scan
+    calls them."""
     from spla import data, pipeline, sparse_loadings
 
-    def spca(cov):
-        grid = pipeline.SplaConfig(method="spca").resolved_grid(cov.n_vars)
-        return sparse_loadings.elastic_net_loadings(cov.values, grid)
+    def spca(s):
+        grid = pipeline.SplaConfig(method="spca").resolved_grid(len(s))
+        return sparse_loadings.elastic_net_loadings(s, grid)
 
     def pmd(cov):
         grid = pipeline.SplaConfig().resolved_grid(cov.n_vars)
@@ -235,11 +253,15 @@ def kernel_runs(workloads):
     w = workloads["spca-oecd"]
     for i in range(w.pool):
         yield (f"spca-oecd pool id {i}",
-               lambda i=i: spca(data.sample_cov(data.standardize(w.build(i, None)))))
+               lambda i=i: spca(data.sample_cov(data.standardize(w.build(i, None))).values))
     for name in ("oecd", "exam"):
         d = data.load_csv(FIXTURES / f"{name}.csv")
-        yield name, lambda d=d: spca(data.sample_cov(d))
-        yield f"{name} --standardize", lambda d=d: spca(data.sample_cov(data.standardize(d)))
+        yield name, lambda d=d: spca(data.sample_cov(d).values)
+        yield (f"{name} --standardize",
+               lambda d=d: spca(data.sample_cov(data.standardize(d)).values))
+    for seed, sizes in enumerate(BLOCK_SIZES):
+        yield (f"block-diagonal {'+'.join(map(str, sizes))}",
+               lambda s=block_diagonal(sizes, seed): spca(s))
     w = workloads["pmd-scan"]
     for i in range(w.pool):
         yield f"pmd-scan pool id {i}", lambda i=i: pmd(w.build(i, None))
