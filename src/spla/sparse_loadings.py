@@ -18,9 +18,12 @@ column, so detection still reads the single block. Each budget writes one
 DEBUG record to the ``"spla"`` logger: the factors run and the factor after
 which the supports connected; each elastic-net point writes one too: its
 outer iterations, the stacked sweeps it took part in and how it ended. The
-elastic net's coordinate step soft-thresholds with ``copysign`` in place of
-``sign`` times the magnitude, on a target with no -0.0, the one input where
-the two differ, and takes its diagonal operands as 0-d arrays.
+elastic net keeps its loadings coordinate-major, so that each coordinate's
+values over every column of every point are one contiguous row, while each
+point's products read a strided view and keep their bits. Its coordinate
+step soft-thresholds with ``copysign`` in place of ``sign`` times the
+magnitude, on a target with no -0.0, the one input where the two differ,
+and takes its diagonal operands as 0-d arrays.
 :func:`orthogonalize` gives the nearest
 orthonormal matrix to a whole loading matrix. Each route has one iteration
 policy, the module constants below.
@@ -315,24 +318,32 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
     a0 = sym_eigen(s)[1]
     gram = s + RIDGE * np.eye(m)
     diag = gram.diagonal()
-    # The points share ``gram``, so they run in lock step on G x M x M
-    # stacks (Friedman, Hastie & Tibshirani 2010): coordinate i of every
-    # column of every running point is one array step, on views of row i
-    # made again only when the stacks shrink and ``b`` is rebound. The step
-    # is soft_threshold's ``sign(rho) * max(|rho| - half, 0)`` without the
+    # The points share ``gram``, so they run in lock step (Friedman, Hastie
+    # & Tibshirani 2010): coordinate i of every column of every running
+    # point is one array step. The loadings are kept coordinate-major: row
+    # ``bt[i]`` of ``bt`` (M x G x M) is coordinate i of every column of
+    # every point, contiguous, and the G x M x M stack is only the view
+    # ``b = bt.transpose(1, 0, 2)``. ``g @ b`` and ``s @ b`` read that view,
+    # so each point is its own BLAS product of the same operands in the same
+    # order (the stride between its rows changes no bit), and the step's
+    # ``d * b_i`` and masked write act on the contiguous row. The step is
+    # soft_threshold's ``sign(rho) * max(|rho| - half, 0)`` without the
     # check (every penalty is checked above), as ``copysign(max(...), rho)``,
     # one ufunc fewer. The two differ only at ``rho = -0.0``, which sign
     # maps to +0.0; ``rho = (t - g @ b) + d * b_i`` is -0.0 only if ``t``
     # is, and the target gets + 0.0 so that it never is. A sweep's column
-    # movement and an alternation's step are np.linalg.norm's own sums. Each
-    # step costs numpy's per-call dispatch more than its arithmetic, so its
+    # movement (summed over axis 0 of ``bt``, one coordinate after another)
+    # and an alternation's step are np.linalg.norm's own sums. Each step
+    # costs numpy's per-call dispatch more than its arithmetic, so its
     # operands are contiguous rows, a preallocated zero and 0-d arrays for
-    # the diagonal, which numpy dispatches faster than Python floats.
-    # ``point`` maps a stack index to its grid index; a point leaves the
-    # stacks when its alternation converges or fails.
+    # the diagonal, which numpy dispatches faster than Python floats; the
+    # row views are made again only when the stacks shrink. ``point`` maps
+    # a stack index to its grid index; a point leaves the stacks when its
+    # alternation converges or fails.
     point = np.arange(len(half))
     a = np.repeat(a0[None], len(half), axis=0)
-    b = a.copy()
+    bt = np.repeat(a0[:, None], len(half), axis=1)
+    b = bt.transpose(1, 0, 2)  # point k's loadings are b[k]; rebound with bt
     ran = [EN_MAX_ITER] * len(half)  # outer iterations of each point
     swept = [0]  # stacked sweeps run by the end of each outer iteration
     size = 0  # the stack size the buffers below were made for
@@ -344,31 +355,33 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
             target = np.empty((m, size, m))
             zero = np.zeros_like(half)
             active = np.empty((size, m), dtype=bool)
-            rows = [(target[i], gram[i], diag[i, ...], b[:, i]) for i in range(m)]
-        b_old = b.copy()
+            rows = [(target[i], gram[i], diag[i, ...], bt[i]) for i in range(m)]
+        bt_old = bt.copy()
         # target[i, k]: row i of S A for point k; + 0.0 turns -0.0 into +0.0
         np.add((s @ a).transpose(1, 0, 2), 0.0, out=target)
         # A column leaves ``active`` after the sweep that moves it by less
         # than EN_CONV_TOL, and stays at that iterate; at most EN_MAX_SWEEPS.
         active.fill(True)
         for sweeps in range(1, EN_MAX_SWEEPS + 1):
-            b_prev = b.copy()
+            bt_prev = bt.copy()
             for t_i, g_i, d_i, b_i in rows:
                 rho = t_i - g_i @ b + d_i * b_i
                 step = np.copysign(np.maximum(np.abs(rho) - half, zero), rho) / d_i
                 np.copyto(b_i, step, where=active)
-            d = b - b_prev
-            active &= np.sqrt(np.add.reduce(d * d, axis=1)) >= EN_CONV_TOL
+            d = bt - bt_prev
+            active &= np.sqrt(np.add.reduce(d * d, axis=0)) >= EN_CONV_TOL
             if not np.count_nonzero(active):
                 break
         swept.append(swept[-1] + sweeps)
-        f = (b - b_old).reshape(point.size, -1)
+        f = (bt - bt_old).transpose(1, 0, 2).reshape(point.size, -1)
         done = np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1) < EN_CONV_TOL
         if np.count_nonzero(done):
             for k in np.flatnonzero(done):
                 results[point[k]] = _unit_columns(b[k])
                 ran[point[k]] = it
-            point, b, half = point[~done], b[~done], half[~done]
+            point, half = point[~done], half[~done]
+            bt = np.ascontiguousarray(bt[:, ~done])
+            b = bt.transpose(1, 0, 2)
             if not point.size:
                 break
         a, failed = _polar_factors(s @ b)
@@ -377,7 +390,9 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
                 results[point[k]] = exc
                 ran[point[k]] = it
             keep = np.isin(np.arange(point.size), list(failed), invert=True)
-            point, a, b, half = point[keep], a[keep], b[keep], half[keep]
+            point, a, half = point[keep], a[keep], half[keep]
+            bt = np.ascontiguousarray(bt[:, keep])
+            b = bt.transpose(1, 0, 2)
     for k in point:
         results[k] = NoConvergenceError(
             f"elastic-net loadings did not converge in {EN_MAX_ITER} iterations"

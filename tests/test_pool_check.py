@@ -250,8 +250,8 @@ def test_kernel_texts_hash_each_grid_point(monkeypatch):
     from spla import data, pipeline, sparse_loadings
 
     tool = _tool()
-    # One input of each benchmark pool, the four fixture covariances and
-    # the six block-diagonal ones.
+    # One input of each benchmark pool, the four fixture covariances, the
+    # eight block-diagonal ones and the two block design samples.
     small = {name: SimpleNamespace(pool=1, build=workloads.WORKLOADS[name].build)
              for name in ("spca-oecd", "pmd-scan")}
     runs = list(tool.kernel_runs(small))
@@ -259,11 +259,15 @@ def test_kernel_texts_hash_each_grid_point(monkeypatch):
         "spca-oecd pool id 0", "oecd", "oecd --standardize", "exam",
         "exam --standardize", "block-diagonal 3+3", "block-diagonal 2+4",
         "block-diagonal 1+5", "block-diagonal 1+2+3", "block-diagonal 2+2+2",
-        "block-diagonal 1+1+4", "pmd-scan pool id 0",
+        "block-diagonal 1+1+4", "block-diagonal 4+4+4+2", "block-diagonal 5+5+3+3",
+        "block design M = 14", "block design M = 30", "pmd-scan pool id 0",
     ]
+    # The M = 30 design sample takes most of the pool's time; the M = 14
+    # one runs the same code.
+    monkeypatch.setattr(tool, "DESIGN_BLOCKS", (7,))
     texts = tool.kernel_texts(small)
     lines = [text.splitlines() for text in texts]
-    assert [len(x) for x in lines] == [12] * 11 + [15]
+    assert [len(x) for x in lines] == [12] * 14 + [15]
     assert all(re.fullmatch(r"[0-9a-f]{64}|error: \w+Error: .+", x)
                for text in lines for x in text)
     # The standardized OECD fixture: the four smallest penalties stall.

@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -549,27 +550,45 @@ class TestElasticNetGrid:
         kinds = {type(g) for g in got}
         assert kinds == {sl.NoConvergenceError, np.ndarray, sl.RankDeficientError}
 
-    def test_refused_svd_ends_only_its_point(self, exam_cov, monkeypatch):
+    def test_refused_svd_ends_only_its_point(self, exam_cov, monkeypatch, caplog):
         # LAPACK refusing one matrix fails a stacked SVD. Each matrix is then
         # factored alone, and only the refused point ends with the error.
+        # Refusing the middle point shifts the last one in the compacted
+        # stacks; refusing the last point of the same penalties in another
+        # order shifts none. The survivors run alike in both: the same
+        # loadings, byte for byte, and the same DEBUG record, whose stacked
+        # sweep counts a wrong shift changes even where, as here, the
+        # converged loadings do not depend on the starting B.
         grid = [8.0, 20.0, 50.0]  # each converges after tens of SVDs
         want = elastic_net_loadings(exam_cov.values, grid)
-        refused = []
+        caplog.set_level(logging.DEBUG, logger="spla")
 
-        def refusing(a):
-            if a.ndim == 3:
-                raise sl.NoConvergenceError("stack refused")
-            if not refused:
-                refused.append(a)
-                raise sl.NoConvergenceError("SVD did not converge")
-            return svd(a)
+        def run(grid, refused):
+            alone = []
 
-        monkeypatch.setattr(sl, "svd", refusing)
-        got = elastic_net_loadings(exam_cov.values, grid)
-        assert isinstance(got[0], sl.NoConvergenceError)
-        assert str(got[0]) == "SVD did not converge"
-        for g, w in zip(got[1:], want[1:]):
-            assert np.array_equal(g, w)
+            def refusing(a):
+                if a.ndim == 3:
+                    raise sl.NoConvergenceError("stack refused")
+                alone.append(a)
+                if len(alone) == refused:  # that point of the first stack
+                    raise sl.NoConvergenceError("SVD did not converge")
+                return svd(a)
+
+            monkeypatch.setattr(sl, "svd", refusing)
+            caplog.clear()
+            got = elastic_net_loadings(exam_cov.values, grid)
+            # "spca point k of 3: <outer iterations, sweeps; ending>"
+            return got, [r.getMessage().split(": ", 1)[1] for r in caplog.records]
+
+        got, records = run(grid, 2)
+        unshifted, unshifted_records = run([8.0, 50.0, 20.0], 3)
+        assert isinstance(got[1], sl.NoConvergenceError)
+        assert str(got[1]) == "SVD did not converge"
+        assert records[1] == unshifted_records[2]
+        assert records[1].endswith("; NoConvergenceError: SVD did not converge")
+        for k, j in ((0, 0), (2, 1)):
+            assert got[k].tobytes() == want[k].tobytes() == unshifted[j].tobytes()
+            assert records[k] == unshifted_records[j]
 
 
 class TestOrthogonalize:

@@ -14,10 +14,10 @@ runs every input of the named pools (all workloads, ``cli`` and ``kernels``
 by default) on both checkouts and checks only that the outputs are
 byte-identical. The ``cli`` pool is ``CLI_CASES``, 60 ``spla.cli`` runs
 whose output is stdout, stderr and exit code; they run in a directory that
-holds the ``CLI_CSV`` files. The ``kernels`` pool is the loading kernels
-alone (:func:`kernel_runs`): its output is one line per grid point, the
-sha256 of the loadings' bytes or the error that ended the point, so a
-bit-for-bit claim about a kernel needs this one command. It prints ``name:
+holds the ``CLI_CSV`` files. The ``kernels`` pool is 126 runs of the
+loading kernels alone (:func:`kernel_runs`): its output is one line per grid
+point, the sha256 of the loadings' bytes or the error that ended the point,
+so a bit-for-bit claim about a kernel needs this one command. It prints ``name:
 k of n identical to OTHER_CHECKOUT`` per pool, then, for each input that
 differs, its first differing JSON path or line (other -> this) and the
 largest relative difference between the numbers there.
@@ -214,8 +214,14 @@ def analyses(w) -> list[str]:
     return texts
 
 
-#: Block sizes of the exactly block-diagonal ``kernels`` inputs (M = 6).
-BLOCK_SIZES = ((3, 3), (2, 4), (1, 5), (1, 2, 3), (2, 2, 2), (1, 1, 4))
+#: Block sizes of the exactly block-diagonal ``kernels`` inputs: six at
+#: M = 6, then M = 14 and 16.
+BLOCK_SIZES = ((3, 3), (2, 4), (1, 5), (1, 2, 3), (2, 2, 2), (1, 1, 4),
+               (4, 4, 4, 2), (5, 5, 3, 3))
+
+#: Block counts of the ``BlockDesign(rho=0.3)`` samples (N = 1000,
+#: standardized) among the ``kernels`` inputs: M = 14 and 30.
+DESIGN_BLOCKS = (7, 15)
 
 
 def block_diagonal(sizes, seed: int) -> np.ndarray:
@@ -234,12 +240,13 @@ def kernel_runs(workloads):
     """``(label, run)`` of each ``kernels`` input, in order; ``run()`` gives
     the loading kernel's results on the default grid. The inputs are each
     ``spca-oecd`` pool covariance, the OECD and exam fixtures, raw and
-    standardized, and the :data:`BLOCK_SIZES` block-diagonal covariances
+    standardized, the :data:`BLOCK_SIZES` block-diagonal covariances
     (:func:`block_diagonal`, whose exact zeros reach ``S A`` and the
-    loadings) for ``elastic_net_loadings``; then each ``pmd-scan``
-    covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``, as the scan
-    calls them."""
-    from spla import data, pipeline, sparse_loadings
+    loadings) and the :data:`DESIGN_BLOCKS` block design samples, wider
+    than any other ``spca`` input, for ``elastic_net_loadings``; then each
+    ``pmd-scan`` covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``,
+    as the scan calls them."""
+    from spla import data, pipeline, simulate, sparse_loadings
 
     def spca(s):
         grid = pipeline.SplaConfig(method="spca").resolved_grid(len(s))
@@ -262,6 +269,11 @@ def kernel_runs(workloads):
     for seed, sizes in enumerate(BLOCK_SIZES):
         yield (f"block-diagonal {'+'.join(map(str, sizes))}",
                lambda s=block_diagonal(sizes, seed): spca(s))
+    for n_blocks in DESIGN_BLOCKS:
+        design = simulate.BlockDesign(n_blocks=n_blocks, rho=0.3)
+        yield (f"block design M = {design.n_vars}",
+               lambda d=design: spca(data.sample_cov(
+                   simulate.gen_block_sample(d, 1000, 1)).values))
     w = workloads["pmd-scan"]
     for i in range(w.pool):
         yield f"pmd-scan pool id {i}", lambda i=i: pmd(w.build(i, None))
