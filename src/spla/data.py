@@ -80,12 +80,16 @@ class CovMatrix:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        m = values.shape[0]
-        if values.ndim != 2 or values.shape[1] != m:
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"covariance must be square, got {values.shape}")
+        m = values.shape[0]
+        if not m:
+            raise DataError("covariance matrix is empty")
         if len(self.variable_names) != m:
             raise DataError(f"{len(self.variable_names)} names for {m} variables")
-        if m > 1 and np.max(np.abs(values - values.T)) > 1e-10:
+        if not np.all(np.isfinite(values)):
+            raise DataError("covariance matrix has a non-finite entry")
+        if np.max(np.abs(values - values.T)) > 1e-10:
             raise DataError("covariance matrix is not symmetric")
         # Assumption: the covariance is strictly positive definite. Verified
         # eagerly so near-singular conditioning blocks surface here, not in a
@@ -202,7 +206,8 @@ def standardize(d: DataMatrix) -> DataMatrix:
         centered = d.values - d.values.mean(axis=0)
         sd = centered.std(axis=0, ddof=1)
     _check_overflow(sd, d.variable_names)
-    bad = np.nonzero(sd <= 1e-12)[0]
+    # Scale-free: a constant column's sd is rounding of its own values.
+    bad = np.nonzero(sd <= 1e-12 * np.max(np.abs(d.values), axis=0))[0]
     if bad.size:
         raise ConstantColumnError(
             f"constant column(s): {', '.join(d.variable_names[i] for i in bad)}"

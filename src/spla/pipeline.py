@@ -6,6 +6,9 @@ evaluation criterion, (3) rank the retained blocks by explained variance and
 flag low-share blocks as discard candidates, (4) verify each candidate
 against the partial covariance before recommending a discard.
 
+On the ``'pmd'`` route detection reads the loadings at ``DETECT_TOL``, where
+each budget stops once its supports connect every variable.
+
 The whole grid is scanned and the partition with the most blocks among those
 passing the gate is selected (ties broken by larger minimum EC) — the EC is
 not guaranteed monotone across grid points, so early stopping is avoided.
@@ -32,6 +35,7 @@ from .evaluation import (
 )
 from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
+    DETECT_TOL,
     ZERO_TOL,
     elastic_net_loadings,
     sparse_loading_matrix,
@@ -52,13 +56,6 @@ __all__ = [
     "structure_scan",
 ]
 
-
-#: Support tolerance for block detection on the ``'pmd'`` route: loading
-#: components at or below it in magnitude are structural zeros. Deflation
-#: leaves sub-percent residue on otherwise-zero components; a genuine
-#: component this small contributes a negligible variance share, so
-#: suppressing it only removes spurious block bridges.
-DETECT_TOL = 1e-2
 
 #: A block whose SV share (percent) falls below this fraction of the
 #: per-variable average share ``100 / M`` is a discard candidate, confirmed
@@ -239,9 +236,8 @@ def _scan(cov: CovMatrix, cfg: SplaConfig):
     """
     grid = cfg.resolved_grid(cov.n_vars)
     # DETECT_TOL on the PMD route only: the elastic net produces exact zeros.
-    # A PMD budget stops once its supports at DETECT_TOL connect every variable.
     if cfg.method == "pmd":
-        results, tol = sparse_loading_matrix(cov.values, grid, DETECT_TOL), DETECT_TOL
+        results, tol = sparse_loading_matrix(cov.values, grid), DETECT_TOL
     else:
         results, tol = elastic_net_loadings(cov.values, grid), ZERO_TOL
     trace: list[GridPoint] = []

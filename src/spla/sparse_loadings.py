@@ -10,23 +10,19 @@ point. Each factor of the first is :func:`penalized_rank_one` of the
 deflated covariance, whose every alternation finds its exact L1 threshold by
 a scan over the sorted ``|z|`` in scalar arithmetic that stops at the first
 value breaking the budget; the second runs its points in lock step.
-Given a support tolerance below ``1/sqrt(M)``, a budget of the first route
-stops once its factors' supports connect every variable: the partition is
-then the single block whatever the later factors are, and the complement
-basis that completes the matrix has an entry above the tolerance in every
-column, so detection still reads the single block. Each budget writes one
-DEBUG record to the ``"spla"`` logger: the factors run and the factor after
-which the supports connected; each elastic-net point writes one too: its
-outer iterations, the stacked sweeps it took part in and how it ended. The
+A budget of the first route stops once its factors' supports at
+:data:`DETECT_TOL` connect every variable. Each budget writes one DEBUG
+record to the ``"spla"`` logger: the factors run and the factor after which
+the supports connected; each elastic-net point writes one too: its outer
+iterations, the stacked sweeps it took part in and how it ended. The
 elastic net keeps its loadings coordinate-major, so that each coordinate's
 values over every column of every point are one contiguous row, while each
 point's products read a strided view and keep their bits. Its coordinate
 step soft-thresholds with ``copysign`` in place of ``sign`` times the
 magnitude, on a target with no -0.0, the one input where the two differ,
-and takes its diagonal operands as 0-d arrays.
-:func:`orthogonalize` gives the nearest
-orthonormal matrix to a whole loading matrix. Each route has one iteration
-policy, the module constants below.
+and takes its diagonal operands as 0-d arrays. :func:`orthogonalize` gives
+the nearest orthonormal matrix to a whole loading matrix. Each route has
+one iteration policy, the module constants below.
 """
 
 from __future__ import annotations
@@ -55,6 +51,11 @@ __all__ = [
 
 #: Entries with magnitude at or below this are treated as structural zeros.
 ZERO_TOL = 1e-9
+
+#: PMD route: support tolerance of the stop and of block detection. Deflation
+#: leaves sub-percent residue on otherwise-zero components; a genuine one this
+#: small has a negligible variance share, so dropping it only cuts bridges.
+DETECT_TOL = 1e-2
 
 #: PMD route: alternations per factor, and the step below which a factor has
 #: converged. A capped factor keeps its last iterate: with near-tied block
@@ -176,7 +177,7 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     return loading
 
 
-def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list:
+def sparse_loading_matrix(s: np.ndarray, grid) -> list:
     """All ``M`` sparse loadings of the Gram matrix ``s``, not orthogonalized,
     at each L1 budget of ``grid``: one result per budget, in grid order, the
     ``M x M`` loadings or the :class:`MatopsError` that ended it (returned).
@@ -190,15 +191,13 @@ def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list
     trace is at most ``1e-12`` of the original, the rest is an orthonormal
     basis of the complement.
 
-    With a support tolerance ``tol`` below ``1/sqrt(M)``, a budget also stops
-    once the supports ``|v| > tol`` of its factors connect every variable,
-    and the complement completes it. Each completing column is a unit
-    vector, so it has an entry of at least ``1/sqrt(M)``, above ``tol``: at
-    ``tol`` the matrix then detects as the single block, as the full
-    deflation does unless a later factor would end in an error or have no
-    entry above ``tol``. The guard is ``tol * tol * M < 1 - 1e-9``: a ``tol``
-    within rounding of ``1/sqrt(M)`` never stops. Without ``tol`` every
-    factor runs.
+    A budget also stops once the supports ``|v| > DETECT_TOL`` of its
+    factors connect every variable: the partition is then the single block
+    whatever the later factors are. Each completing column is a unit vector,
+    so it has an entry of at least ``1/sqrt(M)``, above the tolerance, and
+    detection still reads the single block. The guard, read at each call,
+    is ``DETECT_TOL**2 * M < 1 - 1e-9``: within rounding of ``1/sqrt(M)``,
+    no budget stops.
     """
     # Imported here, not at the top: it would add about 5 ms to ``import spla``.
     import logging
@@ -211,7 +210,7 @@ def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list
             raise ValueError("per-loading penalty vectors require method 'spca'")
         budgets.append(_l1_budget(c, m))
     total = np.trace(s)
-    stop = tol is not None and tol * tol * m < 1 - 1e-9
+    tol = DETECT_TOL
     results: list = []
     for c in budgets:
         work, cols, joined = s, [], 0
@@ -220,12 +219,12 @@ def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list
             while len(cols) < m and np.trace(work) > 1e-12 * total:
                 v = penalized_rank_one(work, c)
                 cols.append(v)
-                if tol is not None and not joined:
+                if not joined:
                     on = np.abs(v) > tol
                     linked |= np.outer(on, on)
                     if len(_components(linked)) == 1:
                         joined = len(cols)
-                        if stop:
+                        if tol * tol * m < 1 - 1e-9:  # completing columns pass tol
                             break
                 p = np.eye(m) - np.outer(v, v)
                 work = p @ work @ p
@@ -241,8 +240,7 @@ def sparse_loading_matrix(s: np.ndarray, grid, tol: float | None = None) -> list
             results.append(_fix_signs(np.column_stack([*cols, *rest])))
         logging.getLogger("spla").debug(
             "pmd budget %r: %d of %d factors run; supports %s", c, len(cols), m,
-            "not checked" if tol is None
-            else f"connected after factor {joined}" if joined
+            f"connected after factor {joined}" if joined
             else f"never connected at tol {tol!r}",
         )
     return results

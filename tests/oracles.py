@@ -18,6 +18,11 @@ scalar coordinate descent on one column at a time.
 point at a time, as the library ran it before it solved the whole grid in
 lock step.
 
+:func:`full_deflation` is the PMD route without its stop: every budget
+deflates until its trace is spent, where the library stops once the
+supports at ``DETECT_TOL`` connect every variable
+(:func:`supports_connect_after` finds that factor in its output).
+
 :func:`unit_within_budget_vectorized` is the PMD route's threshold search
 with the knot scan done in whole-array steps; the library scans the knots
 one at a time in Python floats and stops at the first that breaks the
@@ -43,6 +48,7 @@ from spla import BlockEvaluation, BlockPartition
 from spla.blocks import InconsistentPartitionError
 from spla.data import CovMatrix, DataError, DataMatrix
 from spla.matops import (
+    MatopsError,
     NoConvergenceError,
     RankDeficientError,
     _fix_signs,
@@ -262,6 +268,62 @@ def elastic_net_loadings_pointwise(s: np.ndarray, per_loading_l1) -> np.ndarray:
     if np.any(norms <= 1e-12):
         raise RankDeficientError("an elastic-net loading collapsed to zero")
     return _fix_signs(b / norms)
+
+
+def full_deflation(s: np.ndarray, grid) -> list:
+    """:func:`spla.sparse_loading_matrix` without its stop: every budget runs
+    a factor per variable, until the deflated trace is spent, whether or not
+    the supports have connected.
+
+    Each factor is ``sparse_loadings.penalized_rank_one`` of the deflated
+    ``s``, looked up at call time, so a test that wraps it sees every
+    factor. This is the library's loop as it ran before every budget
+    stopped at ``DETECT_TOL``, so the factors before the stop are the same
+    to the bit.
+    """
+    s = _square(s, "s")
+    m = s.shape[0]
+    budgets = []
+    for c in grid:
+        if not np.isscalar(c):
+            raise ValueError("per-loading penalty vectors require method 'spca'")
+        budgets.append(sl._l1_budget(c, m))
+    total = np.trace(s)
+    results: list = []
+    for c in budgets:
+        work, cols = s, []
+        try:
+            while len(cols) < m and np.trace(work) > 1e-12 * total:
+                v = sl.penalized_rank_one(work, c)
+                cols.append(v)
+                p = np.eye(m) - np.outer(v, v)
+                work = p @ work @ p
+                # Exactly symmetric: the symmetry check of sym_eigen is absolute.
+                work = (work + work.T) / 2.0
+        except MatopsError as exc:
+            results.append(exc)
+        else:
+            # Of the full SVD's left singular vectors, those past the k
+            # columns span the complement (all of them, the identity, at k = 0).
+            done = np.column_stack(cols) if cols else np.empty((m, 0))
+            rest = np.linalg.svd(done)[0][:, len(cols):].T if len(cols) < m else []
+            results.append(_fix_signs(np.column_stack([*cols, *rest])))
+    return results
+
+
+def supports_connect_after(u: np.ndarray, tol: float) -> int | None:
+    """The least ``k`` such that the supports ``|u[:, j]| > tol`` of the
+    first ``k`` columns of ``u`` connect every variable, or None if they
+    never do. Each support merges the groups of the variables it holds
+    under the smallest label among them."""
+    label = np.arange(u.shape[0])
+    for k, column in enumerate(u.T, 1):
+        held = label[np.abs(column) > tol]
+        if held.size:
+            label[np.isin(label, held)] = held.min()
+        if np.all(label == label[0]):
+            return k
+    return None
 
 
 def unit_within_budget_vectorized(z: np.ndarray, c: float) -> np.ndarray:

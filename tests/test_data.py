@@ -67,11 +67,24 @@ class TestCovMatrix:
     @pytest.mark.parametrize(
         "values, names, message",
         [(np.ones((2, 3)), ("a", "b"), r"covariance must be square, got \(2, 3\)"),
-         (np.eye(2), ("a",), "1 names for 2 variables")],
+         (np.eye(2), ("a",), "1 names for 2 variables"),
+         (np.float64(1.0), (), r"covariance must be square, got \(\)"),
+         (np.zeros((0, 0)), (), "covariance matrix is empty")],
     )
     def test_rejects_shape(self, values, names, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             CovMatrix(values, names)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [[[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [0.0, 1.0]]],
+        ids=["nan", "inf"],
+    )
+    def test_rejects_non_finite_entry(self, values):
+        # Checked before symmetry, whose difference would warn on them.
+        with pytest.raises(DataError, match="^covariance matrix has a non-finite entry$"):
+            CovMatrix(np.array(values), ("a", "b"))
 
     def test_trace(self):
         c = CovMatrix(np.diag([2.0, 3.0]), ("a", "b"))
@@ -245,6 +258,20 @@ class TestTransforms:
         d = DataMatrix(np.array([[1.0, 2.0], [1.0, 3.0]]), ("a", "b"))
         with pytest.raises(ConstantColumnError):
             standardize(d)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-300, 0.1, -7.3, 1e20, 1e300])
+    def test_standardize_rejects_constant_at_any_scale(self, value):
+        x = np.random.default_rng(16).normal(size=(50, 2))
+        x[:, 0] = value
+        with pytest.raises(ConstantColumnError, match="^constant column\\(s\\): a$"):
+            standardize(DataMatrix(x, ("a", "b")))
+
+    def test_standardize_accepts_a_faint_column(self):
+        # An sd of about 1e-13 is small in absolute terms, not relative to
+        # the column's own values: the column varies.
+        x = np.random.default_rng(0).normal(size=(50, 3)) * [1e-13, 1.0, 1.0]
+        d = standardize(DataMatrix(x, ("a", "b", "c")))
+        assert np.allclose(d.values.std(axis=0, ddof=1), 1.0)
 
     def test_sample_cov_matches_numpy(self):
         rng = np.random.default_rng(12)

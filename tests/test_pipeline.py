@@ -241,9 +241,9 @@ class TestCovarianceRoute:
             covs.append(sample_cov(d))
             return covs[-1]
 
-        def pmd_spy(s, grid, tol):
+        def pmd_spy(s, grid):
             received.append(s)
-            return pmd(s, grid, tol)
+            return pmd(s, grid)
 
         monkeypatch.setattr(spla.pipeline, "sample_cov", cov_spy)
         monkeypatch.setattr(spla.pipeline, "sparse_loading_matrix", pmd_spy)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import spla.sparse_loadings as sl
 from spla import (
     Block,
     BlockDesign,
@@ -28,14 +29,14 @@ from spla import (
 )
 from spla.blocks import BlockError, NonSquareBlockError
 from spla.evaluation import DEFAULT_C_EC, _block_ecs, weight_basis
-from spla.pipeline import DETECT_TOL, SplaConfig
+from spla.pipeline import SplaConfig
 from spla.matops import (
     MatopsError,
     NoConvergenceError,
     RankDeficientError,
     sym_eigen,
 )
-from spla.sparse_loadings import ZERO_TOL
+from spla.sparse_loadings import DETECT_TOL, ZERO_TOL
 
 from conftest import random_spd
 from oracles import (
@@ -44,6 +45,8 @@ from oracles import (
     corrected_variances_from_data,
     elastic_net_loadings_percolumn,
     elastic_net_loadings_pointwise,
+    full_deflation,
+    supports_connect_after,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -98,17 +101,18 @@ def _detected(result):
 
 
 class TestConnectedSupportsStop:
-    """A PMD budget that stops once its supports at DETECT_TOL connect every
-    variable detects what the full deflation (``tol=None``) detects: the
-    same partition, or the same error class and message.
+    """A PMD budget stops once its supports at DETECT_TOL connect every
+    variable. Against the full deflation (``oracles.full_deflation``), its
+    factors up to that one are the same to the bit, and it detects the same
+    partition, or the same error class and message.
 
     One difference is known. Exact ties, as in a rank-deficient integer Gram
     matrix or in integer equicorrelated groups, can make a later factor of
     the full deflation the zero vector (no budget below ``sqrt(k)`` holds
     ``k`` tied largest ``|z|``), and then every factor after it, since
     deflating by zero changes nothing. Those columns leave the connected
-    variables short of loadings, a non-square component; the stopped budget
-    never runs them and detects the single block.
+    variables short of loadings, a non-square component; the library never
+    runs them and detects the single block.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -132,9 +136,12 @@ class TestConnectedSupportsStop:
             s = a.T @ a
         m = s.shape[0]
         grid = [1.0 + f * (np.sqrt(m) - 1.0) for f in fractions]
-        stopped = sparse_loading_matrix(s, grid, DETECT_TOL)
-        full = sparse_loading_matrix(s, grid)
+        stopped = sparse_loading_matrix(s, grid)
+        full = full_deflation(s, grid)
         for got, want in zip(stopped, full, strict=True):
+            if isinstance(want, np.ndarray):
+                k = supports_connect_after(want, DETECT_TOL) or m
+                assert np.array_equal(got[:, :k], want[:, :k])
             if _detected(got) != _detected(want):  # the known difference
                 assert _detected(got) == BlockPartition((Block(range(m)),))
                 assert isinstance(want, np.ndarray) and not want[:, -1].any()
@@ -146,8 +153,9 @@ class TestConnectedSupportsStop:
         # the full deflation's five later factors are zero vectors.
         a = np.array([[2.0, -1.0, 1.0, -1.0, 2.0, 1.0]])
         c = float(np.sqrt(3)) - 0.005
-        stopped, = sparse_loading_matrix(a.T @ a, [c], DETECT_TOL)
-        full, = sparse_loading_matrix(a.T @ a, [c])
+        stopped, = sparse_loading_matrix(a.T @ a, [c])
+        full, = full_deflation(a.T @ a, [c])
+        assert np.array_equal(stopped[:, 0], full[:, 0])
         assert detect_blocks(stopped, DETECT_TOL) == BlockPartition((Block(range(6)),))
         assert _detected(full) == (
             NonSquareBlockError,
@@ -161,15 +169,15 @@ class TestConnectedSupportsStop:
         s = sample_cov(gen_block_sample(BlockDesign(rho=0.0), 1000, 1)).values
         c = float(np.sqrt(2)) - 0.005
         caplog.set_level(logging.DEBUG, logger="spla")
-        stopped, = sparse_loading_matrix(s, [c], DETECT_TOL)
+        stopped, = sparse_loading_matrix(s, [c])
         assert caplog.records[0].getMessage().endswith(
             "14 of 14 factors run; supports never connected at tol 0.01"
         )
-        assert np.array_equal(stopped, sparse_loading_matrix(s, [c])[0])
+        assert np.array_equal(stopped, full_deflation(s, [c])[0])
         assert detect_blocks(stopped, DETECT_TOL).n_blocks == 7
 
     @pytest.mark.parametrize("tol", [1 / np.sqrt(5), 0.47])
-    def test_tol_at_or_above_one_over_root_m_never_stops(self, tol, caplog):
+    def test_tol_at_or_above_one_over_root_m_never_stops(self, tol, caplog, monkeypatch):
         # The supports connect after the fourth factor, but a unit column
         # need not have an entry above such a tol, so all five factors run.
         # 1/sqrt(5) squared times 5 rounds to below 1; the guard's band
@@ -177,12 +185,13 @@ class TestConnectedSupportsStop:
         a = np.array([[0, -1, -1, -2, -2], [-2, -2, 2, 1, 2], [0, 1, 2, 1, 1],
                       [0, 0, 2, -1, 2], [1, -2, -1, 2, 0], [-2, 1, 1, 2, -2]])
         s = (a.T @ a).astype(float)
+        monkeypatch.setattr(sl, "DETECT_TOL", tol)
         caplog.set_level(logging.DEBUG, logger="spla")
-        stopped, = sparse_loading_matrix(s, [2.0], tol)
+        stopped, = sparse_loading_matrix(s, [2.0])
         assert caplog.records[0].getMessage() == (
             "pmd budget 2.0: 5 of 5 factors run; supports connected after factor 4"
         )
-        assert np.array_equal(stopped, sparse_loading_matrix(s, [2.0])[0])
+        assert np.array_equal(stopped, full_deflation(s, [2.0])[0])
 
 
 class TestEcRange:

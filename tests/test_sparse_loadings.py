@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 
@@ -23,7 +24,12 @@ from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
 
 from conftest import random_spd
-from oracles import elastic_net_loadings_pointwise, unit_within_budget_vectorized
+from oracles import (
+    elastic_net_loadings_pointwise,
+    full_deflation,
+    supports_connect_after,
+    unit_within_budget_vectorized,
+)
 
 
 def _pseudo_sample(cov_values: np.ndarray) -> np.ndarray:
@@ -313,9 +319,9 @@ class TestPenalizedRankOne:
 
     def test_factors_run_until_the_supports_connect(self, monkeypatch, exam_cov):
         # The PMD factors go through the public function, so a wrapper of it
-        # sees each one. Without a tolerance, one runs per loading of the 5
-        # variables; the scan stops at DETECT_TOL, where the first factor's
-        # support already connects them.
+        # sees each one. The full deflation runs one per loading of the 5
+        # variables; the library stops at DETECT_TOL, where the first
+        # factor's support already connects them, and so does the scan.
         calls = []
         real = sl.penalized_rank_one
 
@@ -324,8 +330,11 @@ class TestPenalizedRankOne:
             return real(s, c)
 
         monkeypatch.setattr(sl, "penalized_rank_one", counted)
-        sparse_loading_matrix(exam_cov.values, [2.0])
+        full_deflation(exam_cov.values, [2.0])
         assert calls == [2.0] * 5
+        calls.clear()
+        sparse_loading_matrix(exam_cov.values, [2.0])
+        assert calls == [2.0]
         calls.clear()
         structure_scan(exam_cov, SplaConfig(grid=(2.0,)))
         assert calls == [2.0]
@@ -360,6 +369,10 @@ class TestSparseLoadingMatrix:
 
 
 class TestCovarianceRoute:
+    """The library's factors against the sample route's, up to the factor
+    after which the supports at DETECT_TOL connect every variable, where
+    the library stops."""
+
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6])
     def test_matches_square_root_route(self, rho):
         cov = sample_cov(gen_block_sample(BlockDesign(rho=rho), 1000, 51))
@@ -368,8 +381,11 @@ class TestCovarianceRoute:
         for c in grid:
             got = sparse_loading_matrix(cov.values, [c])[0]
             want = _sample_route(_pseudo_sample(cov.values), c)
-            assert np.array_equal(np.abs(got) > 1e-2, np.abs(want) > 1e-2), c
-            assert np.max(np.abs(got - want)) <= 1e-9, c
+            k = supports_connect_after(want, sl.DETECT_TOL) or 14
+            assert np.array_equal(np.abs(got[:, :k]) > 1e-2,
+                                  np.abs(want[:, :k]) > 1e-2), c
+            assert np.max(np.abs(got[:, :k] - want[:, :k])) <= 1e-9, c
+            assert detect_blocks(got, sl.DETECT_TOL) == detect_blocks(want, sl.DETECT_TOL)
 
     @pytest.mark.parametrize("c", [1.5, 2.0, np.sqrt(6.0)])
     def test_fewer_observations_than_variables(self, c):
@@ -377,7 +393,9 @@ class TestCovarianceRoute:
         raw = sparse_loading_matrix(x.T @ x, [c])[0]
         u = orthogonalize(raw)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
-        assert np.max(np.abs(raw[:, :3] - _sample_route(x, c)[:, :3])) <= 1e-9
+        want = _sample_route(x, c)
+        k = min(supports_connect_after(want, sl.DETECT_TOL) or 3, 3)
+        assert np.max(np.abs(raw[:, :k] - want[:, :k])) <= 1e-9
 
     @pytest.mark.parametrize("c", [2.0, np.sqrt(6.0)])
     def test_deflation_stops_once_the_row_space_is_spent(self, c):
@@ -655,3 +673,9 @@ class TestShapes:
             match=rf"^{name} must be a square matrix, got shape {re.escape(str(shape))}$",
         ):
             route(np.ones(shape), *extra)
+
+
+def test_both_loading_routes_take_exactly_s_and_grid():
+    # The contract README states: the Gram matrix and the grid, nothing else.
+    for route in (sparse_loading_matrix, elastic_net_loadings):
+        assert list(inspect.signature(route).parameters) == ["s", "grid"], route

@@ -190,6 +190,21 @@ class TestPartialTraceShare:
         cov = CovMatrix(np.eye(5), tuple("abcde"))
         assert partial_trace_share(cov, [1, 2]) == pytest.approx(100.0 * 2 / 5)
 
+    def test_near_collinear_pair_matches_the_regression_residual(self):
+        # Column b is a plus 1e-5 of a draw: S has condition number about
+        # 4e10. Conditioning the pair on the other four keeps it well posed,
+        # and the share must keep that accuracy. The route through the
+        # Schur complement of one factor of S, inv((S^-1)[D, D]), is off by
+        # a relative 1.6e-6 here.
+        x = np.random.default_rng(0).normal(size=(200, 6))
+        x[:, 1] = x[:, 0] + 1e-5 * x[:, 1]
+        cov = sample_cov(DataMatrix(x, tuple("abcdef")))
+        s, d, k = cov.values, [0, 1], [2, 3, 4, 5]
+        beta = np.linalg.solve(s[np.ix_(k, k)], s[np.ix_(k, d)])
+        residual = s[np.ix_(d, d)] - s[np.ix_(d, k)] @ beta
+        want = 100.0 * np.trace(residual) / np.trace(s)
+        assert partial_trace_share(cov, d) == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_oecd_table_values(self, oecd_corr):
         names = oecd_corr.variable_names
         idx = {n: i for i, n in enumerate(names)}

@@ -12,7 +12,7 @@ checks every input of the named workloads (all of them by default) against
 
 runs every input of the named pools (all workloads, ``cli`` and ``kernels``
 by default) on both checkouts and checks only that the outputs are
-byte-identical. The ``cli`` pool is ``CLI_CASES``, 60 ``spla.cli`` runs
+byte-identical. The ``cli`` pool is ``CLI_CASES``, 62 ``spla.cli`` runs
 whose output is stdout, stderr and exit code; they run in a directory that
 holds the ``CLI_CSV`` files. The ``kernels`` pool is 126 runs of the
 loading kernels alone (:func:`kernel_runs`): its output is one line per grid
@@ -80,6 +80,15 @@ def _collinear() -> str:
     return "a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
 
 
+def _faint() -> str:
+    """A sample (M = 3, N = 50) whose column ``a`` is a normal draw times
+    1e-13, as CSV text with round-trip floats. The column varies, so
+    ``--standardize`` analyzes it; as it is, the Cholesky pivot floor
+    refuses the covariance: exit 2."""
+    x = np.random.default_rng(0).normal(size=(50, 3)) * [1e-13, 1.0, 1.0]
+    return "a,b,c\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+
+
 def _blocks30() -> str:
     """A ``BlockDesign(n_blocks=15, rho=0.3)`` sample (M = 30, N = 1000, not
     standardized) as CSV text with round-trip floats: fifteen pairs, each
@@ -105,7 +114,8 @@ def _blocks30() -> str:
 #: of them are a 0-byte file and one that holds only a UTF-8 byte-order mark.
 #: Then a header field and a quoted cell (a valid number) longer than the
 #: ``csv`` module reads, each a data error, a near-collinear sample, a
-#: numerical error, and a 30-variable block design.
+#: numerical error, a 30-variable block design and a sample with one faint
+#: column.
 CLI_CSV = {
     "plain.csv": _SAMPLE,
     "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
@@ -119,6 +129,7 @@ CLI_CSV = {
     "wide-cell.csv": _SAMPLE.replace("0.42", '"0.42' + "0" * _WIDE + '"'),
     "collinear.csv": _collinear(),
     "blocks30.csv": _blocks30(),
+    "faint.csv": _faint(),
 }
 
 
@@ -190,6 +201,9 @@ def _cli_cases() -> list[list[str]]:
     # A flag before the experiment name is a usage error that says where it goes.
     out.append(["simulate", "--reps", "2", "ec"])
     out += [["analyze", name, "--format", "json"] for name in CLI_CSV]
+    # A column of sd 1e-13 is not constant: standardized, it is analyzed.
+    # The flag comes first, so each file is case[1] of one case only.
+    out.append(["analyze", "--standardize", "faint.csv", "--format", "json"])
     # One DEBUG line per grid point on stderr, stdout as without the flag.
     out.append(["analyze", str(FIXTURES / "oecd.csv"), "--method", "spca",
                 "--standardize", "--verbose"])
@@ -244,8 +258,8 @@ def kernel_runs(workloads):
     (:func:`block_diagonal`, whose exact zeros reach ``S A`` and the
     loadings) and the :data:`DESIGN_BLOCKS` block design samples, wider
     than any other ``spca`` input, for ``elastic_net_loadings``; then each
-    ``pmd-scan`` covariance for ``sparse_loading_matrix`` at ``DETECT_TOL``,
-    as the scan calls them."""
+    ``pmd-scan`` covariance for ``sparse_loading_matrix``, as the scan
+    calls it."""
     from spla import data, pipeline, simulate, sparse_loadings
 
     def spca(s):
@@ -254,8 +268,7 @@ def kernel_runs(workloads):
 
     def pmd(cov):
         grid = pipeline.SplaConfig().resolved_grid(cov.n_vars)
-        return sparse_loadings.sparse_loading_matrix(cov.values, grid,
-                                                     pipeline.DETECT_TOL)
+        return sparse_loadings.sparse_loading_matrix(cov.values, grid)
 
     w = workloads["spca-oecd"]
     for i in range(w.pool):
