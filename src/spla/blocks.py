@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CovMatrix
-from .sparse_loadings import ZERO_TOL
 from .matops import _components, _square, sym_eigen
 
 __all__ = [
@@ -30,6 +29,9 @@ __all__ = [
     "detect_blocks",
     "pla_detect",
 ]
+
+#: Entries with magnitude at or below this are treated as structural zeros.
+ZERO_TOL = 1e-9
 
 
 class BlockError(Exception):
@@ -120,7 +122,7 @@ def detect_blocks(u: np.ndarray, tol: float = ZERO_TOL) -> BlockPartition:
             f"variable {int(lonely[0])} has no incident loading"
         )
     blocks = []
-    for comp in _components(pattern.astype(float) @ pattern.T > 0):
+    for comp in _components(pattern):
         rows, n_cols = comp.tolist(), int(pattern[comp].any(axis=0).sum())
         if len(rows) != n_cols:
             raise NonSquareBlockError(

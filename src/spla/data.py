@@ -71,7 +71,7 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """An ``M x M`` symmetric positive-definite covariance/correlation matrix."""
+    """An ``M x M`` positive-definite covariance, kept as its input's symmetric part."""
 
     values: np.ndarray
     variable_names: tuple[str, ...]
@@ -89,13 +89,14 @@ class CovMatrix:
             raise DataError(f"{len(self.variable_names)} names for {m} variables")
         if not np.all(np.isfinite(values)):
             raise DataError("covariance matrix has a non-finite entry")
-        if np.max(np.abs(values - values.T)) > 1e-10:
+        if np.max(np.abs(values - values.T)) > 1e-10 * np.max(np.abs(values)):
             raise DataError("covariance matrix is not symmetric")
+        object.__setattr__(self, "values", (values + values.T) / 2.0)
         # Assumption: the covariance is strictly positive definite. Verified
         # eagerly so near-singular conditioning blocks surface here, not in a
         # later regression projection.
         try:
-            cholesky_upper(values)
+            cholesky_upper(self.values)
         except NotPositiveDefiniteError as exc:
             raise DataError(f"covariance matrix is not positive definite: {exc}")
 
@@ -206,8 +207,9 @@ def standardize(d: DataMatrix) -> DataMatrix:
         centered = d.values - d.values.mean(axis=0)
         sd = centered.std(axis=0, ddof=1)
     _check_overflow(sd, d.variable_names)
-    # Scale-free: a constant column's sd is rounding of its own values.
-    bad = np.nonzero(sd <= 1e-12 * np.max(np.abs(d.values), axis=0))[0]
+    # Scale-free: a constant column's sd is the rounding of its mean, N ulps.
+    bound = d.n_obs * np.finfo(float).eps * np.max(np.abs(d.values), axis=0)
+    bad = np.nonzero(sd <= bound)[0]
     if bad.size:
         raise ConstantColumnError(
             f"constant column(s): {', '.join(d.variable_names[i] for i in bad)}"

@@ -6,7 +6,8 @@ Each factorization is a thin wrapper over LAPACK through :mod:`numpy.linalg`
 that adds the package's conventions: the error classes below, eigenvalues
 in descending order with a stable tie-break, eigenvectors supported on one
 connected component of the matrix's nonzero pattern with a nonnegative
-largest-magnitude component, and a relative Cholesky pivot floor.
+largest-magnitude component, and a relative Cholesky pivot floor. The one
+support graph, :func:`_components`, also serves detection and the PMD stop.
 
 Tolerances are module-level constants; no routine takes one as an argument.
 """
@@ -82,17 +83,18 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _components(adjacency) -> list[np.ndarray]:
-    """Connected components of the graph with a symmetric boolean adjacency.
+def _components(support) -> list[np.ndarray]:
+    """Connected components of the rows of a boolean pattern with supports
+    in columns: two rows are linked when some column is true in both.
 
-    Each component is a sorted index array, and the list is ordered by each
-    component's smallest index.
+    Each component is a sorted row index array, and the list is ordered by
+    each component's smallest index; a row in no support is one alone.
     """
-    n = adjacency.shape[0]
+    s = np.asarray(support, dtype=float)
     # Transitive closure (path lengths double per step); a component is
     # named by its smallest index, the first in its row.
-    reach = np.asarray(adjacency, dtype=bool) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
+    reach = (s @ s.T > 0) | np.eye(len(s), dtype=bool)
+    for _ in range(len(s).bit_length()):
         reach = (reach.astype(float) @ reach) > 0
     firsts = np.unique(np.argmax(reach, axis=1))
     return [np.flatnonzero(reach[i]) for i in firsts]
@@ -125,7 +127,7 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     w = (a + a.T) / 2.0
     lam = np.empty(m)
     v = np.zeros((m, m))
-    for comp in _components(w != 0.0):
+    for comp in _components((w != 0.0) | np.eye(m, dtype=bool)):
         try:
             sub_lam, sub_v = np.linalg.eigh(w[np.ix_(comp, comp)])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

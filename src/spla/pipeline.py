@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    ZERO_TOL,
     Block,
     BlockError,
     BlockPartition,
@@ -36,7 +37,6 @@ from .evaluation import (
 from .matops import MatopsError, sym_eigen
 from .sparse_loadings import (
     DETECT_TOL,
-    ZERO_TOL,
     elastic_net_loadings,
     sparse_loading_matrix,
 )

@@ -49,9 +49,6 @@ __all__ = [
     "orthogonalize",
 ]
 
-#: Entries with magnitude at or below this are treated as structural zeros.
-ZERO_TOL = 1e-9
-
 #: PMD route: support tolerance of the stop and of block detection. Deflation
 #: leaves sub-percent residue on otherwise-zero components; a genuine one this
 #: small has a negligible variance share, so dropping it only cuts bridges.
@@ -214,18 +211,15 @@ def sparse_loading_matrix(s: np.ndarray, grid) -> list:
     results: list = []
     for c in budgets:
         work, cols, joined = s, [], 0
-        linked = np.eye(m, dtype=bool)  # variables that share a support
         try:
             while len(cols) < m and np.trace(work) > 1e-12 * total:
                 v = penalized_rank_one(work, c)
                 cols.append(v)
-                if not joined:
-                    on = np.abs(v) > tol
-                    linked |= np.outer(on, on)
-                    if len(_components(linked)) == 1:
-                        joined = len(cols)
-                        if tol * tol * m < 1 - 1e-9:  # completing columns pass tol
-                            break
+                support = np.abs(np.column_stack(cols)) > tol  # as detection reads it
+                if not joined and len(_components(support)) == 1:
+                    joined = len(cols)
+                    if tol * tol * m < 1 - 1e-9:  # completing columns pass tol
+                        break
                 p = np.eye(m) - np.outer(v, v)
                 work = p @ work @ p
                 # Exactly symmetric: the symmetry check of sym_eigen is absolute.

@@ -9,12 +9,12 @@ from spla import (
     pla_detect,
 )
 from spla.blocks import (
+    ZERO_TOL,
     BlockError,
     InconsistentPartitionError,
     IsolatedVariableError,
     NonSquareBlockError,
 )
-from spla.sparse_loadings import ZERO_TOL
 
 
 def _pattern_matrix(pattern: list[str]) -> np.ndarray:

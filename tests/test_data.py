@@ -15,9 +15,11 @@ from spla import (
     CovMatrix,
     DataError,
     DataMatrix,
+    SplaConfig,
     load_csv,
     sample_cov,
     standardize,
+    structure_scan,
 )
 
 from oracles import load_csv_cell_by_cell
@@ -59,6 +61,31 @@ class TestCovMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError):
             CovMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), ("a", "b"))
+
+    def test_rejects_asymmetric_at_a_small_scale(self):
+        # The asymmetry is half the largest entry, however small the entries.
+        s = 1e-12 * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(DataError, match="^covariance matrix is not symmetric$"):
+            CovMatrix(s, ("a", "b", "c"))
+
+    def test_accepts_one_ulp_of_asymmetry_at_a_large_scale(self):
+        # Entries up to about 1e14: one ulp of an off-diagonal entry is
+        # rounding, not asymmetry, though it is far above 1e-10. The kept
+        # values are exactly symmetric, so the kernels' own checks pass.
+        x = np.random.default_rng(2).normal(size=(50, 3)) * 1e7
+        s = np.cov(x, rowvar=False)
+        s[0, 1] = np.nextafter(s[0, 1], np.inf)
+        assert np.max(np.abs(s - s.T)) > 1e-10
+        cov = CovMatrix(s, ("a", "b", "c"))
+        assert np.array_equal(cov.values, cov.values.T)
+        assert np.max(np.abs(cov.values - s)) <= abs(np.spacing(s[0, 1]))
+        for method in ("pmd", "spca"):
+            structure_scan(cov, SplaConfig(method=method))
+
+    def test_keeps_symmetric_values_bit_for_bit(self):
+        s = np.cov(np.random.default_rng(3).normal(size=(20, 4)), rowvar=False)
+        assert np.array_equal(s, s.T)
+        assert CovMatrix(s, ("a", "b", "c", "d")).values.tobytes() == s.tobytes()
 
     def test_rejects_indefinite(self):
         with pytest.raises(DataError):
@@ -265,6 +292,24 @@ class TestTransforms:
         x[:, 0] = value
         with pytest.raises(ConstantColumnError, match="^constant column\\(s\\): a$"):
             standardize(DataMatrix(x, ("a", "b")))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 100000])
+    def test_standardize_rejects_constant_at_any_length(self, n):
+        x = np.random.default_rng(17).normal(size=(n, 2))
+        for value in (0.0, 1e-300, 0.1, -7.3, 1e20, 1e300):
+            x[:, 0] = value
+            with pytest.raises(ConstantColumnError, match="^constant column\\(s\\): a$"):
+                standardize(DataMatrix(x, ("a", "b")))
+
+    def test_standardize_accepts_a_small_spread_on_a_large_offset(self):
+        # sd about 1e-7 on values near 1e6: a spread of hundreds of ulps,
+        # far above the rounding of the mean.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(50, 2))
+        x[:, 0] = 1e6 + 1e-7 * rng.normal(size=50)
+        assert x[:, 0].std(ddof=1) > 500 * np.spacing(1e6)
+        d = standardize(DataMatrix(x, ("a", "b")))
+        assert np.allclose(d.values.std(axis=0, ddof=1), 1.0)
 
     def test_standardize_accepts_a_faint_column(self):
         # An sd of about 1e-13 is small in absolute terms, not relative to

@@ -14,9 +14,8 @@ from spla import (
     structure_scan,
     weight_basis,
 )
-from spla.blocks import InconsistentPartitionError
+from spla.blocks import ZERO_TOL, InconsistentPartitionError
 from spla.pipeline import SplaConfig, _scan
-from spla.sparse_loadings import ZERO_TOL
 
 from conftest import random_spd
 from oracles import block_ec_literal, replace_with_weight

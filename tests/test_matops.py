@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spla import CovMatrix
 from spla.blocks import pla_detect
 from spla.matops import (
     NonSymmetricError,
     NotPositiveDefiniteError,
+    _components,
     cholesky_upper,
     soft_threshold,
     solve_spd,
@@ -184,3 +186,58 @@ class TestSolveSpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_spd(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+
+
+def _union_find_components(m: int, columns) -> list[list[int]]:
+    """Components of rows ``0..m-1`` by union-find: each column, a set of
+    rows, joins its rows. Lists of ascending rows, by smallest row."""
+    parent = list(range(m))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for rows in map(sorted, columns):
+        for r in rows[1:]:
+            parent[root(r)] = root(rows[0])
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
+
+
+@st.composite
+def _supports(draw):
+    """``(m, columns)``: 1 to 20 rows and 0 to 25 columns, each a set of
+    rows, empty included, so empty rows and columns and ``k = 0`` occur."""
+    m = draw(st.integers(1, 20))
+    return m, draw(st.lists(st.sets(st.integers(0, m - 1), max_size=4), max_size=25))
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(_supports())
+    def test_rectangular_support_matches_union_find(self, case):
+        m, columns = case
+        support = np.zeros((m, len(columns)), dtype=bool)
+        for j, rows in enumerate(columns):
+            support[sorted(rows), j] = True
+        got = [c.tolist() for c in _components(support)]
+        assert got == _union_find_components(m, columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_supports())
+    def test_symmetric_adjacency_with_diagonal_matches_union_find(self, case):
+        # Each column's rows, pairwise, are the edges; the diagonal makes
+        # the adjacency a support of its own graph.
+        m, columns = case
+        adjacency = np.eye(m, dtype=bool)
+        for rows in map(sorted, columns):
+            adjacency[np.ix_(rows, rows)] = True
+        got = [c.tolist() for c in _components(adjacency)]
+        assert got == _union_find_components(m, columns)
+
+    def test_no_columns_gives_singletons(self):
+        got = [c.tolist() for c in _components(np.zeros((3, 0), dtype=bool))]
+        assert got == [[0], [1], [2]]

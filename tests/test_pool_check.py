@@ -251,23 +251,29 @@ def test_kernel_texts_hash_each_grid_point(monkeypatch):
 
     tool = _tool()
     # One input of each benchmark pool, the four fixture covariances, the
-    # eight block-diagonal ones and the two block design samples.
+    # eight block-diagonal ones and the two block design samples; then the
+    # block inputs again for the PMD kernel.
     small = {name: SimpleNamespace(pool=1, build=workloads.WORKLOADS[name].build)
              for name in ("spca-oecd", "pmd-scan")}
     runs = list(tool.kernel_runs(small))
+    blocks = [
+        "block-diagonal 3+3", "block-diagonal 2+4", "block-diagonal 1+5",
+        "block-diagonal 1+2+3", "block-diagonal 2+2+2", "block-diagonal 1+1+4",
+        "block-diagonal 4+4+4+2", "block-diagonal 5+5+3+3",
+        "block design M = 14", "block design M = 30",
+    ]
     assert [label for label, _ in runs] == [
         "spca-oecd pool id 0", "oecd", "oecd --standardize", "exam",
-        "exam --standardize", "block-diagonal 3+3", "block-diagonal 2+4",
-        "block-diagonal 1+5", "block-diagonal 1+2+3", "block-diagonal 2+2+2",
-        "block-diagonal 1+1+4", "block-diagonal 4+4+4+2", "block-diagonal 5+5+3+3",
-        "block design M = 14", "block design M = 30", "pmd-scan pool id 0",
+        "exam --standardize", *blocks, "pmd-scan pool id 0",
+        *(f"pmd {label}" for label in blocks),
     ]
     # The M = 30 design sample takes most of the pool's time; the M = 14
     # one runs the same code.
     monkeypatch.setattr(tool, "DESIGN_BLOCKS", (7,))
     texts = tool.kernel_texts(small)
     lines = [text.splitlines() for text in texts]
-    assert [len(x) for x in lines] == [12] * 14 + [15]
+    # The PMD grid has M + 1 points: 7 at M = 6, then M = 14, 16 and 14.
+    assert [len(x) for x in lines] == [12] * 14 + [15] + [7] * 6 + [15, 17, 15]
     assert all(re.fullmatch(r"[0-9a-f]{64}|error: \w+Error: .+", x)
                for text in lines for x in text)
     # The standardized OECD fixture: the four smallest penalties stall.

@@ -27,7 +27,7 @@ from spla import (
     sample_cov,
     sparse_loading_matrix,
 )
-from spla.blocks import BlockError, NonSquareBlockError
+from spla.blocks import ZERO_TOL, BlockError, NonSquareBlockError
 from spla.evaluation import DEFAULT_C_EC, _block_ecs, weight_basis
 from spla.pipeline import SplaConfig
 from spla.matops import (
@@ -36,7 +36,7 @@ from spla.matops import (
     RankDeficientError,
     sym_eigen,
 )
-from spla.sparse_loadings import DETECT_TOL, ZERO_TOL
+from spla.sparse_loadings import DETECT_TOL
 
 from conftest import random_spd
 from oracles import (

@@ -19,6 +19,7 @@ from spla import (
     standardize,
     structure_scan,
 )
+from spla.blocks import ZERO_TOL
 from spla.matops import _fix_signs, soft_threshold, svd, sym_eigen
 from spla.pipeline import SplaConfig
 from spla.simulate import gen_block_sample
@@ -353,7 +354,7 @@ class TestSparseLoadingMatrix:
         counts = []
         for c in np.linspace(np.sqrt(5), 1.0, 6):
             lm = sparse_loading_matrix(x.T @ x, [float(c)])[0]
-            counts.append(int(np.sum(np.abs(lm) > sl.ZERO_TOL)))
+            counts.append(int(np.sum(np.abs(lm) > ZERO_TOL)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_block_diagonal_input_recovers_blocks(self):
@@ -362,7 +363,7 @@ class TestSparseLoadingMatrix:
         cov[:2, :2] = [[2.0, 0.9], [0.9, 2.0]]
         cov[2:, 2:] = [[1.0, 0.4], [0.4, 1.0]]
         lm = sparse_loading_matrix(cov, [1.41])[0]
-        pat = np.abs(lm) > sl.ZERO_TOL
+        pat = np.abs(lm) > ZERO_TOL
         for j in range(4):
             rows = set(np.nonzero(pat[:, j])[0])
             assert rows <= {0, 1} or rows <= {2, 3}
@@ -478,7 +479,7 @@ class TestElasticNet:
 
     def test_penalty_produces_zeros(self, exam_cov):
         lm, = elastic_net_loadings(exam_cov.values, [(5.0, 5.0, 5.0, 2.0, 2.0)])
-        assert np.sum(np.abs(lm) <= sl.ZERO_TOL) > 0
+        assert np.sum(np.abs(lm) <= ZERO_TOL) > 0
 
     def test_converged_iteration_takes_no_polar_factor(self, oecd_corr, monkeypatch):
         # With no penalty B converges in the first alternation, and the polar
@@ -633,7 +634,7 @@ class TestLoadingMatrix:
     def test_support(self):
         u = np.eye(3)
         u[0, 1] = 1e-12
-        assert list(np.flatnonzero(np.abs(u[:, 1]) > sl.ZERO_TOL)) == [1]
+        assert list(np.flatnonzero(np.abs(u[:, 1]) > ZERO_TOL)) == [1]
         # detect_blocks owns the rule: at its default tolerance the 1e-12
         # entry bridges nothing.
         assert detect_blocks(u).n_blocks == 3

@@ -14,7 +14,7 @@ runs every input of the named pools (all workloads, ``cli`` and ``kernels``
 by default) on both checkouts and checks only that the outputs are
 byte-identical. The ``cli`` pool is ``CLI_CASES``, 62 ``spla.cli`` runs
 whose output is stdout, stderr and exit code; they run in a directory that
-holds the ``CLI_CSV`` files. The ``kernels`` pool is 126 runs of the
+holds the ``CLI_CSV`` files. The ``kernels`` pool is 136 runs of the
 loading kernels alone (:func:`kernel_runs`): its output is one line per grid
 point, the sha256 of the loadings' bytes or the error that ended the point,
 so a bit-for-bit claim about a kernel needs this one command. It prints ``name:
@@ -259,16 +259,17 @@ def kernel_runs(workloads):
     loadings) and the :data:`DESIGN_BLOCKS` block design samples, wider
     than any other ``spca`` input, for ``elastic_net_loadings``; then each
     ``pmd-scan`` covariance for ``sparse_loading_matrix``, as the scan
-    calls it."""
+    calls it, and the block-diagonal and block design inputs again, labelled
+    ``pmd ...``, where ``sym_eigen`` splits the deflated covariance."""
     from spla import data, pipeline, simulate, sparse_loadings
 
     def spca(s):
         grid = pipeline.SplaConfig(method="spca").resolved_grid(len(s))
         return sparse_loadings.elastic_net_loadings(s, grid)
 
-    def pmd(cov):
-        grid = pipeline.SplaConfig().resolved_grid(cov.n_vars)
-        return sparse_loadings.sparse_loading_matrix(cov.values, grid)
+    def pmd(s):
+        grid = pipeline.SplaConfig().resolved_grid(len(s))
+        return sparse_loadings.sparse_loading_matrix(s, grid)
 
     w = workloads["spca-oecd"]
     for i in range(w.pool):
@@ -279,17 +280,21 @@ def kernel_runs(workloads):
         yield name, lambda d=d: spca(data.sample_cov(d).values)
         yield (f"{name} --standardize",
                lambda d=d: spca(data.sample_cov(data.standardize(d)).values))
-    for seed, sizes in enumerate(BLOCK_SIZES):
-        yield (f"block-diagonal {'+'.join(map(str, sizes))}",
-               lambda s=block_diagonal(sizes, seed): spca(s))
+    blocks = [(f"block-diagonal {'+'.join(map(str, sizes))}",
+               lambda sizes=sizes, seed=seed: block_diagonal(sizes, seed))
+              for seed, sizes in enumerate(BLOCK_SIZES)]
     for n_blocks in DESIGN_BLOCKS:
         design = simulate.BlockDesign(n_blocks=n_blocks, rho=0.3)
-        yield (f"block design M = {design.n_vars}",
-               lambda d=design: spca(data.sample_cov(
-                   simulate.gen_block_sample(d, 1000, 1)).values))
+        blocks.append((f"block design M = {design.n_vars}",
+                       lambda d=design: data.sample_cov(
+                           simulate.gen_block_sample(d, 1000, 1)).values))
+    for label, s in blocks:
+        yield label, lambda s=s: spca(s())
     w = workloads["pmd-scan"]
     for i in range(w.pool):
-        yield f"pmd-scan pool id {i}", lambda i=i: pmd(w.build(i, None))
+        yield f"pmd-scan pool id {i}", lambda i=i: pmd(w.build(i, None).values)
+    for label, s in blocks:
+        yield f"pmd {label}", lambda s=s: pmd(s())
 
 
 def _digest(result) -> str:
