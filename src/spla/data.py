@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
+from urllib.parse import urlparse
 
 import numpy as np
 
@@ -113,9 +115,12 @@ def load_csv(path) -> DataMatrix:
 
     Separator ``,``, decimal point ``.``, UTF-8 with or without a leading
     byte-order mark. A cell is what Python ``float()`` accepts once
-    surrounding whitespace is stripped, quoted or not. A plain numeric body
-    is parsed in one vectorised pass; any other body is read cell by cell,
-    where wrong-arity rows and non-numeric cells abort with a row/column
+    surrounding whitespace is stripped, quoted or not. The header is read
+    with :mod:`csv`. A plain numeric body is parsed in one vectorised pass
+    that reads the file from ``path`` in blocks; any other body, and the body
+    of a pipe, a ``bytes`` path, a file descriptor or a compressed or
+    URL-shaped name (:func:`_body_at_once`), is read cell by cell, where
+    wrong-arity rows and non-numeric cells abort with a row/column
     diagnostic. Text the ``csv`` module refuses, such as a field longer than
     :func:`csv.field_size_limit`, aborts with a line diagnostic. That limit
     holds only for text the ``csv`` reader reads: the header, and a body
@@ -132,7 +137,7 @@ def load_csv(path) -> DataMatrix:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             names = [h.strip() for h in header]
-            values = _body_at_once(fh, len(names))
+            values = _body_at_once(path, fh, reader.line_num, len(names))
             if values is None:
                 values = _body_by_cell(reader, names, path)
     except UnicodeDecodeError as exc:
@@ -142,28 +147,38 @@ def load_csv(path) -> DataMatrix:
     return DataMatrix(values, tuple(names))
 
 
-def _body_at_once(fh, m: int) -> np.ndarray | None:
-    """The rest of ``fh`` as an ``N x m`` array from one ``np.loadtxt`` pass.
+#: Suffixes that numpy's file opener decompresses instead of reading as text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
-    None, with ``fh`` back at the first line after the header, where
-    ``loadtxt`` refuses the text (quotes, whitespace-only lines, cells it
-    does not parse), finds no rows or another column count. Where it
-    accepts, it reads each cell as ``float()`` does, correctly rounded. A
-    stream that cannot be read twice is left to the cell-by-cell route.
+
+def _body_at_once(path, fh, skip: int, m: int) -> np.ndarray | None:
+    """The file at ``path`` after its first ``skip`` lines, as an ``N x m``
+    array from one ``np.loadtxt`` pass that opens ``path`` itself and reads
+    it in blocks; ``fh``, the caller's handle on the same file, is not read.
+
+    ``skip`` is the header's count of physical lines, which a quoted name
+    can make more than one. None where ``loadtxt`` refuses the text (quotes,
+    whitespace-only lines, cells it does not parse), finds no rows or
+    another column count; where it accepts, it reads each cell as
+    ``float()`` does, correctly rounded. None also, without reading, where
+    opening ``path`` again would not give the text of ``fh``: ``fh`` is not
+    seekable (a pipe is drained by the first read), ``path`` names no
+    ``str`` path, or numpy's opener would decompress it (a compressed
+    suffix) or fetch it (a URL).
     """
-    if not fh.seekable():
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    # numpy's opener fetches a name with both a scheme and a host.
+    if (not isinstance(name, str) or not fh.seekable()
+            or name.endswith(_COMPRESSED) or all(urlparse(name)[:2])):
         return None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        if values.shape[0] and values.shape[1] == m:
-            return values
+            values = np.loadtxt(name, delimiter=",", comments=None, ndmin=2,
+                                dtype=float, skiprows=skip, encoding="utf-8-sig")
     except ValueError:  # UnicodeDecodeError too: the second route reports it
-        pass
-    fh.seek(0)
-    next(csv.reader(fh))  # the header again
-    return None
+        return None
+    return values if values.shape[0] and values.shape[1] == m else None
 
 
 def _body_by_cell(reader, names: list[str], path) -> np.ndarray:

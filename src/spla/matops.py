@@ -29,7 +29,8 @@ __all__ = [
     "solve_spd",
 ]
 
-#: Largest ``|a_ij - a_ji|`` that :func:`sym_eigen` accepts as symmetric.
+#: Largest ``|a_ij - a_ji|``, relative to the largest ``|a_ij|``, that
+#: :func:`sym_eigen` accepts as symmetric.
 SYM_TOL = 1e-8
 #: Relative pivot floor below which a matrix is declared not positive definite.
 CHOLESKY_PIVOT_RTOL = 1e-12
@@ -119,9 +120,9 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     a = _square(a)
     m = a.shape[0]
     asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
-    if asym > SYM_TOL:
+    if asym > SYM_TOL * np.max(np.abs(a)):
         raise NonSymmetricError(
-            f"max |a_ij - a_ji| = {asym:g} exceeds tol {SYM_TOL:g}"
+            f"max |a_ij - a_ji| = {asym:g} exceeds {SYM_TOL:g} * max |a_ij|"
         )
 
     w = (a + a.T) / 2.0

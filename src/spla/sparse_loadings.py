@@ -222,7 +222,8 @@ def sparse_loading_matrix(s: np.ndarray, grid) -> list:
                         break
                 p = np.eye(m) - np.outer(v, v)
                 work = p @ work @ p
-                # Exactly symmetric: the symmetry check of sym_eigen is absolute.
+                # Exactly symmetric, as penalized_rank_one's products read
+                # it: without this step their bits move.
                 work = (work + work.T) / 2.0
         except MatopsError as exc:
             results.append(exc)

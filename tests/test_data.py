@@ -22,7 +22,12 @@ from spla import (
     structure_scan,
 )
 
+import spla.data
 from oracles import load_csv_cell_by_cell
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
 
 
 class TestDataMatrix:
@@ -181,8 +186,9 @@ class TestLoadCsv:
         [("1,2\n3,5\n", [[1.0, 2.0], [3.0, 5.0]]),
          ("1,2\n3,x\n", "row 3, column 'b': non-numeric value 'x'")],
     )
-    def test_pipe_is_read_once(self, tmp_path, body, want):
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch, body, want):
         # A pipe cannot be read twice, so it goes the cell-by-cell route.
+        monkeypatch.setattr(np, "loadtxt", _must_not_run)
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_text, args=("a,b\n" + body,),
@@ -197,6 +203,40 @@ class TestLoadCsv:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [('"a\nx",b\n1,2\n3,5\n', ("a\nx", "b")),
+         ('a,"b\r\n"\r\n1,2\r\n3,5\r\n', ("a", "b")),
+         ("a,b\r\n1,2\r\n3,5\r\n", ("a", "b")),
+         ("a,b\r1,2\r3,5\r", ("a", "b")),
+         ("\ufeffa,b\n1,2\n3,5\n", ("a", "b"))],
+        ids=["two-line-header", "two-line-header-crlf", "crlf", "cr", "bom"],
+    )
+    def test_plain_body_is_read_at_once_after_the_header(self, tmp_path,
+                                                         monkeypatch, text, names):
+        # The body's read skips the header's physical lines, however many.
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(spla.data, "_body_by_cell", _must_not_run)
+        d = load_csv(p)
+        assert d.variable_names == names
+        assert d.values.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+
+    def test_bytes_path_is_read_cell_by_cell(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n1,2\n3,5\n")
+        monkeypatch.setattr(np, "loadtxt", _must_not_run)
+        assert load_csv(os.fsencode(p)).values.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+
+    def test_url_shaped_name_is_read_cell_by_cell(self, tmp_path, monkeypatch):
+        # numpy's opener would fetch the URL; the local file is read instead.
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "d.csv").write_text("a,b\n1,2\n3,5\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np, "loadtxt", _must_not_run)
+        d = load_csv("http://localhost/d.csv")
+        assert d.values.tolist() == [[1.0, 2.0], [3.0, 5.0]]
 
     def test_fixtures_shapes(self, oecd_data, exam_data):
         assert oecd_data.values.shape == (22, 6)
@@ -262,10 +302,14 @@ def _outcome(load, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_csv_files())
-def test_load_csv_matches_cell_by_cell_parse(text):
+@given(text=_csv_files(),
+       name=st.sampled_from(["in.csv"] * 4 + [f"in.csv.{ext}" for ext in
+                                               ("gz", "bz2", "xz", "lzma")]))
+def test_load_csv_matches_cell_by_cell_parse(text, name):
+    # Plain text under a compressed suffix too, which numpy's opener would
+    # decompress.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.csv"
+        path = Path(tmp) / name
         path.write_bytes(text.encode("utf-8"))
         got, caught = _outcome(load_csv, path)
         want, _ = _outcome(load_csv_cell_by_cell, path)

@@ -71,6 +71,23 @@ class TestSymEigen:
         with pytest.raises(NonSymmetricError):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_accepts_one_ulp_of_asymmetry_at_a_large_scale(self):
+        # Entries up to about 1e14: one ulp of an off-diagonal entry is
+        # about 1e-3, rounding rather than asymmetry.
+        x = np.random.default_rng(2).normal(size=(50, 3)) * 1e7
+        a = np.cov(x, rowvar=False)
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        assert np.max(np.abs(a - a.T)) > 1e-8
+        lam, _ = sym_eigen(a)
+        assert np.allclose(lam, np.linalg.eigvalsh(a)[::-1])
+
+    def test_rejects_asymmetric_at_a_small_scale(self):
+        # The asymmetry is half the largest entry, however small the entries.
+        a = 1e-12 * np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(NonSymmetricError,
+                           match=r"^max \|a_ij - a_ji\| = 1e-12 exceeds 1e-08 \* max \|a_ij\|$"):
+            sym_eigen(a)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(
             ValueError, match=r"^a must be a square matrix, got shape \(2, 3\)$"

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import importlib.util
-import io
 import json
 import re
 import sys
@@ -166,25 +165,30 @@ def test_exit_status(tmp_path, monkeypatch, capsys):
     ]
 
 
-def test_cli_csv_cases_read_their_files_by_relative_name(monkeypatch):
+def test_cli_csv_cases_read_their_files_by_relative_name(tmp_path, monkeypatch):
     import spla.data
 
     tool = _tool()
     cases = [case for case in tool.CLI_CASES if case[1] in tool.CLI_CSV]
     assert [case[1] for case in cases] == list(tool.CLI_CSV)
-    # Of the files that load, the first takes the vectorised route of
-    # load_csv and the other two the cell-by-cell route.
-    for name, at_once in (("plain.csv", True), ("quoted.csv", False),
-                          ("spaces.csv", False)):
-        with io.StringIO(tool.CLI_CSV[name], newline="") as fh:
-            next(csv.reader(fh))
-            assert (spla.data._body_at_once(fh, 3) is not None) == at_once
+    # Of the files that load, the first two take the vectorised route of
+    # load_csv and the other three the cell-by-cell route.
+    loads = ("plain.csv", "two-line-header.csv", "quoted.csv", "spaces.csv",
+             "plain.csv.gz")
+    for name, at_once in zip(loads, (True, True, False, False, False)):
+        path = tmp_path / name
+        path.write_text(tool.CLI_CSV[name], encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            body = spla.data._body_at_once(path, fh, reader.line_num, 3)
+        assert (body is not None) == at_once
     monkeypatch.setattr(tool, "CLI_CASES", cases)
     runs = dict(zip(tool.CLI_CSV, tool.outputs(ROOT / "src", "cli")))
     report, tail = runs["plain.csv"].split("--- stderr\n")
     assert tail == "--- exit 0\n"
     assert json.loads(report)["partition"] == [["a", "b", "c"]]
-    assert runs["quoted.csv"] == runs["spaces.csv"] == runs["plain.csv"]
+    assert all(runs[name] == runs["plain.csv"] for name in loads)
     for name, error in (
         ("bad-cell.csv", "row 5, column 'b': non-numeric value 'oops'"),
         ("ragged.csv", "row 8 has 2 fields, expected 3"),

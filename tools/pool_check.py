@@ -12,7 +12,7 @@ checks every input of the named workloads (all of them by default) against
 
 runs every input of the named pools (all workloads, ``cli`` and ``kernels``
 by default) on both checkouts and checks only that the outputs are
-byte-identical. The ``cli`` pool is ``CLI_CASES``, 62 ``spla.cli`` runs
+byte-identical. The ``cli`` pool is ``CLI_CASES``, 64 ``spla.cli`` runs
 whose output is stdout, stderr and exit code; they run in a directory that
 holds the ``CLI_CSV`` files. The ``kernels`` pool is 136 runs of the
 loading kernels alone (:func:`kernel_runs`): its output is one line per grid
@@ -107,9 +107,11 @@ def _blocks30() -> str:
 
 #: CSV files of the ``cli`` pool by name. Each is written into the run's
 #: working directory and passed by that relative name, so the file name in a
-#: diagnostic reads the same on both checkouts. The first three load the
-#: same values: ``plain.csv`` in one vectorised pass, the next two cell by
-#: cell (``np.loadtxt`` refuses a quoted cell and a whitespace-only line).
+#: diagnostic reads the same on both checkouts. The first five load the
+#: same values: ``plain.csv`` and ``two-line-header.csv``, whose last name
+#: is quoted over two lines, in one vectorised pass, the next three cell by
+#: cell (``np.loadtxt`` refuses a quoted cell and a whitespace-only line,
+#: and would decompress a ``.gz`` name, which here holds plain text).
 #: The next five exit 2 with a row, column or file diagnostic; the last two
 #: of them are a 0-byte file and one that holds only a UTF-8 byte-order mark.
 #: Then a header field and a quoted cell (a valid number) longer than the
@@ -118,8 +120,10 @@ def _blocks30() -> str:
 #: column.
 CLI_CSV = {
     "plain.csv": _SAMPLE,
+    "two-line-header.csv": _SAMPLE.replace("c\n", '"c\n"\n', 1),
     "quoted.csv": _SAMPLE.replace("0.42", '"0.42"'),
     "spaces.csv": _SAMPLE.replace("\n0.55", "\n  \t\n0.55"),
+    "plain.csv.gz": _SAMPLE,
     "bad-cell.csv": _SAMPLE.replace("1.20", "oops"),
     "ragged.csv": _SAMPLE.replace(",-0.71", ""),
     "header-only.csv": "a,b,c\n",
