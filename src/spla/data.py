@@ -238,6 +238,7 @@ def sample_cov(d: DataMatrix) -> CovMatrix:
     Centers internally; a sample with no more rows than variables (its
     covariance has rank at most N-1 < M), or whose covariance overflows or
     is not positive definite (collinear columns), raises :class:`DataError`.
+    :class:`CovMatrix` keeps the product's exactly symmetric part.
     """
     if d.n_obs <= d.n_vars:
         raise DataError(
@@ -248,5 +249,4 @@ def sample_cov(d: DataMatrix) -> CovMatrix:
         x = d.values - d.values.mean(axis=0)
         s = (x.T @ x) / (d.n_obs - 1)
     _check_overflow(np.diag(s), d.variable_names)
-    s = (s + s.T) / 2.0
     return CovMatrix(s, d.variable_names)

@@ -70,8 +70,8 @@ def weight_basis(
     basis is built over (default: ascending variable index).
     """
     u = np.zeros((p.n_vars, p.n_vars))
-    pos = 0
-    for i, b in enumerate(p.blocks):
+    ends = np.cumsum([b.size for b in p.blocks], dtype=int)
+    for i, (b, end) in enumerate(zip(p.blocks, ends)):
         if within_block_order is not None:
             rows = np.asarray(within_block_order[i])
             if tuple(sorted(rows)) != b.variable_indices:
@@ -81,15 +81,14 @@ def weight_basis(
                 )
         else:
             rows = np.asarray(b.variable_indices)
-        u[np.ix_(rows, range(pos, pos + b.size))] = _helmert(b.size)
-        pos += b.size
+        u[np.ix_(rows, range(end - b.size, end))] = _helmert(b.size)
     return u
 
 
 def _block_ecs(cv: CorrectedVariances, p: BlockPartition, c_ec: float):
     """:func:`evaluate_partition` read off the variances ``cv`` of a
     :func:`weight_basis` of ``p`` in any within-block order, gated at ``c_ec``."""
-    ends = np.cumsum([b.size for b in p.blocks[:-1]], dtype=int)
+    ends = np.cumsum([b.size for b in p.blocks], dtype=int)[:-1]
     ecs = np.minimum(cv.r_squared[ends] / cv.uncorrected[ends], 1.0).tolist()
     min_ec = min(ecs, default=1.0)
     return [BlockEvaluation(e) for e in [None, *ecs]], min_ec, min_ec >= c_ec

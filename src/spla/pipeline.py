@@ -34,7 +34,7 @@ from .evaluation import (
     _block_ecs,
     weight_basis,
 )
-from .matops import MatopsError, sym_eigen
+from .matops import MatopsError
 from .sparse_loadings import (
     DETECT_TOL,
     elastic_net_loadings,
@@ -201,8 +201,9 @@ class SplaReport:
 def _ordered(cov: CovMatrix, detected: BlockPartition, order: tuple | None):
     """``detected`` in evaluation order, and its within-block order: an
     explicit ``order`` of exactly the detected blocks pins both; otherwise
-    blocks go by descending largest eigenvalue of their covariance (ties by
-    ascending first variable), variables ascending within (``None``)."""
+    blocks go by descending largest eigenvalue of their covariance, from
+    :func:`numpy.linalg.eigvalsh` (ties by ascending first variable),
+    variables ascending within (``None``)."""
     if order is not None:
         want = [tuple(sorted(b)) for b in order]
         if sorted(want) == sorted(b.variable_indices for b in detected.blocks):
@@ -210,7 +211,7 @@ def _ordered(cov: CovMatrix, detected: BlockPartition, order: tuple | None):
 
     def key(b: Block):
         rows = np.ix_(b.variable_indices, b.variable_indices)
-        return -sym_eigen(cov.values[rows])[0][0], b.variable_indices[0]
+        return -np.linalg.eigvalsh(cov.values[rows])[-1], b.variable_indices[0]
 
     return BlockPartition(tuple(sorted(detected.blocks, key=key))), None
 

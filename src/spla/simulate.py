@@ -194,7 +194,7 @@ def random_wishart_demo(reps: int, seed: int) -> list[tuple[int, float]]:
         s = a.T @ a
         d = np.sqrt(np.diag(s))
         if np.min(d) < 1e-6 or np.linalg.det(s) < 1e-10:
-            draws += 1  # singular draw: redraw (measure zero)
+            draws += 1  # near-singular draw, about 7e-5 of them: redraw
             continue
         corr = s / np.outer(d, d)
         np.fill_diagonal(corr, 1.0)

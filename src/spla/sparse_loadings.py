@@ -152,17 +152,16 @@ def penalized_rank_one(s: np.ndarray, c: float) -> np.ndarray:
     ``unit(x @ loading)`` only rescales ``s @ loading``. After
     ``PMD_MAX_ITER`` alternations the last iterate is returned.
 
-    The loading does not depend on the scale of ``s``. An ``s`` whose
-    largest entry lies outside ``[2**-400, 2**400]`` is first scaled by a
-    power of two, exactly, into ``[0.5, 1)``, so that no square in the
-    alternation underflows or overflows.
+    The loading does not depend on the scale of ``s``: ``s`` is first scaled
+    by a power of two, exactly, so that its largest entry lies in
+    ``[0.5, 1)``. So ``s`` and ``2**k s`` give the same bits, and no square
+    in the alternation underflows or overflows.
     """
     s = _square(s, "s")
     peak = np.max(np.abs(s), initial=0.0)
     if peak == 0:
         raise ValueError("s must be nonzero")
-    if not 2.0**-400 <= peak <= 2.0**400:
-        s = np.ldexp(s, -np.frexp(peak)[1])
+    s = np.ldexp(s, -np.frexp(peak)[1])
     c = _l1_budget(c, s.shape[0])
     loading = sym_eigen(s)[1][:, 0]
     for _ in range(PMD_MAX_ITER):

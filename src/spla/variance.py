@@ -76,14 +76,10 @@ def variance_shares(
     """
     total = cov.trace()
     per = 100.0 * cv.r_squared / total
-    if sum(b.size for b in p.blocks) != per.size:
+    if p.n_vars != per.size:
         raise ValueError("partition size does not match corrected variances")
-    block_sv = []
-    pos = 0
-    for b in p.blocks:
-        block_sv.append(float(np.sum(per[pos:pos + b.size])))
-        pos += b.size
-    block_sv = np.array(block_sv)
+    ends = np.cumsum([b.size for b in p.blocks], dtype=int)
+    block_sv = np.array([np.sum(per[e - b.size:e]) for b, e in zip(p.blocks, ends)])
     return VarianceShares(per, block_sv, np.cumsum(block_sv))
 
 

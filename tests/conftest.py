@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from spla import CovMatrix, DataMatrix, load_csv, sample_cov, standardize
+from spla import (
+    Block,
+    BlockPartition,
+    CovMatrix,
+    DataMatrix,
+    load_csv,
+    sample_cov,
+    standardize,
+)
 from importlib import resources
 
 
@@ -32,6 +40,15 @@ def exam_cov(exam_data) -> CovMatrix:
 def random_spd(rng: np.random.Generator, m: int) -> np.ndarray:
     a = rng.normal(size=(m, m))
     return a @ a.T + m * np.eye(m)
+
+
+def _seq_partition(sizes) -> BlockPartition:
+    """Consecutive blocks of the given sizes, in order, from variable 0."""
+    blocks, pos = [], 0
+    for s in sizes:
+        blocks.append(Block(range(pos, pos + s)))
+        pos += s
+    return BlockPartition(tuple(blocks))
 
 
 #: One verdict line per acceptance criterion, printed in the summary below.

@@ -34,6 +34,12 @@ parsed in one vectorised pass: one ``float()`` per cell.
 :func:`population_cov` and :func:`population_correlation` give a
 :class:`~spla.simulate.BlockDesign`'s covariance in closed form, a check on
 the generator's draws.
+
+:func:`bipartite_components` finds the components of a support pattern by
+depth-first search over variables and supports, a check on
+``matops._components``. :func:`sym_eigen_order_key` is the default block
+order's key as it was before it read ``numpy.linalg.eigvalsh``: the largest
+eigenvalue that ``sym_eigen`` gives.
 """
 
 from __future__ import annotations
@@ -298,7 +304,8 @@ def full_deflation(s: np.ndarray, grid) -> list:
                 cols.append(v)
                 p = np.eye(m) - np.outer(v, v)
                 work = p @ work @ p
-                # Exactly symmetric: the symmetry check of sym_eigen is absolute.
+                # Exactly symmetric, as penalized_rank_one's products read
+                # it: without this step their bits move.
                 work = (work + work.T) / 2.0
         except MatopsError as exc:
             results.append(exc)
@@ -414,3 +421,47 @@ def population_correlation(design: BlockDesign) -> np.ndarray:
     cov = population_cov(design)
     d = 1.0 / np.sqrt(np.diag(cov))
     return d[:, None] * cov * d[None, :]
+
+
+def bipartite_components(pattern: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """Components of the bipartite graph of a boolean ``R x C`` pattern by
+    depth-first search, as ``(rows, columns)`` pairs of ascending lists.
+
+    Nodes ``0..R-1`` are the rows (variables), ``R..R+C-1`` the columns
+    (supports); row ``i`` and column ``j`` are adjacent when
+    ``pattern[i, j]``. Components come in order of their smallest node, so
+    every one that holds a row comes by its smallest row, before those
+    that are a column alone. Indices are ``int``, not numpy integers.
+    """
+    pattern = np.asarray(pattern, dtype=bool)
+    n_rows, n_cols = pattern.shape
+    seen = np.zeros(n_rows + n_cols, dtype=bool)
+    components = []
+    for start in range(n_rows + n_cols):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        rows, cols = [], []
+        while stack:
+            node = stack.pop()
+            if node < n_rows:
+                rows.append(int(node))
+                neighbors = np.flatnonzero(pattern[node]) + n_rows
+            else:
+                cols.append(int(node - n_rows))
+                neighbors = np.flatnonzero(pattern[:, node - n_rows])
+            for nb in neighbors:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        components.append((sorted(rows), sorted(cols)))
+    return components
+
+
+def sym_eigen_order_key(cov: CovMatrix, b) -> tuple[float, int]:
+    """The default order's key of block ``b`` as it was before
+    ``pipeline._ordered`` read ``numpy.linalg.eigvalsh``: minus the largest
+    eigenvalue ``sym_eigen`` gives for ``S_bb``, then the first variable."""
+    rows = np.ix_(b.variable_indices, b.variable_indices)
+    return -sym_eigen(cov.values[rows])[0][0], b.variable_indices[0]

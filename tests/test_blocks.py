@@ -16,6 +16,8 @@ from spla.blocks import (
     NonSquareBlockError,
 )
 
+from oracles import bipartite_components
+
 
 def _pattern_matrix(pattern: list[str]) -> np.ndarray:
     """Rows of 'x'/'.' characters to a 0/1 loading matrix."""
@@ -104,39 +106,6 @@ class TestDetectBlocks:
         assert covered == [0, 1, 2]
 
 
-def _reference_components(pattern: np.ndarray):
-    """Components of the bipartite graph by depth-first search.
-
-    Nodes ``0..M-1`` are variables (rows), ``M..2M-1`` are loadings
-    (columns); components come in order of their smallest node. Node ids
-    are stored as ``int``: with NumPy 2 the detector this copies printed
-    them as ``np.int64(1)`` in its error messages.
-    """
-    m = pattern.shape[0]
-    seen = np.zeros(2 * m, dtype=bool)
-    components = []
-    for start in range(2 * m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        rows, cols = [], []
-        while stack:
-            node = stack.pop()
-            if node < m:
-                rows.append(int(node))
-                neighbors = np.nonzero(pattern[node])[0] + m
-            else:
-                cols.append(int(node - m))
-                neighbors = np.nonzero(pattern[:, node - m])[0]
-            for nb in neighbors:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        components.append((sorted(rows), sorted(cols)))
-    return components
-
-
 def _reference_detect_blocks(u: np.ndarray) -> BlockPartition:
     """Independent detector: depth-first search, then the same diagnostics."""
     pattern = np.abs(u) > ZERO_TOL
@@ -146,7 +115,7 @@ def _reference_detect_blocks(u: np.ndarray) -> BlockPartition:
             f"variable {int(lonely[0])} has no incident loading"
         )
     blocks = []
-    for rows, cols in _reference_components(pattern):
+    for rows, cols in bipartite_components(pattern):
         if not cols and rows:
             raise IsolatedVariableError(f"variable {rows[0]} has no incident loading")
         if not rows and cols:

@@ -17,16 +17,8 @@ from spla import (
 from spla.blocks import ZERO_TOL, InconsistentPartitionError
 from spla.pipeline import SplaConfig, _scan
 
-from conftest import random_spd
+from conftest import _seq_partition, random_spd
 from oracles import block_ec_literal, replace_with_weight
-
-
-def _seq_partition(sizes) -> BlockPartition:
-    blocks, pos = [], 0
-    for s in sizes:
-        blocks.append(Block(range(pos, pos + s)))
-        pos += s
-    return BlockPartition(tuple(blocks))
 
 
 def _random_partition(rng, m):

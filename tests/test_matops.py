@@ -16,6 +16,7 @@ from spla.matops import (
 )
 
 from conftest import random_spd
+from oracles import bipartite_components
 
 
 class TestSymEigen:
@@ -156,6 +157,18 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0)
 
 
+class TestMatrixShape:
+    # A vector, and a square matrix with no entries, which passes the
+    # square check of sym_eigen and is refused by the 2-d matrix check.
+    @pytest.mark.parametrize(
+        "kernel, a, shape",
+        [(svd, np.ones(3), r"\(3,\)"), (sym_eigen, np.empty((0, 0)), r"\(0, 0\)")],
+    )
+    def test_refuses_what_is_not_a_nonempty_matrix(self, kernel, a, shape):
+        with pytest.raises(ValueError, match=f"^expected a 2-d matrix, got shape {shape}$"):
+            kernel(a)
+
+
 class TestSoftThreshold:
     def test_values(self):
         v = np.array([3.0, -2.0, 0.5, -0.5])
@@ -205,23 +218,19 @@ class TestSolveSpd:
             solve_spd(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
 
 
-def _union_find_components(m: int, columns) -> list[list[int]]:
-    """Components of rows ``0..m-1`` by union-find: each column, a set of
-    rows, joins its rows. Lists of ascending rows, by smallest row."""
-    parent = list(range(m))
+def _support(m: int, columns) -> np.ndarray:
+    """The ``m x len(columns)`` boolean pattern whose column ``j`` holds the
+    rows ``columns[j]``."""
+    support = np.zeros((m, len(columns)), dtype=bool)
+    for j, rows in enumerate(columns):
+        support[sorted(rows), j] = True
+    return support
 
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
 
-    for rows in map(sorted, columns):
-        for r in rows[1:]:
-            parent[root(r)] = root(rows[0])
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(root(i), []).append(i)
-    return sorted(groups.values())
+def _oracle_components(support) -> list[list[int]]:
+    """The rows of each component of ``support`` that holds a row, by the
+    depth-first oracle: ascending lists, by smallest row."""
+    return [rows for rows, _ in bipartite_components(support) if rows]
 
 
 @st.composite
@@ -235,17 +244,15 @@ def _supports(draw):
 class TestComponents:
     @settings(max_examples=300, deadline=None)
     @given(_supports())
-    def test_rectangular_support_matches_union_find(self, case):
+    def test_rectangular_support_matches_the_bipartite_oracle(self, case):
         m, columns = case
-        support = np.zeros((m, len(columns)), dtype=bool)
-        for j, rows in enumerate(columns):
-            support[sorted(rows), j] = True
+        support = _support(m, columns)
         got = [c.tolist() for c in _components(support)]
-        assert got == _union_find_components(m, columns)
+        assert got == _oracle_components(support)
 
     @settings(max_examples=200, deadline=None)
     @given(_supports())
-    def test_symmetric_adjacency_with_diagonal_matches_union_find(self, case):
+    def test_symmetric_adjacency_with_diagonal_matches_the_bipartite_oracle(self, case):
         # Each column's rows, pairwise, are the edges; the diagonal makes
         # the adjacency a support of its own graph.
         m, columns = case
@@ -253,7 +260,7 @@ class TestComponents:
         for rows in map(sorted, columns):
             adjacency[np.ix_(rows, rows)] = True
         got = [c.tolist() for c in _components(adjacency)]
-        assert got == _union_find_components(m, columns)
+        assert got == _oracle_components(_support(m, columns))
 
     def test_no_columns_gives_singletons(self):
         got = [c.tolist() for c in _components(np.zeros((3, 0), dtype=bool))]

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import spla.evaluation
 import spla.pipeline
@@ -15,7 +16,12 @@ from spla import (
     run_spla,
     structure_scan,
 )
+from spla.blocks import Block, BlockPartition
 from spla.matops import cholesky_upper
+from spla.pipeline import _ordered
+
+from conftest import random_spd
+from oracles import sym_eigen_order_key
 
 
 def _names(report):
@@ -189,6 +195,39 @@ class TestSelectionAndFallback:
             (2, 3), (0, 1), (4, 5)
         ]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_default_order_matches_the_sym_eigen_key(self, data):
+        # A block-diagonal S on scattered variables. A block may copy an
+        # earlier one of its size (an exact tie, which the first variable
+        # decides) or hold exact zeros (two components with no covariance
+        # between them).
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mats = []
+        for size in sizes:
+            same = [a for a in mats if len(a) == size]
+            if same and data.draw(st.booleans()):
+                mats.append(data.draw(st.sampled_from(same)))
+                continue
+            a = random_spd(rng, size)
+            cut = data.draw(st.integers(0, size - 1))
+            a[:cut, cut:] = a[cut:, :cut] = 0.0
+            mats.append(a)
+        m = sum(sizes)
+        s, blocks, perm = np.zeros((m, m)), [], rng.permutation(m)
+        for a, end in zip(mats, np.cumsum(sizes)):
+            rows = np.sort(perm[end - len(a):end])  # S_bb is ``a`` itself
+            s[np.ix_(rows, rows)] = a
+            blocks.append(Block(rows))
+        cov = CovMatrix(s, tuple(f"v{i}" for i in range(m)))
+        keys = [sym_eigen_order_key(cov, b)[0] for b in blocks]
+        # Near-ties that are not exact ties are decided by rounding.
+        assume(all(x == y or abs(x - y) > 1e-9 * abs(x) for x in keys for y in keys))
+        got, within = _ordered(cov, BlockPartition(tuple(blocks)), None)
+        assert within is None
+        assert got.blocks == tuple(sorted(blocks, key=lambda b: sym_eigen_order_key(cov, b)))
+
     def test_block_order_mismatch_falls_back(self, exam_data):
         cfg = SplaConfig(
             method="spca",
@@ -255,8 +294,8 @@ class TestCovarianceRoute:
     @pytest.mark.filterwarnings("error")
     def test_scan_is_scale_free(self):
         # In tiny units the deflation must not stop early and report M
-        # singletons; in huge units a deflated S that is not exactly
-        # symmetric fails the absolute symmetry check of sym_eigen. Near
+        # singletons, and in huge units the symmetry check of sym_eigen,
+        # relative to the largest entry, must not refuse a deflated S. Near
         # the ends of the float range the PMD alternation's squares would
         # underflow or overflow.
         from spla import BlockDesign, gen_block_sample, sample_cov

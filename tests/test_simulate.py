@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spla.simulate
 from spla import (
     BlockDesign,
     SplaConfig,
@@ -170,3 +171,26 @@ class TestWishartDemo:
 
     def test_reproducible(self):
         assert random_wishart_demo(4, seed=23) == random_wishart_demo(4, seed=23)
+
+    def test_near_singular_draw_is_redrawn_from_the_next_stream(self, monkeypatch):
+        # Rep 0's first draw is singular (rank one), so rep 0 comes from the
+        # (seed, 0, 1) stream and rep 1, as ever, from (seed, 1, 0).
+        real, keys = spla.simulate._rng, []
+
+        class RankOne:
+            def uniform(self, low, high, size):
+                return np.full(size, 0.5)
+
+        def rng(*key):
+            keys.append(key)
+            return RankOne() if key == (23, 0, 0) else real(*key)
+
+        monkeypatch.setattr(spla.simulate, "_rng", rng)
+        got = random_wishart_demo(2, seed=23)
+        assert keys == [(23, 0, 0), (23, 0, 1), (23, 1, 0)]
+        # The same reps when the (23, 0, 1) stream gives rep 0's first draw.
+        monkeypatch.setattr(
+            spla.simulate, "_rng",
+            lambda *key: real(*((23, 0, 1) if key == (23, 0, 0) else key)),
+        )
+        assert got == random_wishart_demo(2, seed=23)

@@ -92,6 +92,17 @@ def _sample_route(x: np.ndarray, c: float) -> np.ndarray:
     return _fix_signs(np.column_stack(cols))
 
 
+def _assert_same_results(got: list, want: list):
+    """Two kernels' result lists agree: the same loadings byte for byte, or
+    the same error class and message."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert isinstance(g, np.ndarray) and g.tobytes() == w.tobytes()
+        else:
+            assert (type(g), str(g)) == (type(w), str(w))
+
+
 @pytest.fixture()
 def thresholds(monkeypatch):
     """The ``delta`` of every threshold search in ``sparse_loadings``."""
@@ -297,6 +308,38 @@ class TestPenalizedRankOne:
         loading = penalized_rank_one(s * scale, 1.5)
         assert np.allclose(loading, penalized_rank_one(s, 1.5), rtol=0, atol=1e-12)
         assert np.linalg.norm(loading) == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_of_two_keeps_every_bit_on_a_block_design(self):
+        # Run unscaled, the alternation gives c = 1.2 loadings of S and
+        # 2**-200 S that differ by 1.8e-17.
+        s = sample_cov(gen_block_sample(BlockDesign(rho=0), 300, 0)).values
+        grid = (np.sqrt(14) - 0.005, 2.0, 1.5, 1.2)
+        _assert_same_results(
+            sparse_loading_matrix(s, grid), sparse_loading_matrix(np.ldexp(s, -200), grid)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("spd"), st.integers(2, 8), st.integers(0, 2**32 - 1)),
+            st.tuples(st.just("design"), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+        ),
+        st.integers(-300, 300),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    )
+    def test_power_of_two_keeps_every_bit(self, case, k, fractions):
+        kind, size, seed = case
+        if kind == "spd":
+            s = random_spd(np.random.default_rng(seed), size)
+        else:
+            s = sample_cov(gen_block_sample(BlockDesign(n_blocks=size, rho=0.3), 60, seed)).values
+        # 2**k s is exact: every nonzero entry stays a normal float.
+        nonzero = np.abs(np.ldexp(s[s != 0], k))
+        assume(np.all(nonzero >= np.finfo(float).tiny) and np.all(np.isfinite(nonzero)))
+        grid = [1.0 + f * (np.sqrt(len(s)) - 1.0) for f in fractions]
+        _assert_same_results(
+            sparse_loading_matrix(s, grid), sparse_loading_matrix(np.ldexp(s, k), grid)
+        )
 
     def test_one_threshold_per_alternation(self, thresholds):
         cov = sample_cov(gen_block_sample(BlockDesign(), 1000, 41))

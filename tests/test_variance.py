@@ -15,16 +15,8 @@ from spla import (
 )
 from spla.matops import sym_eigen
 
-from conftest import random_spd
+from conftest import _seq_partition, random_spd
 from oracles import corrected_variances_from_data
-
-
-def _seq_partition(sizes) -> BlockPartition:
-    blocks, pos = [], 0
-    for s in sizes:
-        blocks.append(Block(range(pos, pos + s)))
-        pos += s
-    return BlockPartition(tuple(blocks))
 
 
 class TestCorrectedVariances:

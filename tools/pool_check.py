@@ -71,13 +71,19 @@ _SAMPLE = (
 _WIDE = csv.field_size_limit() + 1
 
 
+def _csv(header: str, x: np.ndarray) -> str:
+    """The sample ``x`` under the header line ``header`` as CSV text with
+    round-trip floats."""
+    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+
+
 def _collinear() -> str:
     """A sample (M = 4, N = 50) whose column ``b`` is ``a`` plus 1.6e-6 of
     a normal draw, as CSV text with round-trip floats. Its covariance passes
     the Cholesky pivot floor, but a later factor does not: exit 3."""
     x = np.random.default_rng(0).normal(size=(50, 4))
     x[:, 1] = x[:, 0] + 1.6e-6 * x[:, 1]
-    return "a,b,c,d\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+    return _csv("a,b,c,d", x)
 
 
 def _faint() -> str:
@@ -86,7 +92,7 @@ def _faint() -> str:
     ``--standardize`` analyzes it; as it is, the Cholesky pivot floor
     refuses the covariance: exit 2."""
     x = np.random.default_rng(0).normal(size=(50, 3)) * [1e-13, 1.0, 1.0]
-    return "a,b,c\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+    return _csv("a,b,c", x)
 
 
 def _blocks30() -> str:
@@ -101,8 +107,7 @@ def _blocks30() -> str:
     y = rng.normal(0.0, np.sqrt(10.0), size=(1000, 1))
     x = (np.sqrt(1.0 - rho) * np.repeat(z, 2, axis=1) + np.sqrt(rho) * y
          + rng.normal(size=(1000, 30)))
-    header = ",".join(f"X{j}" for j in range(1, 31))
-    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x)
+    return _csv(",".join(f"X{j}" for j in range(1, 31)), x)
 
 
 #: CSV files of the ``cli`` pool by name. Each is written into the run's
