@@ -119,7 +119,7 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _square(a)
     m = a.shape[0]
-    asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
+    asym = np.max(np.abs(a - a.T))
     if asym > SYM_TOL * np.max(np.abs(a)):
         raise NonSymmetricError(
             f"max |a_ij - a_ji| = {asym:g} exceeds {SYM_TOL:g} * max |a_ij|"

@@ -9,7 +9,8 @@ analysis reads nothing else of them), or the numerical error that ended the
 point. Each factor of the first is :func:`penalized_rank_one` of the
 deflated covariance, whose every alternation finds its exact L1 threshold by
 a scan over the sorted ``|z|`` in scalar arithmetic that stops at the first
-value breaking the budget; the second runs its points in lock step.
+value breaking the budget; the second runs its points in lock step, from
+which a point that converged or failed leaves in one step per iteration.
 A budget of the first route stops once its factors' supports at
 :data:`DETECT_TOL` connect every variable. Each budget writes one DEBUG
 record to the ``"spla"`` logger: the factors run and the factor after which
@@ -330,8 +331,9 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
     # operands are contiguous rows, a preallocated zero and 0-d arrays for
     # the diagonal, which numpy dispatches faster than Python floats; the
     # row views are made again only when the stacks shrink. ``point`` maps
-    # a stack index to its grid index; a point leaves the stacks when its
-    # alternation converges or fails.
+    # a stack index to its grid index. Once per outer iteration, the points
+    # whose alternation converged and those whose SVD failed leave the
+    # stacks in one step; only the rest are factored.
     point = np.arange(len(half))
     a = np.repeat(a0[None], len(half), axis=0)
     bt = np.repeat(a0[:, None], len(half), axis=1)
@@ -367,22 +369,16 @@ def elastic_net_loadings(s: np.ndarray, grid) -> list:
         swept.append(swept[-1] + sweeps)
         f = (bt - bt_old).transpose(1, 0, 2).reshape(point.size, -1)
         done = np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1) < EN_CONV_TOL
-        if np.count_nonzero(done):
-            for k in np.flatnonzero(done):
-                results[point[k]] = _unit_columns(b[k])
+        live = np.flatnonzero(~done)
+        a, failed = _polar_factors(s @ b[live]) if live.size else (a[:0], {})
+        ended = {k: _unit_columns(b[k]) for k in np.flatnonzero(done)}
+        ended.update((live[k], exc) for k, exc in failed.items())
+        if ended:
+            for k, res in ended.items():
+                results[point[k]] = res
                 ran[point[k]] = it
-            point, half = point[~done], half[~done]
-            bt = np.ascontiguousarray(bt[:, ~done])
-            b = bt.transpose(1, 0, 2)
-            if not point.size:
-                break
-        a, failed = _polar_factors(s @ b)
-        if failed:
-            for k, exc in failed.items():
-                results[point[k]] = exc
-                ran[point[k]] = it
-            keep = np.isin(np.arange(point.size), list(failed), invert=True)
-            point, a, half = point[keep], a[keep], half[keep]
+            keep = np.isin(np.arange(point.size), list(ended), invert=True)
+            point, half, a = point[keep], half[keep], a[keep[live]]
             bt = np.ascontiguousarray(bt[:, keep])
             b = bt.transpose(1, 0, 2)
     for k in point:

@@ -27,6 +27,12 @@ class TestSymEigen:
         assert np.allclose(np.abs(vecs[:, 0]), 1 / np.sqrt(2))
         assert np.allclose(np.abs(vecs[:, 1]), 1 / np.sqrt(2))
 
+    @pytest.mark.parametrize("x", [3.0, 0.0, -2.0])
+    def test_one_by_one(self, x):
+        # a - a.T is [[0.0]], so the symmetry check needs no size guard.
+        lam, vecs = sym_eigen([[x]])
+        assert lam.tolist() == [x] and vecs.tolist() == [[1.0]]
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(1)
         for m in (1, 2, 3, 6, 10):

@@ -136,6 +136,27 @@ def test_against_lists_inputs_that_are_not_byte_identical(tmp_path, monkeypatch,
     ]
 
 
+def test_against_compares_kernels_lines_as_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    # Two digests whose digit runs pair up one for one, and two error texts
+    # with one number each: none of them is a number to compare.
+    old = ["1a" * 32 + "\n", "error: NoConvergenceError: in 300 iterations\n"]
+    new = ["2a" * 32 + "\n", "error: NoConvergenceError: in 200 iterations\n"]
+    monkeypatch.setattr(tool, "outputs",
+                        lambda src, name: new if src == ROOT / "src" else old)
+    other = tmp_path / "other"
+    (other / "src" / "spla").mkdir(parents=True)
+    assert tool.main(["--against", str(other), "kernels"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"kernels: 0 of 2 identical to {other}",
+        f"  spca-oecd pool id 0: line 1: '{'1a' * 32}' -> '{'2a' * 32}'; "
+        "max rel diff n/a",
+        "  spca-oecd pool id 1: line 1: 'error: NoConvergenceError: in 300 iterations' "
+        "-> 'error: NoConvergenceError: in 200 iterations'; max rel diff n/a",
+    ]
+
+
 def test_exit_status(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = _tool()

@@ -652,6 +652,47 @@ class TestElasticNetGrid:
             assert got[k].tobytes() == want[k].tobytes() == unshifted[j].tobytes()
             assert records[k] == unshifted_records[j]
 
+    def test_converged_and_refused_points_retire_in_one_iteration(
+        self, exam_cov, monkeypatch, caplog
+    ):
+        # Point 1 converges in the outer iteration in which the stacked SVD
+        # of points 2 and 3 is refused and point 2's own SVD fails. Both
+        # retire with their own result, and point 3 runs on as without the
+        # refusal: point 2 would end three iterations later, each with fewer
+        # sweeps than point 3's, so even the stacked sweep count is the same.
+        grid = [50.0, 60.0, 20.0]
+        caplog.set_level(logging.DEBUG, logger="spla")
+        want = elastic_net_loadings(exam_cov.values, grid)
+        # "spca point k of 3: <outer iterations, sweeps; ending>"
+        want_records = [r.getMessage().split(": ", 1)[1] for r in caplog.records]
+        ran = [int(r.split(" outer")[0]) for r in want_records]
+        assert ran == [37, 40, 53]
+        calls = []
+
+        def refusing(a):
+            calls.append(a.shape)
+            if len(calls) == ran[0]:  # the stacked SVD of that iteration
+                raise sl.NoConvergenceError("stack refused")
+            if len(calls) == ran[0] + 1:  # then point 2's SVD alone
+                raise sl.NoConvergenceError("SVD did not converge")
+            return svd(a)
+
+        monkeypatch.setattr(sl, "svd", refusing)
+        caplog.clear()
+        got = elastic_net_loadings(exam_cov.values, grid)
+        records = [r.getMessage().split(": ", 1)[1] for r in caplog.records]
+        # Point 1 left before the stack was factored; point 3 is alone after.
+        assert calls[ran[0] - 1:ran[0] + 3] == [(2, 5, 5), (5, 5), (5, 5), (1, 5, 5)]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert records[0] == want_records[0]
+        assert isinstance(got[1], sl.NoConvergenceError)
+        assert str(got[1]) == "SVD did not converge"
+        assert records[1] == want_records[0].replace(
+            "converged", "NoConvergenceError: SVD did not converge"
+        )
+        assert got[2].tobytes() == want[2].tobytes()
+        assert records[2] == want_records[2]
+
 
 class TestOrthogonalize:
     def test_projects_to_nearest_orthonormal(self):

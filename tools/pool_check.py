@@ -20,7 +20,8 @@ point, the sha256 of the loadings' bytes or the error that ended the point,
 so a bit-for-bit claim about a kernel needs this one command. It prints ``name:
 k of n identical to OTHER_CHECKOUT`` per pool, then, for each input that
 differs, its first differing JSON path or line (other -> this) and the
-largest relative difference between the numbers there.
+largest relative difference between the numbers there (``n/a`` for a
+``kernels`` line, which holds no number).
 
 Every run is a subprocess with one BLAS thread and only the checkout's
 ``src/`` on ``PYTHONPATH``; both use this checkout's ``perfbench/`` and
@@ -386,11 +387,13 @@ def _numbers(v) -> list[float] | None:
     return [float(t) for t in _NUMBER.findall(v)] if isinstance(v, str) else None
 
 
-def describe(old: str, new: str) -> str | None:
+def describe(old: str, new: str, numeric: bool = True) -> str | None:
     """None when two output texts are byte-identical. Otherwise the first
     differing JSON path, or line when either is not JSON (old -> new), and
     the largest relative difference between the numbers of the differing
-    leaves or lines; ``n/a`` when their numbers do not pair up."""
+    leaves or lines; ``n/a`` when their numbers do not pair up, or when
+    ``numeric`` is false: a ``kernels`` line, a sha256 digest or an error
+    text, holds no number, though a digest's digit runs look like some."""
     if old == new:
         return None
     try:
@@ -401,7 +404,7 @@ def describe(old: str, new: str) -> str | None:
         found = [(f"line {i}", a, b) for i, (a, b) in enumerate(lines, 1) if a != b]
     path, a, b = found[0] if found else (".", old, new)
     pairs = [(_numbers(x), _numbers(y)) for _, x, y in found]
-    if any(x is None or y is None or len(x) != len(y) for x, y in pairs):
+    if not numeric or any(x is None or y is None or len(x) != len(y) for x, y in pairs):
         return f"{path}: {a!r} -> {b!r}; max rel diff n/a"
     rel = max((abs(x - y) / max(abs(x), abs(y))
                for xs, ys in pairs for x, y in zip(xs, ys) if x != y), default=0.0)
@@ -445,7 +448,8 @@ def main(argv: list[str]) -> int:
         if args.against:
             theirs = outputs(Path(args.against).resolve() / "src", name)
             diffs = [f"{_label(name, i, WORKLOADS)}: {d}"
-                     for i, d in enumerate(map(describe, theirs, texts)) if d]
+                     for i, (old, new) in enumerate(zip(theirs, texts))
+                     if (d := describe(old, new, name != KERNELS))]
             verdict = f"identical to {args.against}"
         else:
             diffs, verdict = check(WORKLOADS[name], mismatch, texts), "match"
